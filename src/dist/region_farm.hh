@@ -15,8 +15,8 @@
  * Region checkpoints are *shipped* instead of inherited, split by
  * what dominates their size:
  *
- *  - the microarchitectural state (cache tag arrays, LRU clocks,
- *    prefetch counter, branch-predictor tables — megabytes) goes
+ *  - the microarchitectural state (cache tag arrays, L3 sharer
+ *    masks, prefetch counter, branch-predictor tables — megabytes) goes
  *    through a per-slot shared-memory arena: the coordinator exports
  *    it with one straight memcpy (MulticoreSim::exportMicroarchState)
  *    and the worker binds its caches zero-copy into the arena

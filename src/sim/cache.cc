@@ -1,7 +1,6 @@
 #include "sim/cache.hh"
 
 #include <cstring>
-#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -23,34 +22,40 @@ log2u32(uint32_t v)
 
 } // namespace
 
-Cache::Cache(const CacheConfig &cfg_)
+Cache::Cache(const CacheConfig &cfg_, Sharers sharers)
     : cfg(cfg_)
 {
-    LP_ASSERT(cfg.lineBytes > 0 && cfg.assoc > 0);
+    // lineBytes >= 2 keeps the packed tag `lineAddr + 1` from wrapping
+    // to the invalid word 0.
+    LP_ASSERT(cfg.lineBytes >= 2 && cfg.assoc > 0);
     LP_ASSERT(cfg.sizeBytes % (cfg.lineBytes * cfg.assoc) == 0);
-    numSets = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
-    LP_ASSERT(numSets > 0);
+    const uint32_t num_sets = cfg.sizeBytes / (cfg.lineBytes * cfg.assoc);
+    LP_ASSERT(num_sets > 0);
     // Shift/mask indexing requires power-of-two geometry (true for
     // every Table I level and any sensible cache).
     LP_ASSERT(isPowerOfTwo(cfg.lineBytes));
-    LP_ASSERT(isPowerOfTwo(numSets));
+    LP_ASSERT(isPowerOfTwo(num_sets));
     lineShift = log2u32(cfg.lineBytes);
-    setMask = numSets - 1;
-    static_assert(std::is_trivially_copyable_v<Line>,
-                  "recency reordering uses memmove");
-    lineCount = static_cast<size_t>(numSets) * cfg.assoc;
-    ownedLines.resize(lineCount);
-    lines = ownedLines.data();
+    setMask = num_sets - 1;
+    lineCount = static_cast<size_t>(num_sets) * cfg.assoc;
+    ownedTags.assign(lineCount, 0);
+    tags = ownedTags.data();
+    if (sharers == Sharers::Tracked) {
+        ownedMasks.assign(lineCount, 0);
+        masks = ownedMasks.data();
+    }
 }
 
 Cache::Cache(const Cache &other)
-    : cfg(other.cfg), numSets(other.numSets),
-      lineShift(other.lineShift), setMask(other.setMask),
-      lineCount(other.lineCount),
-      ownedLines(other.lines, other.lines + other.lineCount),
-      lines(ownedLines.data()), lruClock(other.lruClock),
-      cacheStats(other.cacheStats)
+    : cfg(other.cfg), lineShift(other.lineShift),
+      setMask(other.setMask), lineCount(other.lineCount),
+      ownedTags(other.tags, other.tags + other.lineCount),
+      tags(ownedTags.data()), cacheStats(other.cacheStats)
 {
+    if (other.masks) {
+        ownedMasks.assign(other.masks, other.masks + other.lineCount);
+        masks = ownedMasks.data();
+    }
 }
 
 Cache &
@@ -59,93 +64,133 @@ Cache::operator=(const Cache &other)
     if (this == &other)
         return *this;
     cfg = other.cfg;
-    numSets = other.numSets;
     lineShift = other.lineShift;
     setMask = other.setMask;
     lineCount = other.lineCount;
-    ownedLines.assign(other.lines, other.lines + other.lineCount);
-    lines = ownedLines.data();
-    lruClock = other.lruClock;
+    ownedTags.assign(other.tags, other.tags + other.lineCount);
+    tags = ownedTags.data();
+    if (other.masks) {
+        ownedMasks.assign(other.masks, other.masks + other.lineCount);
+        masks = ownedMasks.data();
+    } else {
+        ownedMasks.clear();
+        masks = nullptr;
+    }
     cacheStats = other.cacheStats;
     return *this;
 }
 
 void
-Cache::exportLines(void *dst) const
+Cache::exportImage(void *dst) const
 {
-    std::memcpy(dst, lines, linesBytes());
+    const size_t bytes = lineCount * sizeof(uint64_t);
+    std::memcpy(dst, tags, bytes);
+    if (masks)
+        std::memcpy(static_cast<unsigned char *>(dst) + bytes, masks,
+                    bytes);
 }
 
 void
-Cache::bindExternalLines(void *mem)
+Cache::bindImage(void *mem)
 {
-    LP_ASSERT(reinterpret_cast<uintptr_t>(mem) % alignof(Line) == 0);
-    lines = static_cast<Line *>(mem);
-    ownedLines.clear();
-    ownedLines.shrink_to_fit();
+    LP_ASSERT(reinterpret_cast<uintptr_t>(mem) % alignof(uint64_t) == 0);
+    tags = static_cast<uint64_t *>(mem);
+    ownedTags.clear();
+    ownedTags.shrink_to_fit();
+    if (masks) {
+        masks = tags + lineCount;
+        ownedMasks.clear();
+        ownedMasks.shrink_to_fit();
+    }
+}
+
+uint32_t
+Cache::find(size_t base, uint64_t tag) const
+{
+    // Invalid ways hold 0, which no tag equals.
+    const uint64_t *set = tags + base;
+    for (uint32_t w = 0; w < cfg.assoc; ++w)
+        if (set[w] == tag)
+            return w;
+    return cfg.assoc;
+}
+
+void
+Cache::promote(size_t base, uint32_t w, uint64_t tag, uint64_t mask)
+{
+    std::memmove(tags + base + 1, tags + base, w * sizeof(uint64_t));
+    tags[base] = tag;
+    if (masks) {
+        std::memmove(masks + base + 1, masks + base,
+                     w * sizeof(uint64_t));
+        masks[base] = mask;
+    }
+}
+
+void
+Cache::insert(size_t base, uint64_t tag, uint64_t mask,
+              std::optional<Addr> *evicted, uint64_t *evicted_sharers)
+{
+    // The first invalid way or, in a full set, the LRU line in the
+    // last way — the victim.
+    const uint64_t *set = tags + base;
+    uint32_t w = cfg.assoc - 1;
+    if (set[w]) {
+        if (evicted)
+            *evicted = (set[w] - 1) << lineShift;
+        if (evicted_sharers && masks)
+            *evicted_sharers = masks[base + w];
+    } else {
+        w = 0;
+        while (set[w])
+            ++w;
+    }
+    promote(base, w, tag, mask);
 }
 
 bool
 Cache::access(Addr addr, uint32_t core, bool is_write,
-              std::optional<Addr> *evicted)
+              std::optional<Addr> *evicted, uint64_t *evicted_sharers)
 {
     (void)is_write;
     ++cacheStats.accesses;
     const uint64_t line = lineAddr(addr);
-    Line *base =
-        &lines[static_cast<size_t>(setIndex(line)) * cfg.assoc];
+    const uint64_t tag = line + 1;
+    const uint64_t bit = 1ull << core;
+    const size_t base = setBase(line);
 
     // MRU fast path: recency order makes the common temporal-locality
     // hit a single compare.
-    if (base[0].valid && base[0].tag == line) {
-        base[0].lru = ++lruClock;
-        base[0].sharerMask |= (1ull << core);
+    if (tags[base] == tag) {
+        if (masks)
+            masks[base] |= bit;
         return true;
     }
-    uint32_t w = 1;
-    for (; w < cfg.assoc && base[w].valid; ++w) {
-        if (base[w].tag == line) {
-            Line hit = base[w];
-            hit.lru = ++lruClock;
-            hit.sharerMask |= (1ull << core);
-            std::memmove(base + 1, base, w * sizeof(Line));
-            base[0] = hit;
-            return true;
-        }
+    const uint32_t w = find(base, tag);
+    if (w != cfg.assoc) {
+        promote(base, w, tag, masks ? masks[base + w] | bit : 0);
+        return true;
     }
-    // Miss. `w` is the insertion slot: the first invalid way, or one
-    // past the end. A full set's LRU line is the last way — the victim.
     ++cacheStats.misses;
-    if (w == cfg.assoc) {
-        --w;
-        if (evicted)
-            *evicted = base[w].tag << lineShift;
-    }
-    std::memmove(base + 1, base, w * sizeof(Line));
-    base[0] = Line{line, ++lruClock, 1ull << core, true};
+    insert(base, tag, bit, evicted, evicted_sharers);
     return false;
 }
 
 std::optional<Addr>
-Cache::fill(Addr addr, uint32_t core)
+Cache::fill(Addr addr, uint32_t core, uint64_t *evicted_sharers)
 {
     const uint64_t line = lineAddr(addr);
-    Line *base =
-        &lines[static_cast<size_t>(setIndex(line)) * cfg.assoc];
-    uint32_t w = 0;
-    for (; w < cfg.assoc && base[w].valid; ++w) {
-        if (base[w].tag == line) {
-            base[w].sharerMask |= (1ull << core);
-            return std::nullopt; // already resident; don't touch LRU
-        }
+    const uint64_t tag = line + 1;
+    const uint64_t bit = 1ull << core;
+    const size_t base = setBase(line);
+    const uint32_t w = find(base, tag);
+    if (w != cfg.assoc) {
+        if (masks)
+            masks[base + w] |= bit;
+        return std::nullopt; // already resident; don't touch LRU
     }
     std::optional<Addr> evicted;
-    if (w == cfg.assoc) {
-        --w;
-        evicted = base[w].tag << lineShift;
-    }
-    std::memmove(base + 1, base, w * sizeof(Line));
-    base[0] = Line{line, ++lruClock, 1ull << core, true};
+    insert(base, tag, bit, &evicted, evicted_sharers);
     return evicted;
 }
 
@@ -153,61 +198,66 @@ bool
 Cache::invalidate(Addr addr)
 {
     const uint64_t line = lineAddr(addr);
-    Line *base = set(addr);
-    for (uint32_t w = 0; w < cfg.assoc && base[w].valid; ++w) {
-        if (base[w].tag == line) {
-            // Compact the valid suffix so invalid ways stay at the
-            // tail and relative recency is preserved.
-            std::memmove(base + w, base + w + 1,
-                         (cfg.assoc - 1 - w) * sizeof(Line));
-            base[cfg.assoc - 1] = Line{};
-            ++cacheStats.invalidations;
-            return true;
-        }
+    const size_t base = setBase(line);
+    const uint32_t w = find(base, line + 1);
+    if (w == cfg.assoc)
+        return false;
+    // Compact the valid suffix so invalid ways stay at the tail and
+    // relative recency is preserved.
+    const size_t tail = (cfg.assoc - 1 - w) * sizeof(uint64_t);
+    std::memmove(tags + base + w, tags + base + w + 1, tail);
+    tags[base + cfg.assoc - 1] = 0;
+    if (masks) {
+        std::memmove(masks + base + w, masks + base + w + 1, tail);
+        masks[base + cfg.assoc - 1] = 0;
     }
-    return false;
+    ++cacheStats.invalidations;
+    return true;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
     const uint64_t line = lineAddr(addr);
-    const Line *base = set(addr);
-    for (uint32_t w = 0; w < cfg.assoc && base[w].valid; ++w)
-        if (base[w].tag == line)
-            return true;
-    return false;
+    return find(setBase(line), line + 1) != cfg.assoc;
 }
 
 uint64_t
 Cache::sharers(Addr addr) const
 {
+    if (!masks)
+        return 0;
     const uint64_t line = lineAddr(addr);
-    const Line *base = set(addr);
-    for (uint32_t w = 0; w < cfg.assoc && base[w].valid; ++w)
-        if (base[w].tag == line)
-            return base[w].sharerMask;
-    return 0;
+    const size_t base = setBase(line);
+    const uint32_t w = find(base, line + 1);
+    return w == cfg.assoc ? 0 : masks[base + w];
 }
 
 void
 Cache::removeSharer(Addr addr, uint32_t core)
 {
+    if (!masks)
+        return;
     const uint64_t line = lineAddr(addr);
-    Line *base = set(addr);
-    for (uint32_t w = 0; w < cfg.assoc && base[w].valid; ++w)
-        if (base[w].tag == line)
-            base[w].sharerMask &= ~(1ull << core);
+    const size_t base = setBase(line);
+    const uint32_t w = find(base, line + 1);
+    if (w != cfg.assoc)
+        masks[base + w] &= ~(1ull << core);
 }
 
 CacheHierarchy::CacheHierarchy(const SimConfig &cfg_, uint32_t num_cores)
     : cfg(cfg_), numCores(num_cores), l3(cfg_.l3)
 {
     LP_ASSERT(num_cores >= 1 && num_cores <= 64);
+    // One line size throughout: a private line then always maps to
+    // exactly one L3 line, which the sharer rule needs.
+    LP_ASSERT(cfg.l1i.lineBytes == cfg.l3.lineBytes &&
+              cfg.l1d.lineBytes == cfg.l3.lineBytes &&
+              cfg.l2.lineBytes == cfg.l3.lineBytes);
     for (uint32_t c = 0; c < num_cores; ++c) {
-        l1d.emplace_back(cfg.l1d);
-        l1i.emplace_back(cfg.l1i);
-        l2.emplace_back(cfg.l2);
+        l1d.emplace_back(cfg.l1d, Cache::Sharers::Untracked);
+        l1i.emplace_back(cfg.l1i, Cache::Sharers::Untracked);
+        l2.emplace_back(cfg.l2, Cache::Sharers::Untracked);
     }
     dataLat[0] = cfg.l1d.latency;
     dataLat[1] = dataLat[0] + cfg.l2.latency;
@@ -226,19 +276,23 @@ CacheHierarchy::invalidateOthers(uint32_t core, Addr addr)
     while (mask) {
         uint32_t other = static_cast<uint32_t>(__builtin_ctzll(mask));
         mask &= mask - 1;
-        if (other >= numCores)
-            continue;
         l1d[other].invalidate(addr);
         l2[other].invalidate(addr);
-        l3.removeSharer(addr, other);
+        // A write leaves the other core's L1-I copy in place, so its
+        // sharer bit stays while that copy lives.
+        if (!l1i[other].contains(addr))
+            l3.removeSharer(addr, other);
     }
 }
 
 void
-CacheHierarchy::backInvalidate(Addr addr)
+CacheHierarchy::backInvalidate(Addr addr, uint64_t sharers)
 {
     // Inclusive L3: evicting a line removes it from private caches.
-    for (uint32_t c = 0; c < numCores; ++c) {
+    // Only the victim's sharers can hold a private copy.
+    while (sharers) {
+        uint32_t c = static_cast<uint32_t>(__builtin_ctzll(sharers));
+        sharers &= sharers - 1;
         l1d[c].invalidate(addr);
         l1i[c].invalidate(addr);
         l2[c].invalidate(addr);
@@ -252,18 +306,20 @@ CacheHierarchy::access(uint32_t core, Addr addr, bool is_write)
     // instances constructed against this hierarchy's core count.
     MemAccessResult r;
     std::optional<Addr> evicted;
+    uint64_t evicted_sharers = 0;
 
     if (l1d[core].access(addr, core, is_write, nullptr)) {
         r.hitLevel = 1;
     } else if (l2[core].access(addr, core, is_write, nullptr)) {
         r.hitLevel = 2;
-    } else if (l3.access(addr, core, is_write, &evicted)) {
+    } else if (l3.access(addr, core, is_write, &evicted,
+                         &evicted_sharers)) {
         r.hitLevel = 3;
     } else {
         r.hitLevel = 4;
         ++memCount;
         if (evicted)
-            backInvalidate(*evicted);
+            backInvalidate(*evicted, evicted_sharers);
     }
     r.latency = dataLat[r.hitLevel - 1];
     if (is_write)
@@ -274,8 +330,9 @@ CacheHierarchy::access(uint32_t core, Addr addr, bool is_write)
     if (cfg.prefetchDegree > 0 && r.hitLevel >= 3 && !is_write) {
         for (uint32_t d = 1; d <= cfg.prefetchDegree; ++d) {
             Addr pf = addr + static_cast<Addr>(d) * cfg.l2.lineBytes;
-            if (auto evicted_l3 = l3.fill(pf, core))
-                backInvalidate(*evicted_l3);
+            uint64_t pf_sharers = 0;
+            if (auto evicted_l3 = l3.fill(pf, core, &pf_sharers))
+                backInvalidate(*evicted_l3, pf_sharers);
             l2[core].fill(pf, core);
             ++prefetchCount;
         }
@@ -288,56 +345,21 @@ CacheHierarchy::fetch(uint32_t core, Addr pc)
 {
     MemAccessResult r;
     std::optional<Addr> evicted;
+    uint64_t evicted_sharers = 0;
     if (l1i[core].access(pc, core, false, nullptr)) {
         r.hitLevel = 1;
     } else if (l2[core].access(pc, core, false, nullptr)) {
         r.hitLevel = 2;
-    } else if (l3.access(pc, core, false, &evicted)) {
+    } else if (l3.access(pc, core, false, &evicted, &evicted_sharers)) {
         r.hitLevel = 3;
     } else {
         r.hitLevel = 4;
         ++memCount;
         if (evicted)
-            backInvalidate(*evicted);
+            backInvalidate(*evicted, evicted_sharers);
     }
     r.latency = fetchLat[r.hitLevel - 1];
     return r;
-}
-
-void
-CacheHierarchy::warmAccess(uint32_t core, Addr addr, bool is_write)
-{
-    access(core, addr, is_write);
-}
-
-void
-CacheHierarchy::warmFetch(uint32_t core, Addr pc)
-{
-    fetch(core, pc);
-}
-
-const CacheStats &
-CacheHierarchy::l1dStats(uint32_t core) const
-{
-    return l1d[core].stats();
-}
-
-const CacheStats &
-CacheHierarchy::l1iStats(uint32_t core) const
-{
-    return l1i[core].stats();
-}
-
-const CacheStats &
-CacheHierarchy::l2Stats(uint32_t core) const
-{
-    return l2[core].stats();
-}
-
-const CacheStats &
-CacheHierarchy::l3Stats() const
-{
-    return l3.stats();
 }
 
 void
@@ -352,9 +374,9 @@ CacheHierarchy::resetStats()
     memCount = 0;
 }
 
-// The state image is [u64 scalar header][tag arrays], both in the
-// fixed cache order below. Every piece is 8-byte aligned (Line is a
-// multiple of 8 bytes), so the tag arrays can be bound in place.
+// The state image is [u64 prefetch counter][cache images], the images
+// in the fixed cache order below. Every piece is a whole number of
+// u64 words, so the arrays can be bound in place.
 template <typename Fn>
 static void
 forEachCache(std::vector<Cache> &l1d, std::vector<Cache> &l1i,
@@ -373,40 +395,32 @@ size_t
 CacheHierarchy::stateBytes() const
 {
     auto &self = const_cast<CacheHierarchy &>(*this);
-    size_t caches = 0, bytes = 0;
-    forEachCache(self.l1d, self.l1i, self.l2, self.l3, [&](Cache &c) {
-        ++caches;
-        bytes += c.linesBytes();
-    });
-    return (caches + 1) * sizeof(uint64_t) + bytes;
+    size_t bytes = sizeof(uint64_t);
+    forEachCache(self.l1d, self.l1i, self.l2, self.l3,
+                 [&](Cache &c) { bytes += c.imageBytes(); });
+    return bytes;
 }
 
 void
 CacheHierarchy::exportState(void *mem) const
 {
     auto &self = const_cast<CacheHierarchy &>(*this);
-    auto *scalars = static_cast<uint64_t *>(mem);
-    forEachCache(self.l1d, self.l1i, self.l2, self.l3,
-                 [&](Cache &c) { *scalars++ = c.lruClockValue(); });
-    *scalars++ = prefetchCount;
-    auto *blob = reinterpret_cast<unsigned char *>(scalars);
+    std::memcpy(mem, &prefetchCount, sizeof(uint64_t));
+    auto *blob = static_cast<unsigned char *>(mem) + sizeof(uint64_t);
     forEachCache(self.l1d, self.l1i, self.l2, self.l3, [&](Cache &c) {
-        c.exportLines(blob);
-        blob += c.linesBytes();
+        c.exportImage(blob);
+        blob += c.imageBytes();
     });
 }
 
 void
 CacheHierarchy::adoptState(void *mem)
 {
-    auto *scalars = static_cast<uint64_t *>(mem);
-    forEachCache(l1d, l1i, l2, l3,
-                 [&](Cache &c) { c.setLruClock(*scalars++); });
-    prefetchCount = *scalars++;
-    auto *blob = reinterpret_cast<unsigned char *>(scalars);
+    std::memcpy(&prefetchCount, mem, sizeof(uint64_t));
+    auto *blob = static_cast<unsigned char *>(mem) + sizeof(uint64_t);
     forEachCache(l1d, l1i, l2, l3, [&](Cache &c) {
-        c.bindExternalLines(blob);
-        blob += c.linesBytes();
+        c.bindImage(blob);
+        blob += c.imageBytes();
     });
 }
 

@@ -6,12 +6,20 @@
  * levels via the L3 sharer vector.
  *
  * Hot-path design: line and set derivation use precomputed shift/mask
- * (all geometries are powers of two, asserted at construction), and
- * each set keeps its ways in recency order — most recently used first,
- * invalid ways at the tail. The common temporal-locality hit is a
- * single compare against way 0, the victim of a full set is always the
- * last way, and invalid-way search never scans past the valid prefix.
- * The ordering is observationally identical to classic timestamp LRU.
+ * (all geometries are powers of two, asserted at construction). Each
+ * way is one packed 8-byte tag word (`lineAddr + 1`; 0 is invalid),
+ * and each set keeps its ways in recency order — most recently used
+ * first, invalid ways at the tail. The common temporal-locality hit is
+ * a single compare against way 0, the victim of a full set is always
+ * the last way, and invalid-way search never scans past the valid
+ * prefix. The ordering is observationally identical to classic
+ * timestamp LRU, so no per-line stamps are kept.
+ *
+ * Sharer masks live only in the L3, in an array parallel to its tags.
+ * The hierarchy keeps one rule: a private copy of a line (L1-I, L1-D
+ * or L2) implies that core's sharer bit on the L3 line. A bit may be
+ * stale, never missing, so back-invalidation of an L3 victim visits
+ * only the cores in the victim's mask.
  */
 
 #ifndef LOOPPOINT_SIM_CACHE_HH
@@ -43,14 +51,19 @@ struct CacheStats
 };
 
 /**
- * One set-associative LRU cache. Tags only — no data storage. The
- * optional sharer vector (enabled for the L3) tracks which cores hold
- * a copy, supporting inclusive coherence.
+ * One set-associative LRU cache. Tags only — no data storage. Each way
+ * is one packed tag word, `lineAddr + 1`, so 0 marks an invalid way.
+ * A cache built with Sharers::Tracked (the L3, and the default) also
+ * keeps a sharer bitmask per way, in an array parallel to the tags,
+ * recording which cores may hold a private copy.
  */
 class Cache
 {
   public:
-    explicit Cache(const CacheConfig &cfg);
+    enum class Sharers { Tracked, Untracked };
+
+    explicit Cache(const CacheConfig &cfg,
+                   Sharers sharers = Sharers::Tracked);
 
     /**
      * Look up and allocate on miss (LRU victim).
@@ -59,17 +72,23 @@ class Cache
      *        line was displaced; left untouched otherwise. An
      *        engaged optional is unambiguous even for a line at
      *        address 0.
+     * @param evicted_sharers receives the victim's sharer mask when a
+     *        valid line was displaced from a tracked cache; left
+     *        untouched otherwise.
      * @return true on hit
      */
     bool access(Addr addr, uint32_t core, bool is_write,
-                std::optional<Addr> *evicted);
+                std::optional<Addr> *evicted,
+                uint64_t *evicted_sharers = nullptr);
 
     /**
      * Insert a line without touching demand statistics (prefetch
      * fill). Returns the evicted line address, or nullopt when no
-     * valid line was displaced (including the already-resident case).
+     * valid line was displaced (including the already-resident case);
+     * `evicted_sharers` as for access().
      */
-    std::optional<Addr> fill(Addr addr, uint32_t core);
+    std::optional<Addr> fill(Addr addr, uint32_t core,
+                             uint64_t *evicted_sharers = nullptr);
 
     /** Remove a line if present; returns true if it was. */
     bool invalidate(Addr addr);
@@ -77,7 +96,7 @@ class Cache
     /** True if the line is resident (no LRU update, no stats). */
     bool contains(Addr addr) const;
 
-    /** Sharer bitmask of a resident line (L3 only); 0 if absent. */
+    /** Sharer bitmask of a resident line; 0 if absent or untracked. */
     uint64_t sharers(Addr addr) const;
 
     /** Drop a core from a line's sharer set. */
@@ -87,73 +106,66 @@ class Cache
     void resetStats() { cacheStats = CacheStats{}; }
     const CacheConfig &config() const { return cfg; }
 
-    // Copying deep-copies the line array into owned storage, whichever
-    // backing the source used; see bindExternalLines().
+    // Copying deep-copies the arrays into owned storage, whichever
+    // backing the source used; see bindImage().
     Cache(const Cache &other);
     Cache &operator=(const Cache &other);
 
-    /** Size of the tag array in bytes (fixed by the geometry). */
+    /** Size of the state image — tag words, then sharer masks when
+     * tracked — in bytes (fixed by the geometry). */
     size_t
-    linesBytes() const
+    imageBytes() const
     {
-        return lineCount * sizeof(Line);
+        return lineCount * sizeof(uint64_t) * (masks ? 2 : 1);
     }
 
-    /** memcpy the tag array into `dst` (linesBytes() bytes). */
-    void exportLines(void *dst) const;
+    /** memcpy the state image into `dst` (imageBytes() bytes). */
+    void exportImage(void *dst) const;
 
     /**
-     * Back the tag array with caller-owned memory (linesBytes() bytes,
-     * 8-byte aligned) instead of the internal vector, releasing the
-     * latter. The memory must hold a valid exported tag array and must
-     * outlive the cache (or the next bind). This is how a region-farm
-     * worker simulates directly in a shipped shared-memory checkpoint
-     * without copying it again.
+     * Back the tag and mask arrays with caller-owned memory
+     * (imageBytes() bytes, 8-byte aligned) instead of the internal
+     * vectors, releasing the latter. The memory must hold a valid
+     * exported image and must outlive the cache (or the next bind).
+     * This is how a region-farm worker simulates directly in a
+     * shipped shared-memory checkpoint without copying it again.
      */
-    void bindExternalLines(void *mem);
-
-    /** LRU clock accessors, shipped alongside the tag array. */
-    uint64_t lruClockValue() const { return lruClock; }
-    void setLruClock(uint64_t v) { lruClock = v; }
+    void bindImage(void *mem);
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        uint64_t lru = 0;
-        uint64_t sharerMask = 0;
-        bool valid = false;
-    };
-
     uint64_t lineAddr(Addr addr) const { return addr >> lineShift; }
-    uint32_t setIndex(uint64_t line) const
+    /** Index of the first way of `line`'s set. */
+    size_t
+    setBase(uint64_t line) const
     {
-        return static_cast<uint32_t>(line) & setMask;
+        return static_cast<size_t>(static_cast<uint32_t>(line) &
+                                   setMask) *
+               cfg.assoc;
     }
-    Line *set(Addr addr)
-    {
-        return &lines[static_cast<size_t>(setIndex(lineAddr(addr))) *
-                      cfg.assoc];
-    }
-    const Line *set(Addr addr) const
-    {
-        return &lines[static_cast<size_t>(setIndex(lineAddr(addr))) *
-                      cfg.assoc];
-    }
+    /** Way holding `tag` in the set at `base`, or assoc if absent. */
+    uint32_t find(size_t base, uint64_t tag) const;
+    /** Shift ways [0, w) of the set at `base` down by one and put
+     * `tag` (with sharer mask `mask`) in way 0. */
+    void promote(size_t base, uint32_t w, uint64_t tag, uint64_t mask);
+    /** Insert an absent `tag` as MRU, reporting any displaced line
+     * as access() does. */
+    void insert(size_t base, uint64_t tag, uint64_t mask,
+                std::optional<Addr> *evicted, uint64_t *evicted_sharers);
 
     CacheConfig cfg;
-    uint32_t numSets;
     uint32_t lineShift; ///< log2(lineBytes)
     uint32_t setMask;   ///< numSets - 1
     size_t lineCount;   ///< numSets x assoc
-    /** Backing store when the cache owns its tag array (the default);
-     * empty after bindExternalLines(). */
-    std::vector<Line> ownedLines;
-    /** The live tag array, recency-ordered per set: ownedLines.data()
-     * or externally bound memory. All access paths index through this
-     * pointer, so binding costs nothing on the hot path. */
-    Line *lines = nullptr;
-    uint64_t lruClock = 0;
+    /** Backing store when the cache owns its arrays (the default);
+     * empty after bindImage(). ownedMasks is empty when untracked. */
+    std::vector<uint64_t> ownedTags;
+    std::vector<uint64_t> ownedMasks;
+    /** The live arrays, recency-ordered per set: the owned vectors or
+     * externally bound memory. All access paths index through these
+     * pointers, so binding costs nothing on the hot path. `masks` is
+     * null for an untracked cache. */
+    uint64_t *tags = nullptr;
+    uint64_t *masks = nullptr;
     CacheStats cacheStats;
 };
 
@@ -167,9 +179,11 @@ struct MemAccessResult
 
 /**
  * The full cache hierarchy. Coherence model: on a write, other cores'
- * private copies are invalidated (write-invalidate); the L3 is
- * inclusive of all private caches, so an L3 eviction back-invalidates
- * the private levels.
+ * private data copies (L1-D, L2) are invalidated (write-invalidate);
+ * the L3 is inclusive of all private caches, so an L3 eviction
+ * back-invalidates the private levels of the victim's sharers. All
+ * levels share one line size (asserted at construction), which the
+ * sharer rule in the file comment relies on.
  */
 class CacheHierarchy
 {
@@ -182,29 +196,30 @@ class CacheHierarchy
     /** Instruction fetch for one block. */
     MemAccessResult fetch(uint32_t core, Addr pc);
 
-    /** Warm the hierarchy without timing (functional warmup). */
-    void warmAccess(uint32_t core, Addr addr, bool is_write);
-    void warmFetch(uint32_t core, Addr pc);
-
     /** Prefetches issued into the L2s (demand-miss triggered). */
     uint64_t prefetchesIssued() const { return prefetchCount; }
 
-    const CacheStats &l1dStats(uint32_t core) const;
-    const CacheStats &l1iStats(uint32_t core) const;
-    const CacheStats &l2Stats(uint32_t core) const;
-    const CacheStats &l3Stats() const;
+    const Cache &l1dCache(uint32_t core) const { return l1d[core]; }
+    const Cache &l1iCache(uint32_t core) const { return l1i[core]; }
+    const Cache &l2Cache(uint32_t core) const { return l2[core]; }
+    const Cache &l3Cache() const { return l3; }
+
+    const CacheStats &l1dStats(uint32_t c) const { return l1d[c].stats(); }
+    const CacheStats &l1iStats(uint32_t c) const { return l1i[c].stats(); }
+    const CacheStats &l2Stats(uint32_t c) const { return l2[c].stats(); }
+    const CacheStats &l3Stats() const { return l3.stats(); }
     uint64_t memAccesses() const { return memCount; }
 
     void resetStats();
 
     /**
-     * Flat checkpoint image of the warm hierarchy — every tag array
-     * plus the per-cache LRU clocks and the cumulative prefetch
-     * counter (stats are excluded: detailed simulation resets them on
-     * entry). The layout is a pure function of the geometry, so two
-     * hierarchies built from the same SimConfig and core count agree
-     * on it. adoptState() binds the tag arrays directly into `mem`
-     * (zero-copy; see Cache::bindExternalLines) — the memory must
+     * Flat checkpoint image of the warm hierarchy: the cumulative
+     * prefetch counter, then every cache's image (tag words, plus the
+     * L3's sharer masks). Stats are excluded: detailed simulation
+     * resets them on entry. The layout is a pure function of the
+     * geometry, so two hierarchies built from the same SimConfig and
+     * core count agree on it. adoptState() binds the arrays directly
+     * into `mem` (zero-copy; see Cache::bindImage) — the memory must
      * outlive the hierarchy or the next adopt.
      */
     size_t stateBytes() const;
@@ -213,7 +228,8 @@ class CacheHierarchy
 
   private:
     void invalidateOthers(uint32_t core, Addr addr);
-    void backInvalidate(Addr addr);
+    /** Remove an L3 victim from the private caches of its sharers. */
+    void backInvalidate(Addr addr, uint64_t sharers);
 
     SimConfig cfg;
     uint32_t numCores;

@@ -143,15 +143,15 @@ void
 CoreModel::warmBlock(const BasicBlock &bb,
                      const std::vector<MemRef> &refs, bool branch_taken)
 {
-    hierarchy->warmFetch(coreId, bb.pc);
+    hierarchy->fetch(coreId, bb.pc);
     size_t ref_cursor = 0;
     for (size_t i = 0; i < bb.instrs.size(); ++i) {
         const InstrDesc &d = bb.instrs[i];
         if (isMemOp(d.op)) {
             if (ref_cursor < refs.size() &&
                 refs[ref_cursor].instrIndex == i) {
-                hierarchy->warmAccess(coreId, refs[ref_cursor].addr,
-                                     isMemWrite(d.op));
+                hierarchy->access(coreId, refs[ref_cursor].addr,
+                                  isMemWrite(d.op));
                 ++ref_cursor;
             }
         } else if (d.op == OpClass::Branch) {

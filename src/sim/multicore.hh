@@ -160,7 +160,8 @@ class MulticoreSim
 
     /**
      * Flat image of the warm microarchitectural state — cache tag
-     * arrays, LRU clocks, prefetch counter, branch-predictor tables.
+     * arrays, L3 sharer masks, prefetch counter, branch-predictor
+     * tables.
      * Together with ExecutionEngine::save/load this is the complete
      * restart set of a region checkpoint: everything else (core
      * clocks, dependence rings, statistics) is reset when detailed
@@ -168,7 +169,7 @@ class MulticoreSim
      * configuration, so a sim built from the same Program/configs can
      * adopt an image exported by another process.
      *
-     * adoptMicroarchState() binds the cache tag arrays directly into
+     * adoptMicroarchState() binds the cache arrays directly into
      * `mem` (zero-copy): the memory must stay valid while the sim
      * lives, and the sim's subsequent execution mutates it in place.
      */

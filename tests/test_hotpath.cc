@@ -1,18 +1,20 @@
 /**
  * @file
  * Equivalence tests for the hot-path optimizations: every fast path
- * (shift/mask recency-ordered caches, the event-driven detailed
- * scheduler, dense slice accumulation, devirtualized region stop
- * conditions) is checked bit-identical against its reference
- * implementation — exact equality on every counter and double, never
- * EXPECT_NEAR. Also covers the evicted-line optional at address 0 and
- * a save/load round trip taken while a thread is blocked mid-wait.
+ * (shift/mask recency-ordered caches, the mask-filtered cache
+ * hierarchy, the event-driven detailed scheduler, dense slice
+ * accumulation, devirtualized region stop conditions) is checked
+ * bit-identical against its reference implementation — exact equality
+ * on every counter and double, never EXPECT_NEAR. Also covers the
+ * evicted-line optional at address 0 and a save/load round trip taken
+ * while a thread is blocked mid-wait.
  */
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/looppoint.hh"
@@ -409,6 +411,16 @@ class RefLruCache
         return 0;
     }
 
+    void
+    removeSharer(Addr addr, uint32_t core)
+    {
+        const uint64_t line = addr / cfg.lineBytes;
+        Line *s = setOf(line);
+        for (uint32_t w = 0; w < cfg.assoc; ++w)
+            if (s[w].valid && s[w].tag == line)
+                s[w].sharers &= ~(1ull << core);
+    }
+
     uint64_t accesses = 0;
     uint64_t misses = 0;
     uint64_t invalidations = 0;
@@ -505,6 +517,180 @@ TEST(HotpathCache, EvictedOptionalDisambiguatesLineZero)
     ASSERT_TRUE(ev.has_value());
     EXPECT_EQ(*ev, 0u);
     EXPECT_FALSE(f.contains(0x00));
+}
+
+// ---------------------------------------------------------------------
+// Hierarchy oracle: CacheHierarchy (packed tags, L3-only sharer masks,
+// mask-filtered back-invalidation) against a textbook hierarchy built
+// from RefLruCache that back-invalidates by scanning every private
+// cache on every core.
+// ---------------------------------------------------------------------
+
+class RefHierarchy
+{
+  public:
+    RefHierarchy(const SimConfig &cfg_, uint32_t num_cores)
+        : l3(cfg_.l3), cfg(cfg_)
+    {
+        for (uint32_t c = 0; c < num_cores; ++c) {
+            l1d.emplace_back(cfg.l1d);
+            l1i.emplace_back(cfg.l1i);
+            l2.emplace_back(cfg.l2);
+        }
+    }
+
+    MemAccessResult
+    access(uint32_t core, Addr addr, bool is_write)
+    {
+        MemAccessResult r = lookup(l1d[core], cfg.l1d.latency, core, addr);
+        if (is_write) {
+            // Write-invalidate: other sharers lose their data copies.
+            for (uint32_t c = 0; c < l1d.size(); ++c) {
+                if (c == core || !((l3.sharers(addr) >> c) & 1))
+                    continue;
+                l1d[c].invalidate(addr);
+                l2[c].invalidate(addr);
+                l3.removeSharer(addr, c);
+            }
+        }
+        if (cfg.prefetchDegree > 0 && r.hitLevel >= 3 && !is_write) {
+            for (uint32_t d = 1; d <= cfg.prefetchDegree; ++d) {
+                const Addr pf = addr + d * cfg.l2.lineBytes;
+                if (auto ev = l3.fill(pf, core))
+                    backInvalidate(*ev);
+                l2[core].fill(pf, core);
+                ++prefetches;
+            }
+        }
+        return r;
+    }
+
+    MemAccessResult
+    fetch(uint32_t core, Addr pc)
+    {
+        return lookup(l1i[core], cfg.l1i.latency, core, pc);
+    }
+
+    std::vector<RefLruCache> l1d, l1i, l2;
+    RefLruCache l3;
+    uint64_t memAccesses = 0;
+    uint64_t prefetches = 0;
+
+  private:
+    MemAccessResult
+    lookup(RefLruCache &l1, uint32_t l1_latency, uint32_t core, Addr addr)
+    {
+        MemAccessResult r;
+        std::optional<Addr> ev;
+        r.latency = l1_latency;
+        r.hitLevel = 1;
+        if (l1.access(addr, core, nullptr))
+            return r;
+        r.latency += cfg.l2.latency;
+        r.hitLevel = 2;
+        if (l2[core].access(addr, core, nullptr))
+            return r;
+        r.latency += cfg.l3.latency;
+        r.hitLevel = 3;
+        if (l3.access(addr, core, &ev))
+            return r;
+        r.latency += cfg.memLatency;
+        r.hitLevel = 4;
+        ++memAccesses;
+        if (ev)
+            backInvalidate(*ev);
+        return r;
+    }
+
+    void
+    backInvalidate(Addr addr)
+    {
+        for (uint32_t c = 0; c < l1d.size(); ++c) {
+            l1d[c].invalidate(addr);
+            l1i[c].invalidate(addr);
+            l2[c].invalidate(addr);
+        }
+    }
+
+    SimConfig cfg;
+};
+
+void
+expectStatsEqual(const CacheStats &opt, const RefLruCache &ref,
+                 const std::string &what)
+{
+    EXPECT_EQ(opt.accesses, ref.accesses) << what;
+    EXPECT_EQ(opt.misses, ref.misses) << what;
+    EXPECT_EQ(opt.invalidations, ref.invalidations) << what;
+}
+
+TEST(HotpathCache, HierarchyMatchesReference)
+{
+    // Tiny geometries so the L3 (16 lines) evicts constantly and
+    // back-invalidation runs on most misses. Instruction fetches and
+    // data accesses share one 48-line pool, so writes hit lines other
+    // cores hold in L1-I — the case where a sharer bit cleared by a
+    // write would hide a live L1-I copy from a mask-filtered
+    // back-invalidation.
+    SimConfig cfg;
+    cfg.l1i = CacheConfig{256, 2, 64, 1};
+    cfg.l1d = CacheConfig{256, 2, 64, 3};
+    cfg.l2 = CacheConfig{512, 2, 64, 9};
+    cfg.l3 = CacheConfig{1024, 4, 64, 34};
+    cfg.prefetchDegree = 2;
+    const uint32_t cores = 4;
+    const uint64_t pool_lines = 48;
+    CacheHierarchy opt(cfg, cores);
+    RefHierarchy ref(cfg, cores);
+    Rng rng(2024);
+
+    for (int step = 0; step < 200'000; ++step) {
+        const Addr addr =
+            rng.nextBounded(pool_lines) * 64 + rng.nextBounded(64);
+        const uint32_t core = static_cast<uint32_t>(rng.nextBounded(cores));
+        const uint64_t op = rng.nextBounded(10);
+        MemAccessResult a, b;
+        if (op < 4) {
+            a = opt.fetch(core, addr);
+            b = ref.fetch(core, addr);
+        } else {
+            const bool is_write = op >= 7;
+            a = opt.access(core, addr, is_write);
+            b = ref.access(core, addr, is_write);
+        }
+        ASSERT_EQ(a.hitLevel, b.hitLevel) << "step " << step;
+        ASSERT_EQ(a.latency, b.latency) << "step " << step;
+    }
+
+    EXPECT_EQ(opt.memAccesses(), ref.memAccesses);
+    EXPECT_EQ(opt.prefetchesIssued(), ref.prefetches);
+    EXPECT_GT(opt.l3Stats().misses, 10'000u);
+    for (uint32_t c = 0; c < cores; ++c) {
+        const std::string core = " core " + std::to_string(c);
+        expectStatsEqual(opt.l1dStats(c), ref.l1d[c], "l1d" + core);
+        expectStatsEqual(opt.l1iStats(c), ref.l1i[c], "l1i" + core);
+        expectStatsEqual(opt.l2Stats(c), ref.l2[c], "l2" + core);
+        EXPECT_GT(opt.l1iStats(c).invalidations, 0u) << core;
+    }
+    expectStatsEqual(opt.l3Stats(), ref.l3, "l3");
+    // The prefetcher reaches up to two lines past the pool.
+    for (uint64_t line = 0; line < pool_lines + cfg.prefetchDegree;
+         ++line) {
+        const Addr addr = line * 64;
+        for (uint32_t c = 0; c < cores; ++c) {
+            EXPECT_EQ(opt.l1dCache(c).contains(addr),
+                      ref.l1d[c].contains(addr))
+                << "l1d core " << c << " line " << line;
+            EXPECT_EQ(opt.l1iCache(c).contains(addr),
+                      ref.l1i[c].contains(addr))
+                << "l1i core " << c << " line " << line;
+            EXPECT_EQ(opt.l2Cache(c).contains(addr),
+                      ref.l2[c].contains(addr))
+                << "l2 core " << c << " line " << line;
+        }
+        EXPECT_EQ(opt.l3Cache().contains(addr), ref.l3.contains(addr))
+            << "l3 line " << line;
+    }
 }
 
 // ---------------------------------------------------------------------

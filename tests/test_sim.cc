@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <vector>
+
 #include "isa/program_builder.hh"
 #include "sim/branch_predictor.hh"
 #include "sim/cache.hh"
@@ -332,6 +335,60 @@ TEST(MulticoreSim, SnapshotResumesIdentically)
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.l2Misses, b.l2Misses);
     EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
+}
+
+TEST(MulticoreSim, StateImageRoundTripMatchesSnapshot)
+{
+    // A region checkpoint shipped as a flat image — the microarch
+    // state image plus ExecutionEngine::save — and adopted into a
+    // freshly built sim must simulate the region exactly like a
+    // deep-copied snapshot of the warm sim.
+    Program p = tinyProgram(512, 4);
+    const BlockId wh = p.kernels[0].workerHeader;
+    const uint32_t threads = 4;
+    ExecConfig cfg{.numThreads = threads,
+                   .waitPolicy = WaitPolicy::Passive};
+    // A 512 KB L3 under the 1 MB stream evicts throughout the region,
+    // so the adopted sharer masks steer back-invalidation.
+    SimConfig sc;
+    sc.prefetchDegree = 2;
+    sc.l3.sizeBytes = 512 * 1024;
+    MulticoreSim warm(p, cfg, sc);
+    warm.fastForwardUntil(wh, 1024, /*warm=*/true);
+
+    // The layout is a pure function of the geometry: the prefetch
+    // counter, one tag word per line of every cache, one sharer mask
+    // per L3 line, then each core's predictor tables.
+    auto lines = [](const CacheConfig &c) {
+        return static_cast<size_t>(c.sizeBytes / c.lineBytes);
+    };
+    const size_t cache_words =
+        1 + threads * (lines(sc.l1i) + lines(sc.l1d) + lines(sc.l2)) +
+        2 * lines(sc.l3);
+    const size_t bytes = warm.microarchStateBytes();
+    EXPECT_EQ(bytes, cache_words * sizeof(uint64_t) +
+                         threads * PentiumMBranchPredictor().stateBytes());
+
+    std::vector<uint64_t> image((bytes + 7) / 8);
+    warm.exportMicroarchState(image.data());
+    std::ostringstream functional;
+    warm.engine().save(functional);
+
+    MulticoreSim snap(warm);
+    MulticoreSim adopted(p, cfg, sc);
+    std::istringstream adopted_in(functional.str());
+    adopted.engine() = ExecutionEngine::load(adopted_in, p);
+    adopted.adoptMicroarchState(image.data());
+    // Same functional state, cold microarchitecture: the image must
+    // be what makes the difference.
+    MulticoreSim cold(p, cfg, sc);
+    std::istringstream cold_in(functional.str());
+    cold.engine() = ExecutionEngine::load(cold_in, p);
+
+    const SimMetrics want = snap.runDetailedUntil(wh, 1536);
+    EXPECT_EQ(adopted.runDetailedUntil(wh, 1536), want);
+    EXPECT_NE(cold.runDetailedUntil(wh, 1536), want);
+    EXPECT_GT(want.l1dAccesses, 0u);
 }
 
 TEST(SimConfig, DescribeMentionsTableOneParts)
