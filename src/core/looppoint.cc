@@ -181,10 +181,11 @@ LoopPointPipeline::analyze()
     ExecConfig cfg = execConfig();
     Tracer &tracer = Tracer::global();
 
-    // (1) Record the whole program once as a pinball: the repeatable,
-    // up-front application analysis substrate. With a stage cache, a
-    // prior run's pinball is reused when the recording key (workload,
-    // threads, wait policy, seed, flow quantum) matches.
+    // (1) Record the whole program once as a pinball, building the DCFG
+    // from the same execution. With a stage cache, a prior run's
+    // pinball is reused when the recording key (workload, threads,
+    // wait policy, seed, flow quantum) matches.
+    std::optional<Dcfg> dcfg;
     {
         ScopedSpan span(tracer, "analyze.record");
         std::string key;
@@ -203,20 +204,23 @@ LoopPointPipeline::analyze()
             }
         }
         if (!out.stageHashes.recordHit) {
-            out.pinball = recordPinball(*prog, cfg, opts.flowQuantum);
+            DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
+            out.pinball = recordPinball(*prog, cfg, opts.flowQuantum,
+                                        &dcfg_builder);
+            dcfg = dcfg_builder.build();
             if (cache)
                 out.stageHashes.record =
                     cache->publishPinball(key, out.pinball);
         }
         span.arg("threads", cfg.numThreads)
-            .arg("cached", out.stageHashes.recordHit);
+            .arg("cached", out.stageHashes.recordHit)
+            .arg("dcfg", dcfg.has_value());
     }
 
-    // (2) Constrained replay #1: build the DCFG and identify the legal
-    // region markers (main-image loop headers). The DCFG is an
-    // intermediate of profiling, so a profile-stage hit skips this
-    // replay entirely — unless the lint pass needs the DCFG anyway.
-    std::optional<Dcfg> dcfg;
+    // (2) A store-served pinball gets its DCFG (the legal region
+    // markers are its main-image loop headers) from a constrained
+    // replay, which reproduces the recorded block streams and so the
+    // same graph. A profile-stage hit skips it unless lint needs it.
     auto build_dcfg = [&] {
         ScopedSpan span(tracer, "analyze.dcfg");
         DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
@@ -225,9 +229,9 @@ LoopPointPipeline::analyze()
         dcfg = dcfg_builder.build();
     };
 
-    // (3) Constrained replay #2: collect per-slice, per-thread BBVs
-    // with spin/synchronization filtering. Keyed on the recording's
-    // content hash plus the fields this stage consumes.
+    // (3) Constrained replay: collect per-slice, per-thread BBVs with
+    // spin/synchronization filtering. Keyed on the recording's content
+    // hash plus the fields this stage consumes.
     std::string profile_key;
     if (cache && !out.stageHashes.record.empty()) {
         profile_key =
@@ -239,7 +243,8 @@ LoopPointPipeline::analyze()
         }
     }
     if (!out.stageHashes.profileHit) {
-        build_dcfg();
+        if (!dcfg)
+            build_dcfg();
         std::vector<BlockId> markers = dcfg->mainImageLoopHeaders();
         if (markers.empty())
             fatal("program '%s' exposes no main-image loop headers to "

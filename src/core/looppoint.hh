@@ -1,9 +1,10 @@
 /**
  * @file
- * The LoopPoint pipeline (paper Section III): record once, replay for
- * DCFG + BBV profiling with spin filtering, cluster slices, select
- * looppoints with multipliers, simulate them unconstrained (or
- * constrained), and extrapolate whole-program performance.
+ * The LoopPoint pipeline (paper Section III): record once while
+ * building the DCFG (replay rebuilds the same graph, only for a stored
+ * pinball), replay for BBV profiling with spin filtering, cluster
+ * slices, select looppoints with multipliers, simulate them
+ * unconstrained (or constrained), and extrapolate performance.
  *
  * Usage:
  *
@@ -184,13 +185,6 @@ struct MetricPrediction
     {
         return filteredInstructions
                    ? 1000.0 * l2Misses / filteredInstructions
-                   : 0.0;
-    }
-    double
-    l3Mpki() const
-    {
-        return filteredInstructions
-                   ? 1000.0 * l3Misses / filteredInstructions
                    : 0.0;
     }
 };

@@ -6,9 +6,44 @@
 
 namespace looppoint {
 
+// Out of line on purpose: a new edge is rare, and keeping the vector
+// growth code out of countEdge() lets its scan inline into onBlock().
+[[gnu::noinline]] static void
+addEdge(std::vector<DcfgEdge> &succs, BlockId from, BlockId to)
+{
+    succs.push_back({from, to, 1});
+}
+
+static void
+countEdge(std::vector<std::vector<DcfgEdge>> &table, BlockId from,
+          BlockId to)
+{
+    for (DcfgEdge &e : table[from]) {
+        if (e.to == to) {
+            ++e.count;
+            return;
+        }
+    }
+    addEdge(table[from], from, to);
+}
+
+static std::vector<DcfgEdge>
+sortedEdges(const std::vector<std::vector<DcfgEdge>> &table)
+{
+    std::vector<DcfgEdge> edges;
+    for (const auto &succs : table)
+        edges.insert(edges.end(), succs.begin(), succs.end());
+    std::sort(edges.begin(), edges.end(),
+              [](const DcfgEdge &a, const DcfgEdge &b) {
+                  return a.from != b.from ? a.from < b.from : a.to < b.to;
+              });
+    return edges;
+}
+
 DcfgBuilder::DcfgBuilder(const Program &prog_, uint32_t num_threads)
     : prog(&prog_), lastBlock(num_threads, kInvalidBlock),
       lastMainBlock(num_threads, kInvalidBlock),
+      edgeCounts(prog_.numBlocks()), summaryCounts(prog_.numBlocks()),
       execCounts(prog_.numBlocks(), 0)
 {}
 
@@ -19,10 +54,8 @@ DcfgBuilder::onBlock(uint32_t tid, BlockId block,
     (void)engine;
     ++execCounts[block];
     BlockId prev = lastBlock[tid];
-    if (prev != kInvalidBlock) {
-        uint64_t key = (static_cast<uint64_t>(prev) << 32) | block;
-        ++edgeCounts[key];
-    }
+    if (prev != kInvalidBlock)
+        countEdge(edgeCounts, prev, block);
     lastBlock[tid] = block;
 
     // Call-return summarization: two consecutively executed blocks of
@@ -34,11 +67,8 @@ DcfgBuilder::onBlock(uint32_t tid, BlockId block,
         BlockId prev_main = lastMainBlock[tid];
         if (prev_main != kInvalidBlock &&
             prog->blocks[prev_main].routine ==
-                prog->blocks[block].routine) {
-            uint64_t key =
-                (static_cast<uint64_t>(prev_main) << 32) | block;
-            ++summaryCounts[key];
-        }
+                prog->blocks[block].routine)
+            countEdge(summaryCounts, prev_main, block);
         lastMainBlock[tid] = block;
     }
 }
@@ -46,26 +76,8 @@ DcfgBuilder::onBlock(uint32_t tid, BlockId block,
 Dcfg
 DcfgBuilder::build() const
 {
-    auto to_sorted = [](const std::unordered_map<uint64_t, uint64_t>
-                            &counts) {
-        std::vector<DcfgEdge> edges;
-        edges.reserve(counts.size());
-        for (const auto &[key, count] : counts) {
-            DcfgEdge e;
-            e.from = static_cast<BlockId>(key >> 32);
-            e.to = static_cast<BlockId>(key & 0xffffffffu);
-            e.count = count;
-            edges.push_back(e);
-        }
-        std::sort(edges.begin(), edges.end(),
-                  [](const DcfgEdge &a, const DcfgEdge &b) {
-                      return a.from != b.from ? a.from < b.from
-                                              : a.to < b.to;
-                  });
-        return edges;
-    };
-    return Dcfg(*prog, to_sorted(edgeCounts), to_sorted(summaryCounts),
-                execCounts);
+    return Dcfg(*prog, sortedEdges(edgeCounts),
+                sortedEdges(summaryCounts), execCounts);
 }
 
 Dcfg::Dcfg(const Program &prog_, std::vector<DcfgEdge> edges,

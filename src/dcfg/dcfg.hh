@@ -3,8 +3,8 @@
  * Dynamic Control-Flow Graph (DCFG) construction and loop analysis,
  * reproducing the Pin DCFG library's role in LoopPoint (Section III-D).
  *
- * A DcfgBuilder observes a (replayed) execution and records every
- * per-thread block-to-block transition with a traversal count. The
+ * A DcfgBuilder observes a recorded (or replayed) execution and counts
+ * the traversals of every per-thread block-to-block transition. The
  * resulting Dcfg partitions nodes by routine, computes immediate
  * dominators per routine subgraph, identifies natural loops from back
  * edges (an edge t->h where h dominates t), and exposes the set of
@@ -106,7 +106,8 @@ class Dcfg
 /**
  * ExecListener that accumulates DCFG edges from a live execution.
  * Per-thread transitions only: a thread migrating between blocks forms
- * an edge; two threads in unrelated blocks do not.
+ * an edge; two threads in unrelated blocks do not. A replay of a
+ * recording yields the same graph as the recording itself.
  */
 class DcfgBuilder : public ExecListener
 {
@@ -124,8 +125,13 @@ class DcfgBuilder : public ExecListener
     std::vector<BlockId> lastBlock;
     /** Last main-image block per thread (for summarized edges). */
     std::vector<BlockId> lastMainBlock;
-    std::unordered_map<uint64_t, uint64_t> edgeCounts;
-    std::unordered_map<uint64_t, uint64_t> summaryCounts;
+    /**
+     * Edge counts as per-source successor lists indexed by BlockId:
+     * blocks have few distinct successors, so a linear scan beats
+     * hashing the (from, to) pair on every dynamic block.
+     */
+    std::vector<std::vector<DcfgEdge>> edgeCounts;
+    std::vector<std::vector<DcfgEdge>> summaryCounts;
     std::vector<uint64_t> execCounts;
 };
 

@@ -17,12 +17,12 @@ buildPcIndex(const Program &prog)
 SliceProfiler::SliceProfiler(const Program &prog_,
                              std::vector<BlockId> marker_blocks,
                              uint64_t slice_size_global,
-                             uint32_t num_threads, bool filter_sync,
-                             bool reference_accumulation)
+                             uint32_t num_threads, bool filter_sync)
     : prog(&prog_), isMarker(prog_.numBlocks(), 0),
       markerCounts(prog_.numBlocks(), 0), sliceTarget(slice_size_global),
       numThreads(num_threads), filterSync(filter_sync),
-      referenceAccum(reference_accumulation)
+      dense(static_cast<size_t>(num_threads) * prog_.numBlocks(), 0),
+      denseEpoch(dense.size(), 0), touched(num_threads)
 {
     if (slice_size_global == 0)
         fatal("SliceProfiler: slice size must be >= 1");
@@ -32,13 +32,6 @@ SliceProfiler::SliceProfiler(const Program &prog_,
             fatal("marker block %u is not in the main image "
                   "(synchronization loops cannot bound regions)", b);
         isMarker[b] = 1;
-    }
-    if (!referenceAccum) {
-        const size_t cells =
-            static_cast<size_t>(numThreads) * prog->numBlocks();
-        dense.assign(cells, 0);
-        denseEpoch.assign(cells, 0);
-        touched.resize(numThreads);
     }
     beginSlice(Marker{0, 0}); // program start sentinel
 }
@@ -57,20 +50,17 @@ SliceProfiler::beginSlice(const Marker &start)
 void
 SliceProfiler::closeSlice(const Marker &end)
 {
-    if (!referenceAccum) {
-        // Materialize the hash maps from the dense counters. Insertion
-        // follows first-touch order, which reproduces the incremental
-        // maps exactly — same contents AND same iteration order, so
-        // downstream floating-point reductions sum in the same order.
-        for (uint32_t tid = 0; tid < numThreads; ++tid) {
-            auto &counts = current.perThread[tid].counts;
-            const uint64_t *row =
-                dense.data() +
-                static_cast<size_t>(tid) * prog->numBlocks();
-            for (BlockId b : touched[tid])
-                counts[b] = row[b];
-            touched[tid].clear();
-        }
+    // Materialize the hash maps from the dense counters. Insertion
+    // follows first-touch order, which reproduces incremental per-slice
+    // maps exactly — same contents AND same iteration order, so
+    // downstream floating-point reductions sum in the same order.
+    for (uint32_t tid = 0; tid < numThreads; ++tid) {
+        auto &counts = current.perThread[tid].counts;
+        const uint64_t *row =
+            dense.data() + static_cast<size_t>(tid) * prog->numBlocks();
+        for (BlockId b : touched[tid])
+            counts[b] = row[b];
+        touched[tid].clear();
     }
     current.end = end;
     sliceList.push_back(std::move(current));
@@ -101,18 +91,14 @@ SliceProfiler::onBlock(uint32_t tid, BlockId block,
     if (!filterSync || prog->mainImageFlags[block]) {
         // Spin and synchronization-library code is executed but not
         // counted ("execute but don't count", Section II).
-        if (referenceAccum) {
-            current.perThread[tid].add(block);
+        const size_t idx =
+            static_cast<size_t>(tid) * prog->numBlocks() + block;
+        if (denseEpoch[idx] != epoch) {
+            denseEpoch[idx] = epoch;
+            dense[idx] = 1;
+            touched[tid].push_back(block);
         } else {
-            const size_t idx =
-                static_cast<size_t>(tid) * prog->numBlocks() + block;
-            if (denseEpoch[idx] != epoch) {
-                denseEpoch[idx] = epoch;
-                dense[idx] = 1;
-                touched[tid].push_back(block);
-            } else {
-                ++dense[idx];
-            }
+            ++dense[idx];
         }
         current.threadFilteredIcount[tid] += instrs;
         current.filteredIcount += instrs;

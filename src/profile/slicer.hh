@@ -33,18 +33,11 @@ class SliceProfiler : public ExecListener
      * @param slice_size_global target slice size in global filtered
      *        instructions
      * @param num_threads thread count of the profiled execution
-     * @param reference_accumulation accumulate BBVs directly into the
-     *        per-slice hash maps instead of the flat per-thread dense
-     *        arrays. The two modes produce identical slices (including
-     *        map iteration order, which downstream feature projection
-     *        depends on); the reference mode exists as the oracle for
-     *        the equivalence tests.
      */
     SliceProfiler(const Program &prog,
                   std::vector<BlockId> marker_blocks,
                   uint64_t slice_size_global, uint32_t num_threads,
-                  bool filter_sync = true,
-                  bool reference_accumulation = false);
+                  bool filter_sync = true);
 
     void onBlock(uint32_t tid, BlockId block,
                  const ExecutionEngine &engine) override;
@@ -70,7 +63,6 @@ class SliceProfiler : public ExecListener
     uint64_t sliceTarget;
     uint32_t numThreads;
     bool filterSync;
-    bool referenceAccum;
 
     /**
      * Fast accumulation state: per-(thread, block) counts in one flat

@@ -3,16 +3,20 @@
  * Tests for DCFG construction and loop discovery: the discovered loops
  * must match the generator's ground truth (worker loops, inner loops,
  * spin self-loops), with correct images, trip counts, and marker sets.
+ * A DCFG collected while recording a pinball must equal the one a
+ * constrained replay of that pinball builds.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "dcfg/dcfg.hh"
 #include "exec/driver.hh"
 #include "exec/engine.hh"
 #include "isa/program_builder.hh"
+#include "pinball/pinball.hh"
 #include "util/logging.hh"
 #include "workload/descriptor.hh"
 
@@ -170,6 +174,86 @@ TEST(Dcfg, WorkerLoopStableAcrossPolicies)
     const BlockId wh = p.kernels[0].workerHeader;
     EXPECT_EQ(active.loopAt(wh).headerExecs,
               passive.loopAt(wh).headerExecs);
+}
+
+// ---------------------------------------------------------------------
+// Record vs replay: the pipeline builds the DCFG during recording and
+// replays only for a store-served pinball, so both must be the same
+// graph — and attaching the builder must not change the recording.
+// ---------------------------------------------------------------------
+
+void
+expectEdgesEqual(const std::vector<DcfgEdge> &a,
+                 const std::vector<DcfgEdge> &b, const char *what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].from, b[i].from) << what << " edge " << i;
+        EXPECT_EQ(a[i].to, b[i].to) << what << " edge " << i;
+        EXPECT_EQ(a[i].count, b[i].count) << what << " edge " << i;
+    }
+}
+
+void
+expectDcfgEqual(const Program &p, const Dcfg &a, const Dcfg &b)
+{
+    expectEdgesEqual(a.edges(), b.edges(), "raw");
+    expectEdgesEqual(a.summaryEdges(), b.summaryEdges(), "summary");
+    for (BlockId id = 0; id < p.numBlocks(); ++id)
+        EXPECT_EQ(a.blockExecs(id), b.blockExecs(id)) << "block " << id;
+    ASSERT_EQ(a.loops().size(), b.loops().size());
+    for (size_t i = 0; i < a.loops().size(); ++i) {
+        const DcfgLoop &x = a.loops()[i];
+        const DcfgLoop &y = b.loops()[i];
+        EXPECT_EQ(x.header, y.header) << "loop " << i;
+        EXPECT_EQ(x.body, y.body) << "loop " << i;
+        EXPECT_EQ(x.backEdgeCount, y.backEdgeCount) << "loop " << i;
+        EXPECT_EQ(x.headerExecs, y.headerExecs) << "loop " << i;
+        EXPECT_EQ(x.entries, y.entries) << "loop " << i;
+        EXPECT_EQ(x.image, y.image) << "loop " << i;
+        EXPECT_EQ(x.routine, y.routine) << "loop " << i;
+    }
+}
+
+void
+expectRecordedDcfgMatchesReplay(const std::vector<AppDescriptor> &apps,
+                                InputClass input)
+{
+    constexpr uint64_t kQuantum = 1000; // LoopPointOptions default
+    for (const AppDescriptor &app : apps) {
+        const Program p = generateProgram(app, input);
+        for (WaitPolicy policy : {WaitPolicy::Passive, WaitPolicy::Active})
+            for (uint32_t threads : {2u, 4u, 8u}) {
+                ExecConfig cfg{.numThreads = app.effectiveThreads(threads),
+                               .waitPolicy = policy};
+                SCOPED_TRACE(app.name + " threads=" +
+                             std::to_string(cfg.numThreads) +
+                             (policy == WaitPolicy::Active ? " active"
+                                                           : " passive"));
+                DcfgBuilder recorded(p, cfg.numThreads);
+                Pinball pb = recordPinball(p, cfg, kQuantum, &recorded);
+                EXPECT_TRUE(pb == recordPinball(p, cfg, kQuantum));
+
+                DcfgBuilder replayed(p, cfg.numThreads);
+                replayPinball(p, pb, kQuantum, &replayed);
+                expectDcfgEqual(p, recorded.build(), replayed.build());
+            }
+    }
+}
+
+TEST(DcfgRecordReplay, Spec2017AppsMatch)
+{
+    expectRecordedDcfgMatchesReplay(spec2017Apps(), InputClass::Test);
+}
+
+TEST(DcfgRecordReplay, NpbAppsMatch)
+{
+    expectRecordedDcfgMatchesReplay(npbApps(), InputClass::NpbA);
+}
+
+TEST(DcfgRecordReplay, PthreadAppsMatch)
+{
+    expectRecordedDcfgMatchesReplay(pthreadApps(), InputClass::Test);
 }
 
 } // namespace

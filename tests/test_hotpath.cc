@@ -239,34 +239,107 @@ profileProgram(uint64_t iters, uint64_t timesteps)
     return b.build();
 }
 
-std::vector<SliceRecord>
-profileSlices(const Program &p, uint32_t threads, uint64_t slice_size,
-              bool reference_accumulation)
+/**
+ * Reference slicer: the same marker-bounded slicing as SliceProfiler,
+ * but counting each filtered block directly into the current slice's
+ * per-thread hash maps.
+ */
+class RefSliceProfiler : public ExecListener
 {
-    ExecConfig mcfg{.numThreads = threads,
-                    .waitPolicy = WaitPolicy::Passive};
-    ExecutionEngine me(p, mcfg);
-    DcfgBuilder builder(p, threads);
-    RoundRobinDriver md(me, 200);
-    md.run(&builder);
-    auto markers = builder.build().mainImageLoopHeaders();
+  public:
+    RefSliceProfiler(const Program &p, const std::vector<BlockId> &markers,
+                     uint64_t slice_size, uint32_t threads)
+        : prog(p), isMarker(p.numBlocks(), 0),
+          markerCounts(p.numBlocks(), 0), sliceTarget(slice_size),
+          numThreads(threads)
+    {
+        for (BlockId b : markers)
+            isMarker[b] = 1;
+        begin(Marker{0, 0});
+    }
 
+    void
+    onBlock(uint32_t tid, BlockId block, const ExecutionEngine &) override
+    {
+        const uint32_t instrs = prog.instrCounts[block];
+        if (isMarker[block]) {
+            if (current.filteredIcount >= sliceTarget) {
+                Marker boundary{prog.blocks[block].pc,
+                                markerCounts[block] + 1};
+                close(boundary);
+                begin(boundary);
+            }
+            ++markerCounts[block];
+        }
+        current.totalIcount += instrs;
+        if (prog.mainImageFlags[block]) {
+            current.perThread[tid].add(block);
+            current.threadFilteredIcount[tid] += instrs;
+            current.filteredIcount += instrs;
+        }
+    }
+
+    std::vector<SliceRecord>
+    finish()
+    {
+        if (current.filteredIcount > 0 || current.totalIcount > 0 ||
+            slices.empty())
+            close(Marker{0, 0});
+        return std::move(slices);
+    }
+
+  private:
+    void
+    begin(const Marker &start)
+    {
+        current = SliceRecord{};
+        current.index = slices.size();
+        current.start = start;
+        current.perThread.assign(numThreads, ThreadBbv{});
+        current.threadFilteredIcount.assign(numThreads, 0);
+    }
+
+    void
+    close(const Marker &end)
+    {
+        current.end = end;
+        slices.push_back(std::move(current));
+    }
+
+    const Program &prog;
+    std::vector<char> isMarker;
+    std::vector<uint64_t> markerCounts;
+    uint64_t sliceTarget;
+    uint32_t numThreads;
+    SliceRecord current;
+    std::vector<SliceRecord> slices;
+};
+
+void
+runPassive(const Program &p, uint32_t threads, ExecListener &listener)
+{
     ExecConfig cfg{.numThreads = threads,
                    .waitPolicy = WaitPolicy::Passive};
     ExecutionEngine e(p, cfg);
-    SliceProfiler profiler(p, markers, slice_size, threads,
-                           /*filter_sync=*/true, reference_accumulation);
     RoundRobinDriver d(e, 200);
-    d.run(&profiler);
-    profiler.finalize();
-    return profiler.slices();
+    d.run(&listener);
 }
 
 TEST(HotpathSlicer, DenseAccumulationMatchesReference)
 {
     Program p = profileProgram(300, 4);
-    auto ref = profileSlices(p, 4, 5'000, true);
-    auto fast = profileSlices(p, 4, 5'000, false);
+    DcfgBuilder builder(p, 4);
+    runPassive(p, 4, builder);
+    const auto markers = builder.build().mainImageLoopHeaders();
+
+    RefSliceProfiler ref_profiler(p, markers, 5'000, 4);
+    runPassive(p, 4, ref_profiler);
+    auto ref = ref_profiler.finish();
+
+    SliceProfiler profiler(p, markers, 5'000, 4);
+    runPassive(p, 4, profiler);
+    profiler.finalize();
+    auto fast = profiler.slices();
 
     ASSERT_EQ(ref.size(), fast.size());
     ASSERT_GT(ref.size(), 1u);

@@ -284,9 +284,9 @@ checkOne(const std::string &program, const CliOptions &cli,
     cfg.numThreads = threads;
     cfg.waitPolicy = cli.waitPolicy == "active" ? WaitPolicy::Active
                                                 : WaitPolicy::Passive;
-    Pinball pinball = recordPinball(prog, cfg, cli.quantum);
     DcfgBuilder dcfg_builder(prog, threads);
-    replayPinball(prog, pinball, cli.quantum, &dcfg_builder);
+    Pinball pinball =
+        recordPinball(prog, cfg, cli.quantum, &dcfg_builder);
     Dcfg dcfg = dcfg_builder.build();
 
     AnalysisContext ctx;
