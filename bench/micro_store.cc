@@ -17,6 +17,13 @@
  *               only the two simulation stages run (the incremental
  *               campaign case)
  *
+ * plus one over the warm-sharing presets:
+ *   sibling     fresh store: baseline, then small-rob, slow-mem, narrow
+ *               and inorder, which differ from it only in latencies or
+ *               the core — they load baseline's stored region warm
+ *               checkpoints instead of re-running the warming pass.
+ *               Reports warm hits and the store bytes per warm key.
+ *
  * Flags:
  *   --app=NAME      workload (default 654.roms_s.1)
  *   --input=CLASS   test|train|ref (default train)
@@ -30,12 +37,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "core/experiment.hh"
 #include "sim/config.hh"
+#include "store/artifact_store.hh"
 
 using namespace looppoint;
 using namespace looppoint::bench;
@@ -45,6 +54,9 @@ namespace {
 const std::vector<std::string> kSweep = {"baseline", "big-l2",
                                          "small-rob", "slow-mem"};
 const std::string kExtendPreset = "prefetch";
+const std::vector<std::string> kSiblings = {"baseline", "small-rob",
+                                            "slow-mem", "narrow",
+                                            "inorder"};
 
 struct StageHits
 {
@@ -60,7 +72,14 @@ struct Scenario
     std::string name;
     uint32_t points = 0;
     double wallSeconds = 0.0;
+    /** Checkpointed-phase wall time, summed over points (0 for a
+     * point whose region results came from the store). */
+    double phaseSeconds = 0.0;
     StageHits hits;
+    /** Regions simulated from stored warm checkpoints. */
+    uint32_t warmHits = 0;
+    /** Points whose checkpointed phase ran no warming pass. */
+    uint32_t warmStageHits = 0;
     StoreStats store;
 };
 
@@ -156,6 +175,9 @@ runPoint(const std::string &app, InputClass input, uint32_t threads,
     sc.hits.cluster += res.analysis.stageHashes.clusterHit;
     sc.hits.sim += res.simStageHit;
     sc.hits.fullsim += res.fullSimHit;
+    sc.phaseSeconds += res.wallPhaseSeconds;
+    sc.warmHits += res.warmHits;
+    sc.warmStageHits += res.warmStageHit;
     sc.store.hits += res.storeStats.hits;
     sc.store.misses += res.storeStats.misses;
     sc.store.publishes += res.storeStats.publishes;
@@ -216,6 +238,24 @@ main(int argc, char **argv)
     timeScenario(warm, store_dir, kSweep, &warm_fps);
     timeScenario(extend, store_dir, {kExtendPreset}, nullptr);
 
+    Scenario sibling;
+    sibling.name = "sibling";
+    const std::string sibling_dir = store_dir + "-sibling";
+    if (std::system(("rm -rf '" + sibling_dir + "'").c_str()) != 0)
+        fatal("cannot clear store dir '%s'", sibling_dir.c_str());
+    timeScenario(sibling, sibling_dir, kSiblings, nullptr);
+    if (sibling.warmStageHits != kSiblings.size() - 1)
+        fatal("only %u of %zu sibling points skipped the warming pass",
+              sibling.warmStageHits, kSiblings.size() - 1);
+    // Store cost of the warm stage: every sibling shares one warm key.
+    uint64_t warm_bytes = 0, warm_objects = 0;
+    for (const auto &e : ArtifactStore(sibling_dir).entries()) {
+        if (e.stage == "warm") {
+            warm_bytes += e.bytes;
+            ++warm_objects;
+        }
+    }
+
     if (warm_fps != cold_fps)
         fatal("warm sweep results diverged from cold — the store is "
               "not bit-faithful");
@@ -237,11 +277,12 @@ main(int argc, char **argv)
                   (cold.wallSeconds / kSweep.size())
             : 0.0;
 
-    std::printf("%-10s %8s %10s %28s\n", "scenario", "points",
-                "wall s", "stage hits r/p/c/s/f");
+    std::printf("%-10s %8s %10s %10s %28s\n", "scenario", "points",
+                "wall s", "phase s", "stage hits r/p/c/s/f");
     auto row = [](const Scenario &s) {
-        std::printf("%-10s %8u %10.3f %20u/%u/%u/%u/%u\n",
+        std::printf("%-10s %8u %10.3f %10.3f %20u/%u/%u/%u/%u\n",
                     s.name.c_str(), s.points, s.wallSeconds,
+                    s.phaseSeconds,
                     s.hits.record, s.hits.profile, s.hits.cluster,
                     s.hits.sim, s.hits.fullsim);
     };
@@ -249,6 +290,14 @@ main(int argc, char **argv)
     row(populate);
     row(warm);
     row(extend);
+    row(sibling);
+    std::printf("sibling warm    : %u region checkpoint(s) loaded, "
+                "%u of %zu points skipped warming; %llu checkpoint(s), "
+                "%.1f MB per warm key\n",
+                sibling.warmHits, sibling.warmStageHits,
+                kSiblings.size(),
+                static_cast<unsigned long long>(warm_objects),
+                static_cast<double>(warm_bytes) / 1e6);
     std::printf("warm speedup    : %.1fx (gate: >= 3x)\n", speedup);
     std::printf("extend cost     : %.0f%% of a cold point\n",
                 sim_fraction * 100.0);
@@ -271,19 +320,32 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"warm_speedup\": %.2f,\n", speedup);
     std::fprintf(f, "  \"extend_cost_of_cold_point\": %.4f,\n",
                  sim_fraction);
+    std::fprintf(f,
+                 "  \"sibling_warm\": {\"warm_hits\": %u, "
+                 "\"points_without_warming\": %u, \"warm_keys\": 1, "
+                 "\"checkpoints_per_key\": %llu, "
+                 "\"bytes_per_warm_key\": %llu},\n",
+                 sibling.warmHits, sibling.warmStageHits,
+                 static_cast<unsigned long long>(warm_objects),
+                 static_cast<unsigned long long>(warm_bytes));
     std::fprintf(f, "  \"scenarios\": {\n");
-    const Scenario *scenarios[] = {&cold, &populate, &warm, &extend};
-    for (size_t i = 0; i < 4; ++i) {
+    const Scenario *scenarios[] = {&cold, &populate, &warm, &extend,
+                                   &sibling};
+    const size_t n_scenarios = std::size(scenarios);
+    for (size_t i = 0; i < n_scenarios; ++i) {
         const Scenario &s = *scenarios[i];
         std::fprintf(
             f,
             "    \"%s\": {\"points\": %u, \"wall_seconds\": %.6f, "
+            "\"phase_seconds\": %.6f, "
             "\"stage_hits\": {\"record\": %u, \"profile\": %u, "
             "\"cluster\": %u, \"sim\": %u, \"fullsim\": %u}, "
             "\"store\": {\"hits\": %llu, \"misses\": %llu, "
             "\"publishes\": %llu, \"bytes_stored\": %llu, "
-            "\"bytes_deduped\": %llu, \"bytes_read\": %llu}}%s\n",
-            s.name.c_str(), s.points, s.wallSeconds, s.hits.record,
+            "\"bytes_deduped\": %llu, \"bytes_read\": %llu}, "
+            "\"warm_hits\": %u}%s\n",
+            s.name.c_str(), s.points, s.wallSeconds, s.phaseSeconds,
+            s.hits.record,
             s.hits.profile, s.hits.cluster, s.hits.sim,
             s.hits.fullsim,
             static_cast<unsigned long long>(s.store.hits),
@@ -292,7 +354,7 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(s.store.bytesStored),
             static_cast<unsigned long long>(s.store.bytesDeduped),
             static_cast<unsigned long long>(s.store.bytesRead),
-            i + 1 < 4 ? "," : "");
+            s.warmHits, i + 1 < n_scenarios ? "," : "");
     }
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");

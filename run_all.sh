@@ -39,8 +39,11 @@
 # subset runs.
 #
 # With --store-smoke the artifact store is exercised end to end: a
-# cold run populates the store, a warm re-run must be served with zero
-# misses and bit-identical output on both execution backends, a
+# cold run populates the store, a small-rob run must be served from its
+# region warm checkpoints (no warming pass) with output equal to a
+# store-less run while big-l2 misses the warm stage, a warm re-run must
+# be served with zero misses and bit-identical output on both
+# execution backends, a
 # corrupted object must be evicted and transparently recomputed, and a
 # two-point lp_campaign must reuse the analysis prefix and skip
 # completed jobs on re-invocation.
@@ -202,6 +205,31 @@ if [ "$1" = "--store-smoke" ]; then
         grep -q 'store          : 0 hit(s)' "$out.cold.txt" || {
             echo "store-smoke FAIL: cold run was not a clean miss"; exit 1; }
 
+        echo "== store smoke: sibling uarch points share warm checkpoints =="
+        # small-rob differs from baseline only in the core, so it loads
+        # the region warm checkpoints the cold run stored and runs no
+        # warming pass; its output must equal a store-less run's.
+        $lp $common --store="$store/s" --uarch=small-rob > "$out.sibling.txt"
+        rc=$?
+        [ $rc -eq 0 ] || { echo "store-smoke FAIL: small-rob run exited $rc (want 0)"; exit 1; }
+        grep -qE 'store warm     : [1-9][0-9]* of [0-9]+ region checkpoint\(s\) loaded, 0 published, warming pass skipped' \
+            "$out.sibling.txt" || {
+            echo "store-smoke FAIL: small-rob did not run from warm checkpoints"; exit 1; }
+        $lp $common --uarch=small-rob > "$out.sibling_ref.txt"
+        rc=$?
+        [ $rc -eq 0 ] || { echo "store-smoke FAIL: store-less small-rob run exited $rc (want 0)"; exit 1; }
+        if ! diff <(grep -vE "$filter" "$out.sibling.txt") \
+                  <(grep -vE "$filter" "$out.sibling_ref.txt"); then
+            echo "store-smoke FAIL: small-rob from warm checkpoints differs from a store-less run"; exit 1
+        fi
+        # big-l2 changes the cache geometry: a warm-stage miss.
+        $lp $common --store="$store/s" --uarch=big-l2 > "$out.bigl2.txt"
+        rc=$?
+        [ $rc -eq 0 ] || { echo "store-smoke FAIL: big-l2 run exited $rc (want 0)"; exit 1; }
+        grep -qE 'store warm     : 0 of [0-9]+ region checkpoint\(s\) loaded, [1-9][0-9]* published, warming pass ran' \
+            "$out.bigl2.txt" || {
+            echo "store-smoke FAIL: big-l2 did not miss the warm stage"; exit 1; }
+
         $lp $common --store="$store/s" > "$out.warm.txt"
         rc=$?
         [ $rc -eq 0 ] || { echo "store-smoke FAIL: warm run exited $rc (want 0)"; exit 1; }
@@ -226,7 +254,9 @@ if [ "$1" = "--store-smoke" ]; then
         fi
 
         echo "== store smoke: corrupt object evicted + recomputed =="
-        obj=$(ls "$store/s/objects" | head -1)
+        # The profile artifact: a warm rerun reads it (a warm
+        # checkpoint object would only be read by a new uarch point).
+        obj=$(build/tools/lp_store ls "$store/s" | awk '$1 == "profile" { print $3; exit }')
         printf 'X' | dd of="$store/s/objects/$obj" bs=1 seek=20 \
             conv=notrunc 2>/dev/null
         build/tools/lp_store verify "$store/s" > /dev/null 2>&1
@@ -257,7 +287,7 @@ if [ "$1" = "--store-smoke" ]; then
             --store="$store/s" > "$out.camp2.txt"
         rc=$?
         [ $rc -eq 0 ] || { echo "store-smoke FAIL: campaign re-run exited $rc (want 0)"; exit 1; }
-        [ "$(grep -c 'already done' "$out.camp2.txt")" = 2 ] || {
+        [ "$(grep -c '^\[skip\]' "$out.camp2.txt")" = 2 ] || {
             echo "store-smoke FAIL: campaign re-run did not skip done jobs"; exit 1; }
         build/tools/lp_report --campaign="$camp" > "$out.report.txt" || {
             echo "store-smoke FAIL: lp_report --campaign failed"; exit 1; }
@@ -267,7 +297,7 @@ if [ "$1" = "--store-smoke" ]; then
 
     echo "== store smoke: store test subset =="
     ctest --test-dir build --output-on-failure -R \
-        'Sha1|Fingerprint|ArtifactStore|StageKeys|StorePipeline' || exit 1
+        'Sha1|Checksum|Fingerprint|ArtifactStore|StageKeys|StorePipeline|WarmStage' || exit 1
     rm -rf "$store" "$out".*.txt
     echo "store-smoke OK"
     exit 0

@@ -47,7 +47,11 @@ runExperiment(const ExperimentConfig &cfg)
     const uint32_t threads =
         app.effectiveThreads(cfg.requestedThreads);
 
-    Program prog = generateProgram(app, cfg.input);
+    Program prog = [&] {
+        ScopedSpan span(tracer, "workload.generate");
+        span.arg("app", cfg.app);
+        return generateProgram(app, cfg.input);
+    }();
 
     LoopPointOptions opts = cfg.loopPoint;
     opts.numThreads = threads;
@@ -144,6 +148,9 @@ runExperiment(const ExperimentConfig &cfg)
         res.coverage = ckpt.coverage;
         res.failedRegions = ckpt.failedRegions();
         res.journalHits = ckpt.journalHits;
+        res.warmStageHit = ckpt.warmStageHit;
+        res.warmHits = ckpt.warmHits;
+        res.warmPublished = ckpt.warmPublished;
         ok_mask = ckpt.okMask();
         for (auto &d : ckpt.diagnostics)
             res.analysis.diagnostics.push_back(std::move(d));
@@ -183,8 +190,13 @@ runExperiment(const ExperimentConfig &cfg)
             stage_cache->publishSimResults(sim_key, recs);
         }
     }
-    res.predicted = extrapolateMetrics(res.analysis, res.regionMetrics,
-                                       ok_mask, sim_cfg);
+    {
+        ScopedSpan span(tracer, "extrapolate");
+        span.arg("regions",
+                 static_cast<uint64_t>(res.analysis.regions.size()));
+        res.predicted = extrapolateMetrics(
+            res.analysis, res.regionMetrics, ok_mask, sim_cfg);
+    }
 
     if (cfg.simulateFull) {
         ScopedSpan full_span(tracer, "phase.fullsim");

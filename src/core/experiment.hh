@@ -126,6 +126,13 @@ struct ExperimentResult
     bool simStageHit = false;
     /** The full-program ground truth came from the artifact store. */
     bool fullSimHit = false;
+    /** The checkpointed phase ran from stored warm checkpoints, with no
+     * warming pass (see simulateRegionsCheckpointed). */
+    bool warmStageHit = false;
+    /** Regions simulated from a stored warm checkpoint. */
+    uint32_t warmHits = 0;
+    /** Regions whose warm checkpoint this run published. */
+    uint32_t warmPublished = 0;
     /** Store traffic of this run (all-zero without cfg.storeDir). */
     StoreStats storeStats;
 };

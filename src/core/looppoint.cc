@@ -1,6 +1,7 @@
 #include "core/looppoint.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <future>
@@ -478,9 +479,40 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         return it->second;
     };
 
+    // Warm stage: with a store attached, every region's start state is
+    // a stored checkpoint keyed on the cluster hash and the warm
+    // partition (SimConfig::warmKeyText), which all uarch points that
+    // differ only in latencies or the core share. If every region that
+    // still needs simulating has one, the phase runs no warming pass.
+    const bool warm_stage = cache && !lp.stageHashes.cluster.empty();
+    std::vector<std::string> warm_keys;
+    std::vector<uint8_t> warm_bound(lp.regions.size(), 0);
+    std::atomic<uint32_t> warm_hits{0}, warm_published{0};
+    auto journaled = [&](size_t idx) {
+        const LoopPointRegion &r = lp.regions[idx];
+        return journal && journal->find(static_cast<uint32_t>(idx),
+                                        r.start, r.end, r.multiplier);
+    };
+    bool warm_hit = warm_stage;
+    if (warm_stage) {
+        for (size_t i = 0; i < lp.regions.size(); ++i) {
+            warm_keys.push_back(StageCache::warmKey(
+                lp.stageHashes.cluster, sim_cfg, constrained,
+                static_cast<uint32_t>(i)));
+            warm_bound[i] = cache->hasWarm(warm_keys[i]) ? 1 : 0;
+            if (!warm_bound[i] && !journaled(i))
+                warm_hit = false;
+        }
+    }
+
+    // The warming simulation. A phase served from warm checkpoints
+    // never runs it, so it gets no cache arrays (the procs backend
+    // still reads its image size).
     ReplayArbiter base_arbiter(lp.pinball.log);
     MulticoreSim base(*prog, execConfig(), sim_cfg,
-                      constrained ? &base_arbiter : nullptr);
+                      constrained ? &base_arbiter : nullptr,
+                      warm_hit ? CacheBacking::Deferred
+                               : CacheBacking::Owned);
 
     // Every region reports here, whichever backend ran it. The pool
     // backend may invoke this from several worker threads at once:
@@ -567,14 +599,138 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         use(sim, arbiter);
     };
 
-    // Checkpoint fanout: the warming pass (necessarily serial — it is
-    // one execution) advances in program order; each checkpoint it
-    // reaches goes straight to the execution backend, so region
-    // bodies simulate while warming continues toward the next
-    // checkpoint. The pool backend with jobs == 1 runs each region
-    // inline, which is exactly the old serial schedule. The backend
-    // is destroyed before `out` and the sink on unwind, draining (or
-    // killing) whatever is still in flight.
+    // Restore a snapshot from a checkpoint payload on the thread that
+    // runs the region, with its image bound in place.
+    auto restore_warm = [&](std::string payload,
+                            const RegionWorkItem &item,
+                            std::string &why) {
+        return WarmSnapshot::restore(std::move(payload), item, *prog,
+                                     execConfig(), sim_cfg,
+                                     lp.pinball.log, why);
+    };
+
+    // Publish a region's start state and simulate from the published
+    // buffer itself. Runs on the thread that executes the region.
+    auto publish_warm = [&](std::string payload,
+                            const RegionWorkItem &item) {
+        ScopedSpan span(tracer, "warm.publish");
+        span.arg("region", static_cast<uint64_t>(item.index))
+            .arg("bytes", static_cast<uint64_t>(payload.size()));
+        cache->publishWarm(warm_keys[item.index], payload);
+        warm_published.fetch_add(1, std::memory_order_relaxed);
+        std::string why;
+        auto snap = restore_warm(std::move(payload), item, why);
+        if (!snap)
+            panic("region %u: own warm checkpoint does not restore (%s)",
+                  item.index, why.c_str());
+        return snap;
+    };
+
+    // Load, verify and adopt a region's stored start state. A miss
+    // here (evicted by a concurrent gc, corrupt and evicted, or a
+    // mismatched image) re-warms that one region from program start
+    // with the original stop schedule — bit-identical to the warming
+    // pass, see `rewarm` — and republishes it.
+    auto load_warm = [&](const RegionWorkItem &item) {
+        {
+            ScopedSpan span(tracer, "warm.load");
+            span.arg("region", static_cast<uint64_t>(item.index));
+            if (auto payload = cache->loadWarm(warm_keys[item.index])) {
+                span.arg("bytes", static_cast<uint64_t>(payload->size()));
+                std::string why;
+                if (auto snap =
+                        restore_warm(std::move(*payload), item, why)) {
+                    warm_hits.fetch_add(1, std::memory_order_relaxed);
+                    span.arg("outcome", "hit");
+                    return snap;
+                }
+                warn("warm checkpoint of region %u unusable (%s); "
+                     "re-warming it", item.index, why.c_str());
+            }
+            span.arg("outcome", "miss");
+        }
+        std::string payload;
+        rewarm(item.index,
+               [&](MulticoreSim &sim, const ReplayArbiter &arbiter) {
+                   payload = WarmSnapshot::encode(sim, arbiter, item);
+               });
+        return publish_warm(std::move(payload), item);
+    };
+
+    // A shutdown request — supervisor SIGTERM/SIGINT, or the injected
+    // `kind=interrupt` fault standing in for one — parks the phase at
+    // this region boundary: regions already submitted finish and
+    // journal, nothing new launches, and the caller reports the run as
+    // resumable rather than degraded.
+    auto park_at = [&](size_t idx) {
+        if (sim_cfg.faults.simFault(static_cast<uint32_t>(idx), 0) ==
+            FaultSpec::Kind::Interrupt)
+            requestShutdown();
+        if (!shutdownRequested())
+            return false;
+        out.interrupted = true;
+        sink.warning("fault-tolerance", "region " + std::to_string(idx),
+                     "shutdown requested: warming parked at this "
+                     "region boundary (resume to continue)");
+        return true;
+    };
+
+    // Resume fast path: a journaled region needs no snapshot and no
+    // detailed simulation — the expensive parts. `warm_s` is the
+    // warming that served only this replayed region (see
+    // journalWarmSeconds).
+    auto take_journal_hit = [&](size_t idx, double warm_s) {
+        if (!journal)
+            return false;
+        const LoopPointRegion &region = lp.regions[idx];
+        auto hit = journal->find(static_cast<uint32_t>(idx),
+                                 region.start, region.end,
+                                 region.multiplier);
+        if (!hit)
+            return false;
+        out.regionMetrics[idx] = hit->metrics;
+        out.regionOutcomes[idx].ok = true;
+        out.regionOutcomes[idx].fromJournal = true;
+        out.regionOutcomes[idx].attempts = hit->attempts;
+        ++out.journalHits;
+        out.journalWarmSeconds += warm_s;
+        stat_journal_hits.add();
+        tracer.instant("journal.hit",
+                       {{"region", std::to_string(idx), false}});
+        return true;
+    };
+
+    auto make_item = [&](size_t idx) {
+        const LoopPointRegion &region = lp.regions[idx];
+        // Divergence watchdog budget: generous over any legitimate
+        // spin inflation, so it only fires when the end marker is
+        // genuinely unreachable.
+        uint64_t budget = 0;
+        if (sim_cfg.watchdogFactor) {
+            const uint64_t floor_icount =
+                std::max<uint64_t>(region.filteredIcount, 10'000);
+            if (__builtin_mul_overflow(sim_cfg.watchdogFactor,
+                                       floor_icount, &budget))
+                budget = std::numeric_limits<uint64_t>::max();
+        }
+        RegionWorkItem item;
+        item.index = static_cast<uint32_t>(idx);
+        item.start = region.start;
+        item.end = region.end;
+        item.multiplier = region.multiplier;
+        item.filteredIcount = region.filteredIcount;
+        // Marker blocks resolve on the producer thread so backend
+        // execution can never throw a missing-block FatalError.
+        item.endBlock =
+            region.end.pc ? block_of(region.end.pc) : kInvalidBlock;
+        item.budget = budget;
+        item.maxAttempts = max_attempts;
+        item.constrained = constrained;
+        return item;
+    };
+
+    // The backend is destroyed before `out`, the sink and the lambdas
+    // above on unwind, draining (or killing) whatever is in flight.
     std::unique_ptr<RegionExecBackend> backend;
     if (sim_cfg.backend == ExecBackendKind::Procs) {
         // The coordinator must be single-threaded at every fork; the
@@ -600,108 +756,90 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         backend = makePoolBackend(pool, sim_cfg.faults, on_completion);
     }
 
-    for (size_t idx : order) {
-        // A shutdown request — supervisor SIGTERM/SIGINT, or the
-        // injected `kind=interrupt` fault standing in for one — parks
-        // the warming pass here, at the region boundary: regions
-        // already submitted finish and journal below, nothing new
-        // launches, and the caller reports the run as resumable
-        // rather than degraded.
-        if (sim_cfg.faults.simFault(static_cast<uint32_t>(idx), 0) ==
-            FaultSpec::Kind::Interrupt)
-            requestShutdown();
-        if (shutdownRequested()) {
-            out.interrupted = true;
-            sink.warning("fault-tolerance",
-                         "region " + std::to_string(idx),
-                         "shutdown requested: warming parked at this "
-                         "region boundary (resume to continue)");
-            break;
-        }
-
-        const LoopPointRegion &region = lp.regions[idx];
-
-        // Advance the warming pass to the region start. This happens
-        // for journal hits too: the fast-forward scheduler's quantum
-        // rotation restarts at each stop, so the stops themselves are
-        // part of the warming trajectory — a resumed run must stop
-        // exactly where the original did to keep the downstream
-        // regions bit-identical.
-        auto t_ff = clock::now();
-        {
-            ScopedSpan warm_span(tracer, "warm.fastforward");
-            warm_span.arg("region", static_cast<uint64_t>(idx));
-            if (region.start.pc != 0 && region.start.count > 0) {
-                BlockId start_block = block_of(region.start.pc);
-                base.fastForwardUntil(start_block, region.start.count,
-                                      /*warm=*/true);
-            }
-        }
-        const double warm_s = seconds_since(t_ff);
-        out.checkpointWallSeconds += warm_s;
-
-        // Resume fast path: a journaled region needs no snapshot and
-        // no detailed simulation — the expensive parts — only the
-        // warming stop above.
-        if (journal) {
-            auto hit = journal->find(static_cast<uint32_t>(idx),
-                                     region.start, region.end,
-                                     region.multiplier);
-            if (hit) {
-                out.regionMetrics[idx] = hit->metrics;
-                out.regionOutcomes[idx].ok = true;
-                out.regionOutcomes[idx].fromJournal = true;
-                out.regionOutcomes[idx].attempts = hit->attempts;
-                ++out.journalHits;
-                // The warming above served only this replayed region;
-                // see journalWarmSeconds.
-                out.journalWarmSeconds += warm_s;
-                stat_journal_hits.add();
-                tracer.instant(
-                    "journal.hit",
-                    {{"region", std::to_string(idx), false}});
+    if (warm_hit) {
+        // Every start state is stored: no warming pass. The boundary
+        // walk stays in program order so a shutdown parks at the same
+        // region as it would on the warming path; the launched regions
+        // then go out longest first, so the phase's wall time tends to
+        // the slowest region.
+        std::vector<RegionWorkItem> launch;
+        for (size_t idx : order) {
+            if (park_at(idx))
+                break;
+            if (take_journal_hit(idx, 0.0))
                 continue;
+            launch.push_back(make_item(idx));
+        }
+        std::stable_sort(launch.begin(), launch.end(),
+                         [](const RegionWorkItem &a,
+                            const RegionWorkItem &b) {
+                             return a.filteredIcount > b.filteredIcount;
+                         });
+        backend->submitSnapshots(std::move(launch), load_warm);
+    } else {
+        // Checkpoint fanout: the warming pass (necessarily serial — it
+        // is one execution) advances in program order; each checkpoint
+        // it reaches goes straight to the execution backend, so region
+        // bodies simulate while warming continues toward the next
+        // checkpoint. The pool backend with jobs == 1 runs each region
+        // inline, which is exactly the old serial schedule.
+        for (size_t idx : order) {
+            if (park_at(idx))
+                break;
+            const LoopPointRegion &region = lp.regions[idx];
+
+            // Advance the warming pass to the region start. This
+            // happens for journal hits too: the fast-forward
+            // scheduler's quantum rotation restarts at each stop, so
+            // the stops themselves are part of the warming trajectory
+            // — a resumed run must stop exactly where the original did
+            // to keep the downstream regions bit-identical.
+            auto t_ff = clock::now();
+            {
+                ScopedSpan warm_span(tracer, "warm.fastforward");
+                warm_span.arg("region", static_cast<uint64_t>(idx));
+                if (region.start.pc != 0 && region.start.count > 0) {
+                    BlockId start_block = block_of(region.start.pc);
+                    base.fastForwardUntil(start_block,
+                                          region.start.count,
+                                          /*warm=*/true);
+                }
+            }
+            const double warm_s = seconds_since(t_ff);
+            out.checkpointWallSeconds += warm_s;
+            if (take_journal_hit(idx, warm_s))
+                continue;
+
+            RegionWorkItem item = make_item(idx);
+            if (warm_stage && !warm_bound[idx]) {
+                // Capture the state as its checkpoint payload here
+                // (warming moves on): the worker publishes it and then
+                // simulates in that same buffer, so each queued region
+                // holds one image, as a deep copy would.
+                auto payload = std::make_shared<std::string>(
+                    WarmSnapshot::encode(base, base_arbiter, item));
+                backend->submitSnapshots(
+                    {item}, [&publish_warm, payload](
+                                const RegionWorkItem &it) {
+                        return publish_warm(std::move(*payload), it);
+                    });
+            } else {
+                backend->submit(item, base, base_arbiter);
             }
         }
-
-        // Marker blocks resolve on the warming thread so backend
-        // execution can never throw a missing-block FatalError.
-        const BlockId end_block =
-            region.end.pc ? block_of(region.end.pc) : kInvalidBlock;
-
-        // Divergence watchdog budget: generous over any legitimate
-        // spin inflation, so it only fires when the end marker is
-        // genuinely unreachable.
-        uint64_t budget = 0;
-        if (sim_cfg.watchdogFactor) {
-            const uint64_t floor_icount =
-                std::max<uint64_t>(region.filteredIcount, 10'000);
-            if (__builtin_mul_overflow(sim_cfg.watchdogFactor,
-                                       floor_icount, &budget))
-                budget = std::numeric_limits<uint64_t>::max();
-        }
-
-        RegionWorkItem item;
-        item.index = static_cast<uint32_t>(idx);
-        item.start = region.start;
-        item.end = region.end;
-        item.multiplier = region.multiplier;
-        item.filteredIcount = region.filteredIcount;
-        item.endBlock = end_block;
-        item.budget = budget;
-        item.maxAttempts = max_attempts;
-        item.constrained = constrained;
-        backend->submit(item, base, base_arbiter);
     }
 
-    // Warming is done; drain the backend (the pool backend's producer
-    // thread helps run queued regions instead of idling; the procs
-    // coordinator pumps worker channels and runs death-retries). The
-    // first exception that must escape the phase — the pool backend's
-    // InjectedKill — is rethrown once everything is quiescent.
+    // Drain the backend (the pool backend's producer thread helps run
+    // queued regions instead of idling; the procs coordinator pumps
+    // worker channels and runs death-retries). The first exception
+    // that must escape the phase — the pool backend's InjectedKill —
+    // is rethrown once everything is quiescent.
     backend->finish();
     out.workerDeaths = backend->workerDeaths();
     out.workerRespawns = backend->workerRespawns();
+    out.warmStageHit = warm_hit;
+    out.warmHits = warm_hits.load();
+    out.warmPublished = warm_published.load();
 
     // Coverage: the weight fraction of the extrapolation backed by
     // usable regions. All-ok sums are identical, so division yields
@@ -726,7 +864,9 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         .arg("coverage", out.coverage)
         .arg("phase_wall_seconds", out.phaseWallSeconds)
         .arg("worker_deaths", out.workerDeaths)
-        .arg("worker_respawns", out.workerRespawns);
+        .arg("worker_respawns", out.workerRespawns)
+        .arg("warm_hits", out.warmHits)
+        .arg("warm_published", out.warmPublished);
     // Close now, not at frame exit: the span duration must agree with
     // phaseWallSeconds (lp_report --check enforces 1%).
     phase_span.finish();

@@ -246,6 +246,13 @@ class LoopPointPipeline
         std::vector<RegionOutcome> regionOutcomes;
         /** Regions satisfied from the resume journal. */
         size_t journalHits = 0;
+        /** The phase ran without a warming pass: a store is attached
+         * and every region still to simulate had a warm checkpoint. */
+        bool warmStageHit = false;
+        /** Regions simulated from a stored warm checkpoint. */
+        uint32_t warmHits = 0;
+        /** Regions whose warm checkpoint this phase published. */
+        uint32_t warmPublished = 0;
         /** Weight fraction of usable regions (1.0 when all ok). */
         double coverage = 1.0;
         /** Failure/retry findings (pass "fault-tolerance"). */
@@ -312,6 +319,16 @@ class LoopPointPipeline
      * already journaled by a previous (crashed) run are reused without
      * re-simulation; resumed results are bit-identical to an
      * uninterrupted run.
+     *
+     * Warm checkpoints: with a stage cache attached (setStageCache),
+     * each region's start state — replay cursors, functional state and
+     * microarch image — is stored under the `warm` stage key, which
+     * covers only what warming depends on (SimConfig::warmKeyText). A
+     * phase whose regions all have one skips the warming pass: every
+     * region loads its own checkpoint on the worker that runs it,
+     * longest region first. Otherwise the warming pass runs and each
+     * region task publishes its checkpoint. Region metrics are
+     * bit-identical either way.
      */
     CheckpointedSimResult simulateRegionsCheckpointed(
         const LoopPointResult &lp, const SimConfig &sim_cfg,
@@ -322,8 +339,9 @@ class LoopPointPipeline
     /**
      * Attach a stage cache: analyze() then serves recording,
      * profiling, and clustering from the store when their stage keys
-     * hit, and publishes freshly computed artifacts back. Results are
-     * bit-identical either way; nullptr detaches.
+     * hit, and publishes freshly computed artifacts back;
+     * simulateRegionsCheckpointed() likewise uses its warm stage.
+     * Results are bit-identical either way; nullptr detaches.
      */
     void setStageCache(StageCache *cache_) { cache = cache_; }
 

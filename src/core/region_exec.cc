@@ -1,5 +1,6 @@
 #include "core/region_exec.hh"
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <utility>
@@ -59,6 +60,36 @@ class PoolBackend final : public RegionExecBackend
         } else {
             runOne(item, *snap);
         }
+    }
+
+    void
+    submitSnapshots(std::vector<RegionWorkItem> items,
+                    SnapshotSource source) override
+    {
+        if (!pool) {
+            for (const RegionWorkItem &item : items)
+                runOne(item, *source(item));
+            return;
+        }
+        // One task per item, but a task runs whichever item is next in
+        // priority order when it starts: the pool's deques pop LIFO
+        // and steal FIFO, so binding items to tasks at submit time
+        // would not keep the order.
+        struct Batch
+        {
+            std::vector<RegionWorkItem> items;
+            SnapshotSource source;
+            std::atomic<size_t> next{0};
+        };
+        auto batch = std::make_shared<Batch>();
+        batch->items = std::move(items);
+        batch->source = std::move(source);
+        for (size_t i = 0; i < batch->items.size(); ++i)
+            inflight.push_back(pool->submit([this, batch] {
+                const RegionWorkItem &item =
+                    batch->items[batch->next.fetch_add(1)];
+                runOne(item, *batch->source(item));
+            }));
     }
 
     void

@@ -8,7 +8,10 @@
  * behind this interface. The producer hands each region's work item
  * plus the warm simulation state to the backend; the backend runs the
  * detailed simulations (wherever and however it likes) and reports
- * each region through the completion sink. Because both backends run
+ * each region through the completion sink. When every region's start
+ * state is a stored warm checkpoint there is no warming pass: the
+ * producer hands over all regions at once (submitSnapshots) and the
+ * executor loads each checkpoint itself. Because both backends run
  * the same attempt loop (dist/region_run.hh) on the same warm states,
  * region metrics are bit-identical across backends and worker counts.
  *
@@ -32,6 +35,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "dist/region_run.hh"
 
@@ -66,6 +71,14 @@ struct RegionCompletion
  */
 using CompletionSink = std::function<void(const RegionCompletion &)>;
 
+/**
+ * Produces a region's pristine warm state: a stored warm checkpoint to
+ * load and adopt, or a deep snapshot to publish as one first. Never
+ * returns null.
+ */
+using SnapshotSource =
+    std::function<std::shared_ptr<WarmSnapshot>(const RegionWorkItem &)>;
+
 /** See file comment. */
 class RegionExecBackend
 {
@@ -83,6 +96,25 @@ class RegionExecBackend
     virtual void submit(const RegionWorkItem &item,
                         MulticoreSim &warm_base,
                         const ReplayArbiter &warm_arbiter) = 0;
+
+    /**
+     * Hand the backend regions whose warm state comes from `source`,
+     * in priority order. The pool backend calls `source` on the worker
+     * that runs the region, so checkpoint loads and publishes run in
+     * parallel and only about one image per worker is live at a time,
+     * and its workers claim the items in the given order whichever
+     * worker frees up first. This default calls `source` on the
+     * caller's thread and submits each result in order.
+     */
+    virtual void
+    submitSnapshots(std::vector<RegionWorkItem> items,
+                    SnapshotSource source)
+    {
+        for (const RegionWorkItem &item : items) {
+            const std::shared_ptr<WarmSnapshot> snap = source(item);
+            submit(item, snap->sim, snap->arbiter);
+        }
+    }
 
     /**
      * Drain: block until every submitted region has reported through

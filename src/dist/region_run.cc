@@ -1,13 +1,105 @@
 #include "dist/region_run.hh"
 
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <thread>
 
 #include "obs/trace.hh"
 
 namespace looppoint {
+
+namespace {
+
+/** Header line length; also the image offset (8-byte aligned). */
+constexpr size_t kWarmHeaderBytes = 128;
+
+std::string
+warmHeader(const RegionWorkItem &item, size_t image_bytes)
+{
+    char buf[kWarmHeaderBytes];
+    std::snprintf(buf, sizeof(buf),
+                  "looppoint-warm-v1 region=%" PRIu32 " start=%" PRIu64
+                  ":%" PRIu64 " image=%zu constrained=%u",
+                  item.index, static_cast<uint64_t>(item.start.pc),
+                  item.start.count, image_bytes,
+                  item.constrained ? 1 : 0);
+    std::string line(buf);
+    line.resize(kWarmHeaderBytes - 1, ' ');
+    line += '\n';
+    return line;
+}
+
+} // namespace
+
+std::string
+WarmSnapshot::encode(const MulticoreSim &sim, const ReplayArbiter &arbiter,
+                     const RegionWorkItem &item)
+{
+    std::ostringstream tail;
+    if (item.constrained)
+        arbiter.saveCursors(tail);
+    sim.engine().save(tail);
+    const std::string tail_text = tail.str();
+
+    const size_t image_bytes = sim.microarchStateBytes();
+    std::string payload;
+    payload.reserve(kWarmHeaderBytes + image_bytes + tail_text.size());
+    payload += warmHeader(item, image_bytes);
+    payload.resize(kWarmHeaderBytes + image_bytes);
+    sim.exportMicroarchState(payload.data() + kWarmHeaderBytes);
+    payload += tail_text;
+    return payload;
+}
+
+std::shared_ptr<WarmSnapshot>
+WarmSnapshot::restore(std::string payload, const RegionWorkItem &item,
+                      const Program &prog, const ExecConfig &exec_cfg,
+                      const SimConfig &sim_cfg, const SyncLog &log,
+                      std::string &why)
+{
+    auto snap =
+        std::make_shared<WarmSnapshot>(prog, exec_cfg, sim_cfg, log);
+    const size_t image_bytes = snap->sim.microarchStateBytes();
+    if (payload.size() < kWarmHeaderBytes + image_bytes) {
+        why = "payload of " + std::to_string(payload.size()) +
+              " bytes cannot hold a " + std::to_string(image_bytes) +
+              "-byte image";
+        return nullptr;
+    }
+    if (payload.compare(0, kWarmHeaderBytes,
+                        warmHeader(item, image_bytes)) != 0) {
+        std::string header = payload.substr(0, kWarmHeaderBytes - 1);
+        header.erase(header.find_last_not_of(' ') + 1);
+        why = "header '" + header + "' does not match region " +
+              std::to_string(item.index) + " with a " +
+              std::to_string(image_bytes) + "-byte image";
+        return nullptr;
+    }
+    try {
+        std::istringstream iss(
+            payload.substr(kWarmHeaderBytes + image_bytes));
+        if (item.constrained) {
+            snap->arbiter.loadCursors(iss);
+            iss.ignore(std::numeric_limits<std::streamsize>::max(),
+                       '\n');
+        }
+        snap->sim.engine() = ExecutionEngine::load(
+            iss, prog, item.constrained ? &snap->arbiter : nullptr);
+    } catch (const std::exception &e) {
+        why = std::string("functional state: ") + e.what();
+        return nullptr;
+    }
+    // Moving a heap-allocated string keeps its buffer, so the bound
+    // image address stays valid.
+    snap->backing = std::move(payload);
+    snap->sim.adoptMicroarchState(snap->backing.data() +
+                                  kWarmHeaderBytes);
+    return snap;
+}
 
 void
 runRegionAttempts(const RegionWorkItem &item, MulticoreSim &pristine,

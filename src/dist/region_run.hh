@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "isa/program.hh"
@@ -32,16 +33,38 @@
 
 namespace looppoint {
 
+struct RegionWorkItem;
+
 /**
- * A deep snapshot of the warming simulation plus its private replay
- * arbiter. The arbiter is rebound in the constructor (the MulticoreSim
- * copy aliases the source's arbiter otherwise).
+ * A region's warm simulation state plus its private replay arbiter:
+ * either a deep snapshot of the warming simulation, or a simulator
+ * restored from a warm checkpoint payload.
+ *
+ * Warm checkpoint payload (the store's `warm` stage artifact; the same
+ * triple the procs backend ships, in one buffer):
+ *
+ *   looppoint-warm-v1 region=<i> start=<pc>:<count> image=<bytes>
+ *       constrained=<0|1>          one line, space-padded to 128 bytes
+ *   <microarch image>              exactly <bytes> bytes (caches,
+ *                                  sharer masks, predictor tables)
+ *   arbiter ...                    constrained only: replay cursors
+ *   <ExecutionEngine::save text>   functional state at the region start
+ *
+ * The image sits at a fixed 8-byte-aligned offset so a restored
+ * simulator binds its cache arrays straight into the payload buffer
+ * (MulticoreSim::adoptMicroarchState) instead of copying it: the
+ * buffer is held in `backing` and becomes the live state.
  */
 struct WarmSnapshot
 {
+    /** Payload whose image the sim's caches are bound into; empty for
+     * a deep-copied snapshot. Declared first so it outlives `sim`. */
+    std::string backing;
     MulticoreSim sim;
     ReplayArbiter arbiter;
 
+    /** Deep copy; the arbiter is rebound (the MulticoreSim copy
+     * aliases the source's arbiter otherwise). */
     WarmSnapshot(const MulticoreSim &base,
                  const ReplayArbiter &base_arbiter, bool constrained)
         : sim(base), arbiter(base_arbiter)
@@ -49,6 +72,33 @@ struct WarmSnapshot
         if (constrained)
             sim.engine().setArbiter(&arbiter);
     }
+
+    /** An unbound simulator (CacheBacking::Deferred) for restore(). */
+    WarmSnapshot(const Program &prog, const ExecConfig &exec_cfg,
+                 const SimConfig &sim_cfg, const SyncLog &log)
+        : sim(prog, exec_cfg, sim_cfg, nullptr, CacheBacking::Deferred),
+          arbiter(log)
+    {
+    }
+
+    /** The warm state of `sim` + `arbiter` at `item`'s start as a
+     * checkpoint payload (the image is exported into the buffer). */
+    static std::string encode(const MulticoreSim &sim,
+                              const ReplayArbiter &arbiter,
+                              const RegionWorkItem &item);
+
+    /**
+     * A snapshot restored from a checkpoint payload for `item`, the
+     * payload adopted as its live image (no copy). Any mismatch —
+     * region, start marker, constrained flag, image size, unparsable
+     * functional state — returns null with `why` set; the caller
+     * treats it as a miss.
+     */
+    static std::shared_ptr<WarmSnapshot>
+    restore(std::string payload, const RegionWorkItem &item,
+            const Program &prog, const ExecConfig &exec_cfg,
+            const SimConfig &sim_cfg, const SyncLog &log,
+            std::string &why);
 };
 
 /**

@@ -22,8 +22,9 @@ log2u32(uint32_t v)
 
 } // namespace
 
-Cache::Cache(const CacheConfig &cfg_, Sharers sharers)
-    : cfg(cfg_)
+Cache::Cache(const CacheConfig &cfg_, Sharers sharers,
+             CacheBacking backing)
+    : cfg(cfg_), tracked(sharers == Sharers::Tracked)
 {
     // lineBytes >= 2 keeps the packed tag `lineAddr + 1` from wrapping
     // to the invalid word 0.
@@ -38,9 +39,11 @@ Cache::Cache(const CacheConfig &cfg_, Sharers sharers)
     lineShift = log2u32(cfg.lineBytes);
     setMask = num_sets - 1;
     lineCount = static_cast<size_t>(num_sets) * cfg.assoc;
+    if (backing == CacheBacking::Deferred)
+        return;
     ownedTags.assign(lineCount, 0);
     tags = ownedTags.data();
-    if (sharers == Sharers::Tracked) {
+    if (tracked) {
         ownedMasks.assign(lineCount, 0);
         masks = ownedMasks.data();
     }
@@ -49,9 +52,12 @@ Cache::Cache(const CacheConfig &cfg_, Sharers sharers)
 Cache::Cache(const Cache &other)
     : cfg(other.cfg), lineShift(other.lineShift),
       setMask(other.setMask), lineCount(other.lineCount),
-      ownedTags(other.tags, other.tags + other.lineCount),
-      tags(ownedTags.data()), cacheStats(other.cacheStats)
+      tracked(other.tracked), cacheStats(other.cacheStats)
 {
+    if (!other.tags)
+        return; // an unbound Deferred cache copies as unbound
+    ownedTags.assign(other.tags, other.tags + lineCount);
+    tags = ownedTags.data();
     if (other.masks) {
         ownedMasks.assign(other.masks, other.masks + other.lineCount);
         masks = ownedMasks.data();
@@ -67,6 +73,14 @@ Cache::operator=(const Cache &other)
     lineShift = other.lineShift;
     setMask = other.setMask;
     lineCount = other.lineCount;
+    tracked = other.tracked;
+    cacheStats = other.cacheStats;
+    if (!other.tags) {
+        ownedTags.clear();
+        ownedMasks.clear();
+        tags = masks = nullptr;
+        return *this;
+    }
     ownedTags.assign(other.tags, other.tags + other.lineCount);
     tags = ownedTags.data();
     if (other.masks) {
@@ -76,7 +90,6 @@ Cache::operator=(const Cache &other)
         ownedMasks.clear();
         masks = nullptr;
     }
-    cacheStats = other.cacheStats;
     return *this;
 }
 
@@ -97,7 +110,7 @@ Cache::bindImage(void *mem)
     tags = static_cast<uint64_t *>(mem);
     ownedTags.clear();
     ownedTags.shrink_to_fit();
-    if (masks) {
+    if (tracked) {
         masks = tags + lineCount;
         ownedMasks.clear();
         ownedMasks.shrink_to_fit();
@@ -245,8 +258,10 @@ Cache::removeSharer(Addr addr, uint32_t core)
         masks[base + w] &= ~(1ull << core);
 }
 
-CacheHierarchy::CacheHierarchy(const SimConfig &cfg_, uint32_t num_cores)
-    : cfg(cfg_), numCores(num_cores), l3(cfg_.l3)
+CacheHierarchy::CacheHierarchy(const SimConfig &cfg_, uint32_t num_cores,
+                               CacheBacking backing)
+    : cfg(cfg_), numCores(num_cores),
+      l3(cfg_.l3, Cache::Sharers::Tracked, backing)
 {
     LP_ASSERT(num_cores >= 1 && num_cores <= 64);
     // One line size throughout: a private line then always maps to
@@ -254,10 +269,13 @@ CacheHierarchy::CacheHierarchy(const SimConfig &cfg_, uint32_t num_cores)
     LP_ASSERT(cfg.l1i.lineBytes == cfg.l3.lineBytes &&
               cfg.l1d.lineBytes == cfg.l3.lineBytes &&
               cfg.l2.lineBytes == cfg.l3.lineBytes);
+    l1d.reserve(num_cores);
+    l1i.reserve(num_cores);
+    l2.reserve(num_cores);
     for (uint32_t c = 0; c < num_cores; ++c) {
-        l1d.emplace_back(cfg.l1d, Cache::Sharers::Untracked);
-        l1i.emplace_back(cfg.l1i, Cache::Sharers::Untracked);
-        l2.emplace_back(cfg.l2, Cache::Sharers::Untracked);
+        l1d.emplace_back(cfg.l1d, Cache::Sharers::Untracked, backing);
+        l1i.emplace_back(cfg.l1i, Cache::Sharers::Untracked, backing);
+        l2.emplace_back(cfg.l2, Cache::Sharers::Untracked, backing);
     }
     dataLat[0] = cfg.l1d.latency;
     dataLat[1] = dataLat[0] + cfg.l2.latency;

@@ -57,13 +57,22 @@ struct CacheStats
  * keeps a sharer bitmask per way, in an array parallel to the tags,
  * recording which cores may hold a private copy.
  */
+/**
+ * Where a cache's arrays live. Deferred allocates nothing: the cache
+ * (or hierarchy) is unusable until an image is bound, which lets a
+ * checkpoint restore bind straight into its payload without first
+ * allocating and zeroing arrays it would discard.
+ */
+enum class CacheBacking { Owned, Deferred };
+
 class Cache
 {
   public:
     enum class Sharers { Tracked, Untracked };
 
     explicit Cache(const CacheConfig &cfg,
-                   Sharers sharers = Sharers::Tracked);
+                   Sharers sharers = Sharers::Tracked,
+                   CacheBacking backing = CacheBacking::Owned);
 
     /**
      * Look up and allocate on miss (LRU victim).
@@ -116,7 +125,7 @@ class Cache
     size_t
     imageBytes() const
     {
-        return lineCount * sizeof(uint64_t) * (masks ? 2 : 1);
+        return lineCount * sizeof(uint64_t) * (tracked ? 2 : 1);
     }
 
     /** memcpy the state image into `dst` (imageBytes() bytes). */
@@ -156,14 +165,17 @@ class Cache
     uint32_t lineShift; ///< log2(lineBytes)
     uint32_t setMask;   ///< numSets - 1
     size_t lineCount;   ///< numSets x assoc
+    bool tracked;       ///< keeps sharer masks (see Sharers)
     /** Backing store when the cache owns its arrays (the default);
-     * empty after bindImage(). ownedMasks is empty when untracked. */
+     * empty after bindImage() and for a Deferred cache. ownedMasks is
+     * empty when untracked. */
     std::vector<uint64_t> ownedTags;
     std::vector<uint64_t> ownedMasks;
     /** The live arrays, recency-ordered per set: the owned vectors or
      * externally bound memory. All access paths index through these
      * pointers, so binding costs nothing on the hot path. `masks` is
-     * null for an untracked cache. */
+     * null for an untracked cache (and both are null while a Deferred
+     * cache is unbound). */
     uint64_t *tags = nullptr;
     uint64_t *masks = nullptr;
     CacheStats cacheStats;
@@ -188,7 +200,8 @@ struct MemAccessResult
 class CacheHierarchy
 {
   public:
-    CacheHierarchy(const SimConfig &cfg, uint32_t num_cores);
+    CacheHierarchy(const SimConfig &cfg, uint32_t num_cores,
+                   CacheBacking backing = CacheBacking::Owned);
 
     /** Data access from `core`. */
     MemAccessResult access(uint32_t core, Addr addr, bool is_write);

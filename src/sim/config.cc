@@ -70,6 +70,25 @@ SimConfig::uarchKeyText() const
     return fp.text();
 }
 
+std::string
+SimConfig::warmKeyText() const
+{
+    FingerprintBuilder fp("warm-v1");
+    auto cache = [&](const char *name, const CacheConfig &c) {
+        fp.field(std::string(name) + "_size", c.sizeBytes)
+            .field(std::string(name) + "_assoc", c.assoc)
+            .field(std::string(name) + "_line", c.lineBytes);
+    };
+    cache("l1i", l1i);
+    cache("l1d", l1d);
+    cache("l2", l2);
+    cache("l3", l3);
+    // The predictor has no configuration fields: one fixed design
+    // (PentiumMBranchPredictor), named so that a second one re-keys.
+    fp.field("prefetch", prefetchDegree).field("predictor", "pentium-m");
+    return fp.text();
+}
+
 void
 applyUarchPreset(SimConfig &cfg, const std::string &name)
 {

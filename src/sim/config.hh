@@ -193,6 +193,21 @@ struct SimConfig
      * both.
      */
     std::string uarchKeyText() const;
+
+    /**
+     * Canonical encoding of the fields the *warm state* at a region
+     * start depends on: size, ways and line size of every cache
+     * level, the prefetch degree, and the branch predictor. Warming
+     * (MulticoreSim::fastForwardUntil with warm = true) schedules
+     * threads by a fixed instruction quantum and only drives the
+     * cache hierarchy and the predictors, so no latency and no core
+     * field can change it: presets that differ only there (small
+     * ROB, slow memory, narrow dispatch, in-order) share one warm
+     * trajectory and, through the store's warm stage, one set of
+     * region checkpoints. A subset of uarchKeyText()'s fields by
+     * construction.
+     */
+    std::string warmKeyText() const;
 };
 
 /**

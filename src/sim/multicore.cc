@@ -37,10 +37,11 @@ withAddresses(ExecConfig cfg)
 } // namespace
 
 MulticoreSim::MulticoreSim(const Program &prog_, ExecConfig exec_cfg,
-                           const SimConfig &sim_cfg, SyncArbiter *arbiter)
+                           const SimConfig &sim_cfg, SyncArbiter *arbiter,
+                           CacheBacking backing)
     : simCfg(sim_cfg), prog(&prog_),
       eng(prog_, withAddresses(exec_cfg), arbiter),
-      hierarchy(sim_cfg, exec_cfg.numThreads),
+      hierarchy(sim_cfg, exec_cfg.numThreads, backing),
       numThreads(exec_cfg.numThreads)
 {
     for (uint32_t c = 0; c < numThreads; ++c)

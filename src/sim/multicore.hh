@@ -78,10 +78,14 @@ class MulticoreSim
      *        forced on — the timing model needs addresses)
      * @param sim_cfg microarchitecture (paper Table I defaults)
      * @param arbiter optional ReplayArbiter for constrained simulation
+     * @param backing CacheBacking::Deferred allocates no cache arrays:
+     *        the sim must adoptMicroarchState() before it runs (a
+     *        checkpoint restore binding straight into its payload)
      */
     MulticoreSim(const Program &prog, ExecConfig exec_cfg,
                  const SimConfig &sim_cfg,
-                 SyncArbiter *arbiter = nullptr);
+                 SyncArbiter *arbiter = nullptr,
+                 CacheBacking backing = CacheBacking::Owned);
 
     /**
      * Deep snapshot: copies the functional execution state, caches,

@@ -207,16 +207,40 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
     ScopedSpan span(Tracer::global(), "store.lookup");
     span.arg("stage", stage);
 
-    LockGuard lock(*this);
-    reloadManifestLocked();
-    auto it = manifest.find(std::make_pair(stage, key));
-    if (it == manifest.end()) {
-        countMiss(stage);
-        span.arg("outcome", "miss");
-        return std::nullopt;
+    // Only the manifest lookup and the open happen under the lock.
+    // Reading, the frame CRC and the SHA-1 run after it is released,
+    // so concurrent lookups (one per region on the warm path) do not
+    // serialize on multi-MB hashing. An open descriptor keeps reading
+    // the same inode even if a concurrent gc unlinks the object or a
+    // publish renames a fresh copy over it.
+    std::string hash, path;
+    std::ifstream is;
+    {
+        LockGuard lock(*this);
+        reloadManifestLocked();
+        auto it = manifest.find(std::make_pair(stage, key));
+        if (it == manifest.end()) {
+            countMiss(stage);
+            span.arg("outcome", "miss");
+            return std::nullopt;
+        }
+        hash = it->second.hash;
+        path = objectPath(hash);
+        is.open(path, std::ios::binary);
+        if (!is) {
+            // Object vanished (e.g. a concurrent gc): plain miss.
+            countMiss(stage);
+            span.arg("outcome", "gone");
+            return std::nullopt;
+        }
+        // Touch the LRU clock: gc evicts oldest-mtime first.
+        struct timespec times[2];
+        times[0].tv_nsec = UTIME_NOW;
+        times[0].tv_sec = 0;
+        times[1].tv_nsec = UTIME_NOW;
+        times[1].tv_sec = 0;
+        ::utimensat(AT_FDCWD, path.c_str(), times, 0);
     }
-    const std::string hash = it->second.hash;
-    const std::string path = objectPath(hash);
 
     auto evict = [&](const char *why) {
         // Corrupt object: count, evict every binding to it, unlink,
@@ -225,6 +249,8 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
                  hash.c_str(), why);
         nCorrupt.fetch_add(1, std::memory_order_relaxed);
         MetricsRegistry::global().counter("store.corrupt").add();
+        LockGuard lock(*this);
+        reloadManifestLocked();
         ::unlink(path.c_str());
         for (auto e = manifest.begin(); e != manifest.end();) {
             if (e->second.hash == hash)
@@ -237,13 +263,6 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         span.arg("outcome", "corrupt");
     };
 
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        // Object vanished (e.g. a concurrent gc): plain miss.
-        countMiss(stage);
-        span.arg("outcome", "gone");
-        return std::nullopt;
-    }
     auto framed = readFramedArtifact(is, kObjectMagicBase,
                                      kObjectVersion);
     if (!framed.ok()) {
@@ -257,14 +276,6 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         evict("content hash mismatch");
         return std::nullopt;
     }
-
-    // Touch the LRU clock: gc evicts oldest-mtime first.
-    struct timespec times[2];
-    times[0].tv_nsec = UTIME_NOW;
-    times[0].tv_sec = 0;
-    times[1].tv_nsec = UTIME_NOW;
-    times[1].tv_sec = 0;
-    ::utimensat(AT_FDCWD, path.c_str(), times, 0);
 
     countHit(stage, payload.size());
     span.arg("outcome", "hit")

@@ -21,7 +21,10 @@
  * Concurrency contract: every mutation (publish, gc) and every lookup
  * holds an exclusive flock on `.lock` and reloads the manifest first,
  * so pool/procs workers, parallel campaigns, and concurrent processes
- * share one store without torn state. Publication is atomic (tmp +
+ * share one store without torn state. A lookup holds it only to
+ * resolve the binding and open the object; reading and both integrity
+ * checks run unlocked on the open descriptor, and an eviction re-takes
+ * the lock. Publication is atomic (tmp +
  * rename) for both objects and the manifest; a crash mid-publish
  * leaves at worst an orphaned object that the next gc collects.
  *

@@ -74,6 +74,19 @@ StageCache::simKey(const std::string &cluster_hash,
 }
 
 std::string
+StageCache::warmKey(const std::string &cluster_hash,
+                    const SimConfig &sim_cfg, bool constrained,
+                    uint32_t region)
+{
+    return FingerprintBuilder("warm-v1")
+        .field("cluster", cluster_hash)
+        .field("warm", sim_cfg.warmKeyText())
+        .field("constrained", constrained)
+        .field("region", region)
+        .text();
+}
+
+std::string
 StageCache::fullSimKey(const std::string &program_name, uint32_t threads,
                        WaitPolicy wait_policy, uint64_t seed,
                        const SimConfig &sim_cfg)
@@ -321,6 +334,29 @@ StageCache::loadSimResults(const std::string &key,
         recs.push_back(std::move(*rec));
     }
     return recs;
+}
+
+// ---------------------------------------------------- warm checkpoints
+
+bool
+StageCache::hasWarm(const std::string &key)
+{
+    return backing->hashFor("warm", key).has_value();
+}
+
+std::optional<std::string>
+StageCache::loadWarm(const std::string &key)
+{
+    auto hit = backing->lookup("warm", key);
+    if (!hit)
+        return std::nullopt;
+    return std::move(hit->payload);
+}
+
+void
+StageCache::publishWarm(const std::string &key, const std::string &payload)
+{
+    backing->publish("warm", key, payload);
 }
 
 // ------------------------------------------------------------- fullsim

@@ -19,7 +19,13 @@
  *   cluster  f(profile hash, maxK, projection dims, BIC threshold,
  *              seed)
  *   sim      f(cluster hash, uarch partition, constrained)
+ *   warm     f(cluster hash, warm partition, constrained, region)
  *   fullsim  f(program, threads, wait policy, seed, uarch partition)
+ *
+ * The warm partition (SimConfig::warmKeyText: cache geometry, prefetch
+ * degree, predictor) is a strict subset of the uarch partition: one
+ * region's warm checkpoint serves every uarch that differs only in
+ * latencies or the core, so those points skip the serial warming pass.
  */
 
 #ifndef LOOPPOINT_STORE_STAGE_CACHE_HH
@@ -54,6 +60,9 @@ class StageCache
     static std::string simKey(const std::string &cluster_hash,
                               const SimConfig &sim_cfg,
                               bool constrained);
+    static std::string warmKey(const std::string &cluster_hash,
+                               const SimConfig &sim_cfg,
+                               bool constrained, uint32_t region);
     static std::string fullSimKey(const std::string &program_name,
                                   uint32_t threads,
                                   WaitPolicy wait_policy, uint64_t seed,
@@ -109,6 +118,14 @@ class StageCache
         const std::vector<LoopPointRegion> &regions);
     void publishSimResults(const std::string &key,
                            const std::vector<RunJournal::Record> &recs);
+
+    // ---- per-region warm checkpoints ----
+    /** The key is bound (manifest only: nothing is read or counted). */
+    bool hasWarm(const std::string &key);
+    /** The integrity-checked checkpoint payload (format: WarmSnapshot
+     * in dist/region_run.hh; decoding is the caller's). */
+    std::optional<std::string> loadWarm(const std::string &key);
+    void publishWarm(const std::string &key, const std::string &payload);
 
     // ---- whole-program ground-truth simulation ----
     std::optional<SimMetrics> loadFullSim(const std::string &key);

@@ -1,37 +1,19 @@
 #include "util/checksum.hh"
 
-#include <array>
-#include <cctype>
+#include <zlib.h>
 
 namespace looppoint {
-
-namespace {
-
-/** The reflected-polynomial lookup table, built once. */
-std::array<uint32_t, 256>
-buildTable()
-{
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-        uint32_t c = i;
-        for (int bit = 0; bit < 8; ++bit)
-            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
-    }
-    return table;
-}
-
-} // namespace
 
 uint32_t
 crc32(const void *data, size_t len, uint32_t seed)
 {
-    static const std::array<uint32_t, 256> table = buildTable();
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    uint32_t crc = seed ^ 0xFFFFFFFFu;
-    for (size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
+    // zlib's crc32_z has the same pre/post inversion, so `seed`
+    // chains exactly like the historical byte-table loop did. It
+    // returns 0 for a null buffer, which a zero-length call may pass.
+    if (len == 0)
+        return seed;
+    return static_cast<uint32_t>(
+        ::crc32_z(seed, static_cast<const Bytef *>(data), len));
 }
 
 std::string

@@ -4,7 +4,8 @@
  * pinballs, run-journal records). The polynomial is the standard
  * reflected IEEE 802.3 one (0xEDB88320), so values match zlib's
  * crc32() and `python3 -c "import zlib; print(zlib.crc32(b'...'))"` —
- * artifacts stay verifiable with stock tools.
+ * artifacts stay verifiable with stock tools. The implementation is
+ * zlib's crc32_z.
  */
 
 #ifndef LOOPPOINT_UTIL_CHECKSUM_HH

@@ -6,66 +6,13 @@
 
 namespace looppoint {
 
-namespace {
-
-inline uint32_t
-rotl(uint32_t v, unsigned bits)
-{
-    return (v << bits) | (v >> (32 - bits));
-}
-
-} // namespace
-
-Sha1::Sha1()
+Sha1::Sha1(sha1_blocks::BlockFn blocks) : compress(blocks)
 {
     h[0] = 0x67452301u;
     h[1] = 0xEFCDAB89u;
     h[2] = 0x98BADCFEu;
     h[3] = 0x10325476u;
     h[4] = 0xC3D2E1F0u;
-}
-
-void
-Sha1::processBlock(const uint8_t *block)
-{
-    uint32_t w[80];
-    for (int i = 0; i < 16; ++i) {
-        w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-               (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-               (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-               static_cast<uint32_t>(block[i * 4 + 3]);
-    }
-    for (int i = 16; i < 80; ++i)
-        w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-
-    uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
-    for (int i = 0; i < 80; ++i) {
-        uint32_t f, k;
-        if (i < 20) {
-            f = (b & c) | (~b & d);
-            k = 0x5A827999u;
-        } else if (i < 40) {
-            f = b ^ c ^ d;
-            k = 0x6ED9EBA1u;
-        } else if (i < 60) {
-            f = (b & c) | (b & d) | (c & d);
-            k = 0x8F1BBCDCu;
-        } else {
-            f = b ^ c ^ d;
-            k = 0xCA62C1D6u;
-        }
-        uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
-        e = d;
-        d = c;
-        c = rotl(b, 30);
-        b = a;
-        a = tmp;
-    }
-    h[0] += a;
-    h[1] += b;
-    h[2] += c;
-    h[3] += d;
-    h[4] += e;
 }
 
 void
@@ -76,9 +23,12 @@ Sha1::update(const void *data, size_t len)
     totalBytes += len;
     while (len > 0) {
         if (bufLen == 0 && len >= 64) {
-            processBlock(p);
-            p += 64;
-            len -= 64;
+            // Whole blocks straight from the input, in one call so the
+            // state stays in registers across them.
+            const size_t blocks = len / 64;
+            compress(h, p, blocks);
+            p += blocks * 64;
+            len -= blocks * 64;
             continue;
         }
         size_t take = 64 - bufLen;
@@ -89,7 +39,7 @@ Sha1::update(const void *data, size_t len)
         p += take;
         len -= take;
         if (bufLen == 64) {
-            processBlock(buf);
+            compress(h, buf, 1);
             bufLen = 0;
         }
     }
@@ -105,13 +55,13 @@ Sha1::hex()
     buf[bufLen++] = 0x80;
     if (bufLen > 56) {
         std::memset(buf + bufLen, 0, 64 - bufLen);
-        processBlock(buf);
+        compress(h, buf, 1);
         bufLen = 0;
     }
     std::memset(buf + bufLen, 0, 56 - bufLen);
     for (int i = 0; i < 8; ++i)
         buf[56 + i] = static_cast<uint8_t>(total_bits >> (56 - 8 * i));
-    processBlock(buf);
+    compress(h, buf, 1);
     finalized = true;
 
     static const char *digits = "0123456789abcdef";

@@ -16,13 +16,21 @@
 #include <string>
 #include <string_view>
 
+#include "util/sha1_blocks.hh"
+
 namespace looppoint {
 
-/** Incremental SHA-1 (FIPS 180-1). */
+/**
+ * Incremental SHA-1 (FIPS 180-1). Block compression uses the x86 SHA
+ * extensions when the CPU has them and portable rounds otherwise
+ * (util/sha1_blocks.hh); the digests are identical either way.
+ */
 class Sha1
 {
   public:
-    Sha1();
+    Sha1() : Sha1(sha1_blocks::best()) {}
+    /** Hash with a specific block function (tests pin each one). */
+    explicit Sha1(sha1_blocks::BlockFn blocks);
 
     void update(const void *data, size_t len);
     void
@@ -35,8 +43,7 @@ class Sha1
     std::string hex();
 
   private:
-    void processBlock(const uint8_t *block);
-
+    sha1_blocks::BlockFn compress;
     uint32_t h[5];
     uint64_t totalBytes = 0;
     uint8_t buf[64];

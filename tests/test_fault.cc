@@ -33,7 +33,7 @@ TEST(Checksum, MatchesZlibKnownVectors)
     // The classic IEEE CRC32 check value: crc32(b"123456789").
     EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
     EXPECT_EQ(crc32(std::string_view("")), 0u);
-    // python3 -c "import zlib; print(hex(zlib.crc32(b'looppoint')))"
+    // python3 -c "import zlib; print(hex(zlib.crc32(b'hello')))"
     EXPECT_EQ(crc32(std::string_view("hello")), 0x3610A686u);
 }
 

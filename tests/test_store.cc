@@ -25,7 +25,9 @@
 #include "store/artifact_store.hh"
 #include "store/stage_cache.hh"
 #include "util/fingerprint.hh"
+#include "util/checksum.hh"
 #include "util/sha1.hh"
+#include "util/sha1_blocks.hh"
 #include "workload/descriptor.hh"
 
 namespace looppoint {
@@ -69,6 +71,111 @@ TEST(Sha1, IncrementalMatchesOneShot)
         step = step * 7 % 129 + 1;
     }
     EXPECT_EQ(h.hex(), sha1Hex(payload));
+}
+
+/**
+ * Pseudo-random bytes from a 64-bit LCG (top byte of each state), so
+ * the pinned digests below can be regenerated with python:
+ *
+ *   x, M = 0x9E3779B97F4A7C15, (1 << 64) - 1
+ *   for i in range(n):
+ *       x = (x * 6364136223846793005 + 1442695040888963407) & M
+ *       out[i] = x >> 56
+ *
+ * then hashlib.sha1(out[:len]).hexdigest() and zlib.crc32(out[:len]).
+ */
+std::string
+lcgBytes(size_t n)
+{
+    std::string out(n, '\0');
+    uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (size_t i = 0; i < n; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        out[i] = static_cast<char>(x >> 56);
+    }
+    return out;
+}
+
+struct HashVector
+{
+    size_t len;
+    const char *sha1;
+    uint32_t crc;
+};
+
+/** Lengths around the padding boundaries (55/56, 63/64/65), an odd
+ * mid-size, and a multi-MB buffer that is not a whole number of
+ * blocks. */
+constexpr size_t kBigLen = 3 * 1024 * 1024 + 17;
+const HashVector kHashVectors[] = {
+    {0, "da39a3ee5e6b4b0d3255bfef95601890afd80709", 0x00000000u},
+    {55, "96ebb12e794fed143881d0f2d9d824e18db36850", 0x2c4ec6f1u},
+    {56, "ff4d3963ffaa1b3aa2f1b381ef93cbff0c39e2a1", 0x2197d003u},
+    {63, "ab331e69321604f3b2d963c101f38b1db2e2a95b", 0x9fc64813u},
+    {64, "223df54a0d7772faa006200bfe562105d13273e0", 0x6c9639d5u},
+    {65, "6a76e76c2bb50aa1967ab5db861f4b1b31513bc0", 0xe46d3342u},
+    {12345, "ac283a5660ada798eada7b0737fadcb9825a80c9", 0x5460a8fau},
+    {kBigLen, "4bc6bbf971657f5c2d161f8234a06b30e2ae13bc", 0x2241d8dcu},
+};
+
+/** Every vector through one block function, one-shot and with
+ * update() splits that straddle 64-byte boundaries. */
+void
+checkSha1Vectors(sha1_blocks::BlockFn blocks)
+{
+    const std::string data = lcgBytes(kBigLen);
+    for (const HashVector &v : kHashVectors) {
+        const std::string_view view(data.data(), v.len);
+        Sha1 one_shot(blocks);
+        one_shot.update(view);
+        EXPECT_EQ(one_shot.hex(), v.sha1) << "len " << v.len;
+
+        Sha1 split(blocks);
+        size_t pos = 0, step = 1;
+        while (pos < v.len) {
+            const size_t n = std::min(step, v.len - pos);
+            split.update(view.substr(pos, n));
+            pos += n;
+            step = step * 31 % 9001 + 1; // 1, 32, 993, ... rarely %64
+        }
+        EXPECT_EQ(split.hex(), v.sha1) << "split len " << v.len;
+    }
+}
+
+TEST(Sha1, PinnedVectorsPortableBlocks)
+{
+    checkSha1Vectors(sha1_blocks::portable);
+}
+
+TEST(Sha1, PinnedVectorsShaNiBlocks)
+{
+    if (!sha1_blocks::shaNiAvailable())
+        GTEST_SKIP() << "CPU has no SHA extensions";
+    checkSha1Vectors(sha1_blocks::shaNi);
+}
+
+TEST(Sha1, DefaultPicksAnIdenticalBlockFunction)
+{
+    const std::string data = lcgBytes(kBigLen);
+    EXPECT_EQ(sha1Hex(data), kHashVectors[7].sha1);
+}
+
+TEST(Checksum, PinnedVectorsAndSplits)
+{
+    const std::string data = lcgBytes(kBigLen);
+    for (const HashVector &v : kHashVectors) {
+        const std::string_view view(data.data(), v.len);
+        EXPECT_EQ(crc32(view), v.crc) << "len " << v.len;
+        uint32_t chained = 0;
+        size_t pos = 0, step = 3;
+        while (pos < v.len) {
+            const size_t n = std::min(step, v.len - pos);
+            chained = crc32(view.substr(pos, n), chained);
+            pos += n;
+            step = step * 17 % 7001 + 1;
+        }
+        EXPECT_EQ(chained, v.crc) << "split len " << v.len;
+    }
 }
 
 TEST(Fingerprint, CanonicalTextAndSanitization)

@@ -11,7 +11,9 @@
  * host-parallel efficiency, and the checkpoint-fanout critical path
  * (the best wall time any worker count could achieve, paper Fig. 9's
  * limit): max over regions of (checkpoint-ready time + region sim
- * time).
+ * time). A region's checkpoint is ready when its warm.fastforward stop
+ * ends, or, in a phase served from stored warm checkpoints, when its
+ * warm.load ends.
  *
  * --check turns lp_report into a validator: the document must parse,
  * every event must carry the Chrome trace-event required fields, 'X'
@@ -284,7 +286,7 @@ reportTrace(const Options &opt)
         };
         if (ev.name == "region.sim")
             regionSims[region_of()] = &ev;
-        else if (ev.name == "warm.fastforward")
+        else if (ev.name == "warm.fastforward" || ev.name == "warm.load")
             regionWarms[region_of()] = &ev;
         else if (ev.name == "backend.task")
             workerTasks.push_back(&ev);

@@ -435,6 +435,12 @@ runOne(const std::string &program, const CliOptions &cli)
                     !r.haveFullSim     ? "skipped"
                     : r.fullSimHit     ? "cached"
                                        : "simulated");
+    if (!cfg.storeDir.empty() && !r.simStageHit)
+        std::printf("store warm     : %u of %zu region checkpoint(s) "
+                    "loaded, %u published, warming pass %s\n",
+                    r.warmHits, r.analysis.regions.size(),
+                    r.warmPublished,
+                    r.warmStageHit ? "skipped" : "ran");
     if (r.haveFullSim) {
         std::printf("full simulation: runtime %.6f s\n",
                     r.fullSim.runtimeSeconds);
