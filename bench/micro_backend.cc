@@ -6,12 +6,12 @@
  * Emits a machine-readable JSON file (BENCH_backend.json) so
  * successive PRs have a perf trajectory to regress against.
  *
- * The interesting comparison is dispatch overhead: the pool must
- * deep-copy the warm simulator state once per region to hand it to a
- * worker thread, while the procs coordinator exports that state into
- * a persistent worker's shared-memory arena and ships the functional
- * remainder in a state frame, paying a framed-socket protocol tax
- * instead of the in-process copy. Both backends must produce
+ * The interesting comparison is dispatch overhead: the pool restores
+ * each region's checkpoint payload on the worker thread that runs it,
+ * while the procs coordinator restores it, exports that state into a
+ * persistent worker's shared-memory arena and ships the functional
+ * remainder in a state frame, paying a framed-socket protocol tax on
+ * top. Both backends must produce
  * bit-identical metrics (verified here on every repetition).
  *
  * Flags:

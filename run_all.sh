@@ -35,8 +35,9 @@
 # end: spec-roms-1 train runs under --backend=procs --workers=4 and
 # its region results are diffed bit-exact against the pool backend,
 # then a worker-kill fault is replayed under procs to check the
-# respawn/retry path recovers full coverage, and the Dist test
-# subset runs.
+# respawn/retry path recovers full coverage, lbm train's results at
+# -j 1, -j 3 and -j 4 (baseline and prefetch) are diffed bit-exact
+# across warming partition counts, and the Dist test subset runs.
 #
 # With --store-smoke the artifact store is exercised end to end: a
 # cold run populates the store, a small-rob run must be served from its
@@ -174,6 +175,30 @@ if [ "$1" = "--dist-smoke" ]; then
                   <(grep -vE "$filter" "$out.killed.txt"); then
             echo "dist-smoke FAIL: worker-kill results differ from pool"; exit 1
         fi
+
+        # Set-partitioned warming: lbm train's checkpoints, and so every
+        # simulated number, must not depend on the partition count
+        # (-j 3 and -j 4 split the cache work; -j 1 and the prefetch
+        # preset warm inline). The header line names the jobs count.
+        lbm="-p spec-lbm-1 -i train -n 4 --no-fullsim"
+        filter='^(====|journal|host-parallel|backend|actual speedup)'
+        for uarch in baseline prefetch; do
+            for j in 1 3 4; do
+                $lp $lbm --uarch=$uarch -j $j > "$out.lbm.$uarch.j$j.txt"
+                rc=$?
+                [ $rc -eq 0 ] || { echo "dist-smoke FAIL: lbm $uarch -j $j exited $rc (want 0)"; exit 1; }
+            done
+            for j in 3 4; do
+                if ! diff <(grep -vE "$filter" "$out.lbm.$uarch.j1.txt") \
+                          <(grep -vE "$filter" "$out.lbm.$uarch.j$j.txt"); then
+                    echo "dist-smoke FAIL: lbm $uarch -j $j differs from -j 1"; exit 1
+                fi
+            done
+        done
+        grep -q '4 jobs, 4 warm partition(s)' "$out.lbm.baseline.j4.txt" || {
+            echo "dist-smoke FAIL: lbm baseline -j 4 did not warm in 4 partitions"; exit 1; }
+        grep -q '4 jobs, 1 warm partition(s)' "$out.lbm.prefetch.j4.txt" || {
+            echo "dist-smoke FAIL: lbm prefetch -j 4 did not warm inline"; exit 1; }
     } || exit 1
 
     echo "== dist smoke: wire-protocol + backend test subset =="

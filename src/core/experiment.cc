@@ -151,6 +151,7 @@ runExperiment(const ExperimentConfig &cfg)
         res.warmStageHit = ckpt.warmStageHit;
         res.warmHits = ckpt.warmHits;
         res.warmPublished = ckpt.warmPublished;
+        res.warmPartitions = ckpt.warmPartitions;
         ok_mask = ckpt.okMask();
         for (auto &d : ckpt.diagnostics)
             res.analysis.diagnostics.push_back(std::move(d));

@@ -32,8 +32,9 @@ struct ExperimentConfig
     bool constrainedRegions = false;
     /**
      * Host worker threads for the parallel phases (clustering sweep,
-     * checkpoint-fanout region simulation); overrides loopPoint.jobs
-     * and sim.jobs. 1 = serial, 0 = hardware concurrency. Simulated
+     * checkpoint-fanout region simulation, and the cache-set
+     * partitions of the warming pass); overrides loopPoint.jobs and
+     * sim.jobs. 1 = serial, 0 = hardware concurrency. Simulated
      * results are bit-identical for any value.
      */
     uint32_t jobs = 1;
@@ -133,6 +134,9 @@ struct ExperimentResult
     uint32_t warmHits = 0;
     /** Regions whose warm checkpoint this run published. */
     uint32_t warmPublished = 0;
+    /** Cache-set partitions of the warming pass (1 = inline serial
+     * warming, 0 = no warming pass ran). */
+    uint32_t warmPartitions = 0;
     /** Store traffic of this run (all-zero without cfg.storeDir). */
     StoreStats storeStats;
 };

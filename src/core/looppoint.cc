@@ -6,7 +6,12 @@
 #include <exception>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <optional>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "analysis/lockset.hh"
 #include "analysis/program_lint.hh"
@@ -19,6 +24,7 @@
 #include "dcfg/dcfg.hh"
 #include "exec/driver.hh"
 #include "profile/slicer.hh"
+#include "sim/warm_partition.hh"
 #include "store/stage_cache.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
@@ -424,6 +430,30 @@ LoopPointPipeline::simulateFull(const SimConfig &sim_cfg) const
     return sim.run();
 }
 
+namespace {
+
+/**
+ * Checkpoint payloads are multi-megabyte buffers that one thread
+ * allocates and another frees. Under glibc's dynamic mmap threshold,
+ * the first such free raises the threshold above their size, so later
+ * ones come from per-thread arenas, which keep the freed pages: every
+ * arena a pool or partition thread has used then holds about a
+ * payload's worth of memory for the rest of the process, and a sweep
+ * whose points each start fresh threads keeps adding arenas. Pinning
+ * the threshold at its default keeps such buffers mapped only while
+ * they live.
+ */
+void
+pinMmapThreshold()
+{
+#ifdef __GLIBC__
+    static std::once_flag once;
+    std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 128 * 1024); });
+#endif
+}
+
+} // namespace
+
 LoopPointPipeline::CheckpointedSimResult
 LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                                                const SimConfig &sim_cfg,
@@ -435,6 +465,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         return std::chrono::duration<double>(clock::now() - t0).count();
     };
 
+    pinMmapThreshold();
     CheckpointedSimResult out;
     out.jobs = ThreadPool::resolveWorkers(sim_cfg.jobs);
     out.backend = sim_cfg.backend;
@@ -505,14 +536,19 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         }
     }
 
-    // The warming simulation. A phase served from warm checkpoints
-    // never runs it, so it gets no cache arrays (the procs backend
-    // still reads its image size).
+    // The warming simulation. Its cache work splits across
+    // `partitions` workers by set ownership (sim/warm_partition.hh)
+    // when there is more than one, or runs inline in `base`. Either way
+    // the checkpoints are bit-identical. Without its own cache work,
+    // and in a phase served from warm checkpoints, `base` gets no cache
+    // arrays (the procs backend still reads its image size).
+    const uint32_t partitions =
+        warm_hit ? 0 : PartitionedWarmer::partitionsFor(sim_cfg, out.jobs);
     ReplayArbiter base_arbiter(lp.pinball.log);
     MulticoreSim base(*prog, execConfig(), sim_cfg,
                       constrained ? &base_arbiter : nullptr,
-                      warm_hit ? CacheBacking::Deferred
-                               : CacheBacking::Owned);
+                      partitions == 1 ? CacheBacking::Owned
+                                      : CacheBacking::Deferred);
 
     // Every region reports here, whichever backend ran it. The pool
     // backend may invoke this from several worker threads at once:
@@ -609,21 +645,29 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                                      lp.pinball.log, why);
     };
 
-    // Publish a region's start state and simulate from the published
-    // buffer itself. Runs on the thread that executes the region.
-    auto publish_warm = [&](std::string payload,
-                            const RegionWorkItem &item) {
-        ScopedSpan span(tracer, "warm.publish");
-        span.arg("region", static_cast<uint64_t>(item.index))
-            .arg("bytes", static_cast<uint64_t>(payload.size()));
-        cache->publishWarm(warm_keys[item.index], payload);
-        warm_published.fetch_add(1, std::memory_order_relaxed);
+    // Simulate from a checkpoint this phase took, in its own buffer.
+    auto restore_own = [&](std::string payload,
+                           const RegionWorkItem &item) {
         std::string why;
         auto snap = restore_warm(std::move(payload), item, why);
         if (!snap)
             panic("region %u: own warm checkpoint does not restore (%s)",
                   item.index, why.c_str());
         return snap;
+    };
+
+    // Publish a region's start state and simulate from the published
+    // buffer itself. Runs on the thread that executes the region.
+    auto publish_warm = [&](std::string payload,
+                            const RegionWorkItem &item) {
+        {
+            ScopedSpan span(tracer, "warm.publish");
+            span.arg("region", static_cast<uint64_t>(item.index))
+                .arg("bytes", static_cast<uint64_t>(payload.size()));
+            cache->publishWarm(warm_keys[item.index], payload);
+        }
+        warm_published.fetch_add(1, std::memory_order_relaxed);
+        return restore_own(std::move(payload), item);
     };
 
     // Load, verify and adopt a region's stored start state. A miss
@@ -777,12 +821,17 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                          });
         backend->submitSnapshots(std::move(launch), load_warm);
     } else {
-        // Checkpoint fanout: the warming pass (necessarily serial — it
-        // is one execution) advances in program order; each checkpoint
-        // it reaches goes straight to the execution backend, so region
-        // bodies simulate while warming continues toward the next
-        // checkpoint. The pool backend with jobs == 1 runs each region
-        // inline, which is exactly the old serial schedule.
+        // Checkpoint fanout: the warming pass (one execution, so its
+        // engine steps serially) advances in program order; each
+        // checkpoint it reaches goes straight to the execution
+        // backend, so region bodies simulate while warming continues
+        // toward the next checkpoint. The pool backend with jobs == 1
+        // runs each region inline, which is exactly the old serial
+        // schedule. The partition workers start after the procs
+        // backend has forked its fleet.
+        std::optional<PartitionedWarmer> warmer;
+        if (partitions > 1)
+            warmer.emplace(sim_cfg, opts.numThreads, partitions);
         for (size_t idx : order) {
             if (park_at(idx))
                 break;
@@ -800,9 +849,13 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                 warm_span.arg("region", static_cast<uint64_t>(idx));
                 if (region.start.pc != 0 && region.start.count > 0) {
                     BlockId start_block = block_of(region.start.pc);
-                    base.fastForwardUntil(start_block,
-                                          region.start.count,
-                                          /*warm=*/true);
+                    if (warmer)
+                        base.fastForwardUntil(start_block,
+                                              region.start.count, *warmer);
+                    else
+                        base.fastForwardUntil(start_block,
+                                              region.start.count,
+                                              /*warm=*/true);
                 }
             }
             const double warm_s = seconds_since(t_ff);
@@ -810,23 +863,37 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             if (take_journal_hit(idx, warm_s))
                 continue;
 
+            // Capture the state as its checkpoint payload here
+            // (warming moves on); the partition workers, if any, fill
+            // in its cache image. The region's task waits for it,
+            // publishes it when the store lacks it, and simulates in
+            // that same buffer, so each queued region holds one image.
             RegionWorkItem item = make_item(idx);
-            if (warm_stage && !warm_bound[idx]) {
-                // Capture the state as its checkpoint payload here
-                // (warming moves on): the worker publishes it and then
-                // simulates in that same buffer, so each queued region
-                // holds one image, as a deep copy would.
-                auto payload = std::make_shared<std::string>(
-                    WarmSnapshot::encode(base, base_arbiter, item));
-                backend->submitSnapshots(
-                    {item}, [&publish_warm, payload](
-                                const RegionWorkItem &it) {
-                        return publish_warm(std::move(*payload), it);
-                    });
-            } else {
-                backend->submit(item, base, base_arbiter);
-            }
+            std::shared_ptr<WarmCheckpoint> ckpt =
+                warmer ? warmer->checkpoint(
+                             WarmSnapshot::encode(base, base_arbiter, item,
+                                                  /*caches=*/false),
+                             WarmSnapshot::kImageOffset)
+                       : std::make_shared<WarmCheckpoint>(
+                             WarmSnapshot::encode(base, base_arbiter,
+                                                  item));
+            const bool publish = warm_stage && !warm_bound[idx];
+            backend->submitSnapshots(
+                {item}, [&publish_warm, &restore_own, ckpt,
+                         publish](const RegionWorkItem &it) {
+                    std::string payload = ckpt->take();
+                    return publish ? publish_warm(std::move(payload), it)
+                                   : restore_own(std::move(payload), it);
+                });
         }
+        if (warmer) {
+            // The pass ends when the workers have drained their
+            // backlog, not when the producer stops stepping.
+            auto t_drain = clock::now();
+            warmer->finish();
+            out.checkpointWallSeconds += seconds_since(t_drain);
+        }
+        out.warmPartitions = partitions;
     }
 
     // Drain the backend (the pool backend's producer thread helps run
@@ -866,7 +933,8 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         .arg("worker_deaths", out.workerDeaths)
         .arg("worker_respawns", out.workerRespawns)
         .arg("warm_hits", out.warmHits)
-        .arg("warm_published", out.warmPublished);
+        .arg("warm_published", out.warmPublished)
+        .arg("warm_partitions", out.warmPartitions);
     // Close now, not at frame exit: the span duration must agree with
     // phaseWallSeconds (lp_report --check enforces 1%).
     phase_span.finish();

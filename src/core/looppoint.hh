@@ -219,7 +219,14 @@ class LoopPointPipeline
         std::vector<SimMetrics> regionMetrics;
         /** Detailed-simulation wall time per region (seconds). */
         std::vector<double> regionWallSeconds;
-        /** One-time warming/checkpoint-generation pass (seconds). */
+        /**
+         * One-time warming/checkpoint-generation pass (seconds): the
+         * warming stops summed (a stop includes waiting on full
+         * partition queues) plus, with partitioned warming, the drain
+         * of the partition workers' backlog after the last stop, so
+         * it ends when the last checkpoint is complete. Time spent
+         * handing regions to the backend is excluded.
+         */
         double checkpointWallSeconds = 0.0;
         /**
          * Portion of checkpointWallSeconds spent fast-forwarding to
@@ -253,6 +260,10 @@ class LoopPointPipeline
         uint32_t warmHits = 0;
         /** Regions whose warm checkpoint this phase published. */
         uint32_t warmPublished = 0;
+        /** Cache-set partitions the warming pass split its cache work
+         * across: 1 = inline serial warming (jobs == 1, or the
+         * prefetcher on), 0 = no warming pass ran. */
+        uint32_t warmPartitions = 0;
         /** Weight fraction of usable regions (1.0 when all ok). */
         double coverage = 1.0;
         /** Failure/retry findings (pass "fault-tolerance"). */
@@ -290,13 +301,19 @@ class LoopPointPipeline
      * checkpoint. Region wall times therefore exclude the shared
      * analysis pass and are what parallel deployment would see.
      *
-     * Checkpoint fanout: with sim_cfg.jobs != 1, each snapshot is
+     * Checkpoint fanout: with sim_cfg.jobs != 1, each checkpoint is
      * handed to the execution backend as soon as it is taken, so
      * region bodies simulate concurrently while the warming pass
      * advances toward the next checkpoint (the warming thread joins
-     * the workers once the last checkpoint is out). Region results
-     * are bit-identical for any jobs count: every region simulates
-     * from its own deep snapshot and shares no mutable state.
+     * the workers once the last checkpoint is out). The warming pass
+     * itself splits its cache work across min(jobs, fewest cache
+     * sets) partition threads by set ownership (sim/warm_partition.hh;
+     * not with the next-line prefetcher, which couples sets), while
+     * the engine and the branch predictors step on the calling
+     * thread. Region results are bit-identical for any jobs count:
+     * every checkpoint image equals the serial pass's, and every
+     * region simulates from its own restored checkpoint and shares no
+     * mutable state.
      *
      * Execution backends (sim_cfg.backend; see dist/region_exec.hh):
      * `pool` fans regions out across the shared in-process thread

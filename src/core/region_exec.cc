@@ -45,27 +45,11 @@ class PoolBackend final : public RegionExecBackend
     }
 
     void
-    submit(const RegionWorkItem &item, MulticoreSim &warm_base,
-           const ReplayArbiter &warm_arbiter) override
-    {
-        // Snapshot = region pinball with warm microarchitectural
-        // state: the warming pass moves on, so the pool must deep-copy
-        // here (the procs backend instead exports the state into a
-        // worker's shared-memory arena plus a socket frame).
-        auto snap = std::make_shared<WarmSnapshot>(
-            warm_base, warm_arbiter, item.constrained);
-        if (pool) {
-            inflight.push_back(pool->submit(
-                [this, item, snap] { runOne(item, *snap); }));
-        } else {
-            runOne(item, *snap);
-        }
-    }
-
-    void
     submitSnapshots(std::vector<RegionWorkItem> items,
                     SnapshotSource source) override
     {
+        // Without a pool (jobs == 1) each region runs inline on the
+        // producer thread: the serial schedule.
         if (!pool) {
             for (const RegionWorkItem &item : items)
                 runOne(item, *source(item));

@@ -20,11 +20,11 @@ namespace looppoint {
 class ThreadPool;
 
 /**
- * The in-process backend: submit deep-copies the warm state into a
- * snapshot and queues the region on `pool` (nullptr = run inline on
- * the producer thread, the historical jobs == 1 schedule);
- * submitSnapshots queues regions whose snapshot a worker produces
- * itself (loading or publishing a warm checkpoint). finish()
+ * The in-process backend: submitSnapshots queues each region on `pool`
+ * (nullptr = run inline on the producer thread, the historical
+ * jobs == 1 schedule); the worker that runs it produces its snapshot
+ * itself (waiting for, publishing or loading its warm checkpoint, then
+ * restoring it). finish()
  * joins helping — the producer thread executes queued regions instead
  * of idling — and rethrows the first escaped exception (InjectedKill)
  * once every task is quiescent. The destructor drains outstanding

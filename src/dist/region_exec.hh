@@ -3,22 +3,22 @@
  * The execution-backend seam of checkpointed region simulation.
  *
  * simulateRegionsCheckpointed is split into a *producer* — the
- * necessarily-serial warming pass that advances one execution in
- * program order and stops at every region start — and an *executor*
- * behind this interface. The producer hands each region's work item
- * plus the warm simulation state to the backend; the backend runs the
- * detailed simulations (wherever and however it likes) and reports
- * each region through the completion sink. When every region's start
- * state is a stored warm checkpoint there is no warming pass: the
- * producer hands over all regions at once (submitSnapshots) and the
- * executor loads each checkpoint itself. Because both backends run
- * the same attempt loop (dist/region_run.hh) on the same warm states,
- * region metrics are bit-identical across backends and worker counts.
+ * warming pass that advances one execution in program order and stops
+ * at every region start — and an *executor* behind this interface.
+ * The producer hands each region's work item plus a source of its warm
+ * checkpoint to the backend; the backend runs the detailed
+ * simulations (wherever and however it likes) and reports each region
+ * through the completion sink. When every region's start state is a
+ * stored warm checkpoint there is no warming pass: the producer hands
+ * over all regions at once and the executor loads each checkpoint
+ * itself. Because both backends run the same attempt loop
+ * (dist/region_run.hh) on the same warm states, region metrics are
+ * bit-identical across backends and worker counts.
  *
  * Implementations:
  *  - pool  (src/core/region_exec.cc): in-process thread-pool fanout;
- *    submit deep-copies the warm state and queues the region, so
- *    warming overlaps detailed simulation.
+ *    the region's task restores its checkpoint itself, so warming
+ *    overlaps detailed simulation.
  *  - procs (src/dist/region_farm.hh): coordinator forks a persistent
  *    worker fleet once, then ships each region's warm state to an
  *    idle worker as a checkpoint — microarchitectural state through a
@@ -72,9 +72,10 @@ struct RegionCompletion
 using CompletionSink = std::function<void(const RegionCompletion &)>;
 
 /**
- * Produces a region's pristine warm state: a stored warm checkpoint to
- * load and adopt, or a deep snapshot to publish as one first. Never
- * returns null.
+ * Produces a region's pristine warm state: a warm checkpoint payload
+ * (loaded from the store, or taken by the warming pass and possibly
+ * published first) restored into a simulator. May block until the
+ * warming pass completes the checkpoint. Never returns null.
  */
 using SnapshotSource =
     std::function<std::shared_ptr<WarmSnapshot>(const RegionWorkItem &)>;
@@ -86,35 +87,17 @@ class RegionExecBackend
     virtual ~RegionExecBackend() = default;
 
     /**
-     * Hand the backend one region to simulate. `warm_base` /
-     * `warm_arbiter` hold the warming simulation stopped exactly at
-     * the region start; they remain valid only for the duration of the
-     * call, so a backend that defers execution must capture the state
-     * (deep copy, fork, ...) before returning. May block when the
-     * backend is saturated.
-     */
-    virtual void submit(const RegionWorkItem &item,
-                        MulticoreSim &warm_base,
-                        const ReplayArbiter &warm_arbiter) = 0;
-
-    /**
      * Hand the backend regions whose warm state comes from `source`,
      * in priority order. The pool backend calls `source` on the worker
-     * that runs the region, so checkpoint loads and publishes run in
-     * parallel and only about one image per worker is live at a time,
-     * and its workers claim the items in the given order whichever
-     * worker frees up first. This default calls `source` on the
-     * caller's thread and submits each result in order.
+     * that runs the region, so checkpoint loads, publishes and restores
+     * run in parallel and only about one image per worker is live at a
+     * time, and its workers claim the items in the given order
+     * whichever worker frees up first. The procs backend calls it on
+     * the coordinator thread and ships the result to a free worker,
+     * blocking while every worker is busy.
      */
-    virtual void
-    submitSnapshots(std::vector<RegionWorkItem> items,
-                    SnapshotSource source)
-    {
-        for (const RegionWorkItem &item : items) {
-            const std::shared_ptr<WarmSnapshot> snap = source(item);
-            submit(item, snap->sim, snap->arbiter);
-        }
-    }
+    virtual void submitSnapshots(std::vector<RegionWorkItem> items,
+                                 SnapshotSource source) = 0;
 
     /**
      * Drain: block until every submitted region has reported through

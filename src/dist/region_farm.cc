@@ -363,9 +363,19 @@ ProcsBackend::workerMain(int fd, void *arena)
 }
 
 void
-ProcsBackend::submit(const RegionWorkItem &item,
-                     MulticoreSim &warm_base,
-                     const ReplayArbiter &warm_arbiter)
+ProcsBackend::submitSnapshots(std::vector<RegionWorkItem> items,
+                              SnapshotSource source)
+{
+    for (const RegionWorkItem &item : items) {
+        const std::shared_ptr<WarmSnapshot> snap = source(item);
+        dispatchToFreeSlot(item, snap->sim, snap->arbiter);
+    }
+}
+
+void
+ProcsBackend::dispatchToFreeSlot(const RegionWorkItem &item,
+                                 MulticoreSim &warm_base,
+                                 const ReplayArbiter &warm_arbiter)
 {
     // Find a free slot, draining completions (blocking if saturated).
     // Prefer a live idle worker over reviving a dead slot: the latter

@@ -36,9 +36,7 @@
  *
  * This split ships exactly the *restart set* of a region — everything
  * detailed simulation does not reset on entry — so a worker's run is
- * bit-identical to the pool backend's deep-copy snapshot while moving
- * less state than the pool copies (no dependence rings, no stats, no
- * allocator churn).
+ * bit-identical to the pool backend's restored checkpoint.
  *
  * Fault tolerance: a worker that hits EOF mid-region without a result
  * frame (killed, crashed) or overruns `workerTimeoutSeconds` (wedged;
@@ -50,9 +48,14 @@
  * original dispatch), forks a replacement worker for the dead slot,
  * and retries; otherwise the region drops and coverage renormalizes.
  *
- * Process hygiene: the coordinator must be single-threaded at every
- * fork (the caller resets any thread pool before constructing the
- * backend); workers create no threads, close every other worker's
+ * Process hygiene: the coordinator must be single-threaded when it
+ * forks the fleet (the caller resets any thread pool before
+ * constructing the backend, and starts its warming partition threads,
+ * sim/warm_partition.hh, after it). A respawn during the warming pass
+ * forks beside those threads; that is safe because, between their
+ * start-up and their end, they touch only their own queues, cache
+ * hierarchies and checkpoint buffers, which a worker never uses.
+ * Workers create no threads, close every other worker's
  * descriptors (so EOF reliably means "this worker is gone"), and
  * leave via _exit — cleanly, with status 0, when the coordinator
  * closes their channel after the last region. An InjectedKill in a
@@ -131,8 +134,8 @@ class ProcsBackend : public RegionExecBackend
      * then unmaps the arenas. */
     ~ProcsBackend() override;
 
-    void submit(const RegionWorkItem &item, MulticoreSim &warm_base,
-                const ReplayArbiter &warm_arbiter) override;
+    void submitSnapshots(std::vector<RegionWorkItem> items,
+                         SnapshotSource source) override;
     void finish() override;
 
     uint32_t workerDeaths() const override { return deaths; }
@@ -171,6 +174,11 @@ class ProcsBackend : public RegionExecBackend
         uint32_t attemptBase = 0;
     };
 
+    /** Ship a region to a free slot, draining completions (and
+     * blocking) while every worker is busy. */
+    void dispatchToFreeSlot(const RegionWorkItem &item,
+                            MulticoreSim &warm_base,
+                            const ReplayArbiter &warm_arbiter);
     /** Fork a worker process into `slot_idx` (no task assigned). */
     void spawnWorker(uint32_t slot_idx);
     /** Ship a region to `slot_idx` (reviving a dead worker first):

@@ -15,7 +15,7 @@ namespace looppoint {
 namespace {
 
 /** Header line length; also the image offset (8-byte aligned). */
-constexpr size_t kWarmHeaderBytes = 128;
+constexpr size_t kWarmHeaderBytes = WarmSnapshot::kImageOffset;
 
 std::string
 warmHeader(const RegionWorkItem &item, size_t image_bytes)
@@ -37,7 +37,7 @@ warmHeader(const RegionWorkItem &item, size_t image_bytes)
 
 std::string
 WarmSnapshot::encode(const MulticoreSim &sim, const ReplayArbiter &arbiter,
-                     const RegionWorkItem &item)
+                     const RegionWorkItem &item, bool caches)
 {
     std::ostringstream tail;
     if (item.constrained)
@@ -50,7 +50,10 @@ WarmSnapshot::encode(const MulticoreSim &sim, const ReplayArbiter &arbiter,
     payload.reserve(kWarmHeaderBytes + image_bytes + tail_text.size());
     payload += warmHeader(item, image_bytes);
     payload.resize(kWarmHeaderBytes + image_bytes);
-    sim.exportMicroarchState(payload.data() + kWarmHeaderBytes);
+    if (caches)
+        sim.exportMicroarchState(payload.data() + kWarmHeaderBytes);
+    else
+        sim.exportPredictorState(payload.data() + kWarmHeaderBytes);
     payload += tail_text;
     return payload;
 }

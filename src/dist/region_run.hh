@@ -37,8 +37,8 @@ struct RegionWorkItem;
 
 /**
  * A region's warm simulation state plus its private replay arbiter:
- * either a deep snapshot of the warming simulation, or a simulator
- * restored from a warm checkpoint payload.
+ * a simulator restored from a warm checkpoint payload, or a deep copy
+ * of one (a retried region's fresh attempt).
  *
  * Warm checkpoint payload (the store's `warm` stage artifact; the same
  * triple the procs backend ships, in one buffer):
@@ -81,11 +81,19 @@ struct WarmSnapshot
     {
     }
 
-    /** The warm state of `sim` + `arbiter` at `item`'s start as a
-     * checkpoint payload (the image is exported into the buffer). */
+    /** Offset of the microarch image in a checkpoint payload. */
+    static constexpr size_t kImageOffset = 128;
+
+    /**
+     * The warm state of `sim` + `arbiter` at `item`'s start as a
+     * checkpoint payload (the image is exported into the buffer).
+     * Without `caches` the image's cache hierarchy part is left zeroed
+     * for partition workers to fill (PartitionedWarmer::checkpoint).
+     */
     static std::string encode(const MulticoreSim &sim,
                               const ReplayArbiter &arbiter,
-                              const RegionWorkItem &item);
+                              const RegionWorkItem &item,
+                              bool caches = true);
 
     /**
      * A snapshot restored from a checkpoint payload for `item`, the

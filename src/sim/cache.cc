@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -101,6 +102,25 @@ Cache::exportImage(void *dst) const
     if (masks)
         std::memcpy(static_cast<unsigned char *>(dst) + bytes, masks,
                     bytes);
+}
+
+void
+Cache::exportOwnedSets(void *dst, uint32_t fewest_sets,
+                       uint32_t partition, uint32_t partitions) const
+{
+    auto *out = static_cast<unsigned char *>(dst);
+    const size_t set_bytes = cfg.assoc * sizeof(uint64_t);
+    const size_t mask_offset = lineCount * sizeof(uint64_t);
+    for (uint32_t set = 0; set < numSets(); ++set) {
+        if (warmPartitionOf(set, fewest_sets, partitions) != partition)
+            continue;
+        const size_t base = static_cast<size_t>(set) * cfg.assoc;
+        std::memcpy(out + base * sizeof(uint64_t), tags + base,
+                    set_bytes);
+        if (masks)
+            std::memcpy(out + mask_offset + base * sizeof(uint64_t),
+                        masks + base, set_bytes);
+    }
 }
 
 void
@@ -427,6 +447,30 @@ CacheHierarchy::exportState(void *mem) const
     auto *blob = static_cast<unsigned char *>(mem) + sizeof(uint64_t);
     forEachCache(self.l1d, self.l1i, self.l2, self.l3, [&](Cache &c) {
         c.exportImage(blob);
+        blob += c.imageBytes();
+    });
+}
+
+uint32_t
+CacheHierarchy::fewestSets(const SimConfig &cfg)
+{
+    uint32_t fewest = UINT32_MAX;
+    for (const CacheConfig *c : {&cfg.l1i, &cfg.l1d, &cfg.l2, &cfg.l3})
+        fewest = std::min(fewest, c->sizeBytes / (c->lineBytes * c->assoc));
+    return fewest;
+}
+
+void
+CacheHierarchy::exportOwnedSets(void *mem, uint32_t partition,
+                                uint32_t partitions) const
+{
+    auto &self = const_cast<CacheHierarchy &>(*this);
+    if (partition == 0)
+        std::memcpy(mem, &prefetchCount, sizeof(uint64_t));
+    const uint32_t fewest = fewestSets(cfg);
+    auto *blob = static_cast<unsigned char *>(mem) + sizeof(uint64_t);
+    forEachCache(self.l1d, self.l1i, self.l2, self.l3, [&](Cache &c) {
+        c.exportOwnedSets(blob, fewest, partition, partitions);
         blob += c.imageBytes();
     });
 }

@@ -132,6 +132,13 @@ class Cache
     void exportImage(void *dst) const;
 
     /**
+     * exportImage() restricted to the sets `partition` owns (see
+     * warmPartitionOf): only their words of `dst` are written.
+     */
+    void exportOwnedSets(void *dst, uint32_t fewest_sets,
+                         uint32_t partition, uint32_t partitions) const;
+
+    /**
      * Back the tag and mask arrays with caller-owned memory
      * (imageBytes() bytes, 8-byte aligned) instead of the internal
      * vectors, releasing the latter. The memory must hold a valid
@@ -161,6 +168,9 @@ class Cache
     void insert(size_t base, uint64_t tag, uint64_t mask,
                 std::optional<Addr> *evicted, uint64_t *evicted_sharers);
 
+    /** Sets in the cache (a power of two). */
+    uint32_t numSets() const { return setMask + 1; }
+
     CacheConfig cfg;
     uint32_t lineShift; ///< log2(lineBytes)
     uint32_t setMask;   ///< numSets - 1
@@ -180,6 +190,21 @@ class Cache
     uint64_t *masks = nullptr;
     CacheStats cacheStats;
 };
+
+/**
+ * Which of `partitions` warming partitions owns a cache set, given the
+ * set index (or the line address) and the fewest sets of any level in
+ * the hierarchy. Every geometry is a power of two, so a line's set at
+ * any level determines its residue modulo `fewest_sets`: one owner
+ * per set of every level. See CacheHierarchy::exportOwnedSets.
+ */
+inline uint32_t
+warmPartitionOf(uint64_t set_or_line, uint32_t fewest_sets,
+                uint32_t partitions)
+{
+    return static_cast<uint32_t>((set_or_line & (fewest_sets - 1)) %
+                                 partitions);
+}
 
 /** Result of one hierarchy access. */
 struct MemAccessResult
@@ -238,6 +263,24 @@ class CacheHierarchy
     size_t stateBytes() const;
     void exportState(void *mem) const;
     void adoptState(void *mem);
+
+    /** The fewest sets of any level of a `cfg` hierarchy. */
+    static uint32_t fewestSets(const SimConfig &cfg);
+
+    /**
+     * Set-partitioned warming. With prefetchDegree == 0, an access to
+     * line x touches only x's set in each level: its L3 victim shares
+     * that L3 set, so back-invalidation and write-invalidation stay in
+     * sets of the same residue modulo fewestSets(). Hierarchies fed
+     * disjoint partitions of one access stream (warmPartitionOf on the
+     * line), each in stream order, therefore hold exactly the single
+     * hierarchy's state in the sets they own. This writes those sets'
+     * words of the exportState() image into `mem` (partition 0 also
+     * writes the prefetch counter); the partitions together write the
+     * whole image.
+     */
+    void exportOwnedSets(void *mem, uint32_t partition,
+                         uint32_t partitions) const;
 
   private:
     void invalidateOthers(uint32_t core, Addr addr);

@@ -115,9 +115,12 @@ struct SimConfig
 
     /**
      * Host worker threads for checkpointed region simulation
-     * (checkpoint fanout). 1 = serial, 0 = hardware concurrency (see
-     * ThreadPool::resolveWorkers). Purely a host-side knob: simulated
-     * results are bit-identical for any value.
+     * (checkpoint fanout), and the number of cache-set partitions the
+     * warming pass splits its cache work across (capped by the fewest
+     * sets of any level; 1 with prefetchDegree > 0). 1 = serial,
+     * 0 = hardware concurrency (see ThreadPool::resolveWorkers).
+     * Purely a host-side knob: simulated results are bit-identical
+     * for any value.
      */
     uint32_t jobs = 1;
 

@@ -140,28 +140,6 @@ CoreModel::executeBlock(const BasicBlock &bb,
 }
 
 void
-CoreModel::warmBlock(const BasicBlock &bb,
-                     const std::vector<MemRef> &refs, bool branch_taken)
-{
-    hierarchy->fetch(coreId, bb.pc);
-    size_t ref_cursor = 0;
-    for (size_t i = 0; i < bb.instrs.size(); ++i) {
-        const InstrDesc &d = bb.instrs[i];
-        if (isMemOp(d.op)) {
-            if (ref_cursor < refs.size() &&
-                refs[ref_cursor].instrIndex == i) {
-                hierarchy->access(coreId, refs[ref_cursor].addr,
-                                  isMemWrite(d.op));
-                ++ref_cursor;
-            }
-        } else if (d.op == OpClass::Branch) {
-            Addr pc = bb.pc + 4 * static_cast<Addr>(i);
-            bp.predictAndTrain(pc, branch_taken);
-        }
-    }
-}
-
-void
 CoreModel::advanceTo(uint64_t cycle)
 {
     dispatchCycle = std::max(dispatchCycle, static_cast<double>(cycle));

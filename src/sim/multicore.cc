@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "sim/warm_partition.hh"
 #include "util/logging.hh"
 
 namespace looppoint {
@@ -70,6 +71,12 @@ void
 MulticoreSim::exportMicroarchState(void *mem) const
 {
     hierarchy.exportState(mem);
+    exportPredictorState(mem);
+}
+
+void
+MulticoreSim::exportPredictorState(void *mem) const
+{
     auto *p = static_cast<unsigned char *>(mem) +
               hierarchy.stateBytes();
     for (const auto &core : cores) {
@@ -99,9 +106,9 @@ struct NeverStop
 
 } // namespace
 
-template <typename Stop>
+template <typename Stop, typename Warm>
 void
-MulticoreSim::fastForwardImpl(Stop &&stop, bool warm)
+MulticoreSim::fastForwardImpl(Stop &&stop, Warm &&warm)
 {
     // Flow-controlled functional execution, mirroring the profiling
     // schedule. The boundary markers are (PC, count) pairs whose global
@@ -121,11 +128,7 @@ MulticoreSim::fastForwardImpl(Stop &&stop, bool warm)
                 if (r.kind != StepResult::Kind::Block)
                     break;
                 progressed = true;
-                if (warm) {
-                    cores[tid].warmBlock(prog->blocks[r.block],
-                                         eng.memRefs(tid),
-                                         eng.branchTaken(tid));
-                }
+                warm(tid, prog->blocks[r.block]);
                 if (stop())
                     return;
             }
@@ -135,23 +138,49 @@ MulticoreSim::fastForwardImpl(Stop &&stop, bool warm)
     }
 }
 
+template <typename Stop>
+void
+MulticoreSim::fastForwardInPlace(Stop &&stop, bool warm)
+{
+    if (warm)
+        fastForwardImpl(stop, [this](uint32_t tid, const BasicBlock &bb) {
+            cores[tid].warmBlock(bb, eng.memRefs(tid), eng.branchTaken(tid));
+        });
+    else
+        fastForwardImpl(stop, [](uint32_t, const BasicBlock &) {});
+}
+
 void
 MulticoreSim::fastForward(const std::function<bool()> &stop, bool warm)
 {
     if (stop)
-        fastForwardImpl([&stop] { return stop(); }, warm);
+        fastForwardInPlace([&stop] { return stop(); }, warm);
     else
-        fastForwardImpl(NeverStop{}, warm);
+        fastForwardInPlace(NeverStop{}, warm);
 }
 
 void
 MulticoreSim::fastForwardUntil(BlockId block, uint64_t count, bool warm)
 {
-    fastForwardImpl(
+    fastForwardInPlace(
         [this, block, count] {
             return eng.blockExecCount(block) >= count;
         },
         warm);
+}
+
+void
+MulticoreSim::fastForwardUntil(BlockId block, uint64_t count,
+                               PartitionedWarmer &warmer)
+{
+    fastForwardImpl(
+        [this, block, count] {
+            return eng.blockExecCount(block) >= count;
+        },
+        [this, &warmer](uint32_t tid, const BasicBlock &bb) {
+            cores[tid].warmBlockVia(warmer, bb, eng.memRefs(tid),
+                                    eng.branchTaken(tid));
+        });
 }
 
 template <typename Stop>

@@ -27,6 +27,8 @@
 
 namespace looppoint {
 
+class PartitionedWarmer;
+
 /** Metrics of one (full or region) detailed simulation. */
 struct SimMetrics
 {
@@ -129,6 +131,15 @@ class MulticoreSim
     void fastForwardUntil(BlockId block, uint64_t count, bool warm);
 
     /**
+     * fastForwardUntil with warming whose cache accesses go to
+     * `warmer`'s partition workers instead of this sim's hierarchy
+     * (which may be CacheBacking::Deferred); the branch predictors
+     * train in place.
+     */
+    void fastForwardUntil(BlockId block, uint64_t count,
+                          PartitionedWarmer &warmer);
+
+    /**
      * Detailed simulation until `stop` returns true or the program
      * finishes. Stats and core clocks reset on entry.
      */
@@ -181,10 +192,21 @@ class MulticoreSim
     void exportMicroarchState(void *mem) const;
     void adoptMicroarchState(void *mem);
 
+    /**
+     * exportMicroarchState without the cache hierarchy: writes only
+     * the predictor tables, at their offset in the image, for a sim
+     * whose caches were warmed by partition workers.
+     */
+    void exportPredictorState(void *mem) const;
+
   private:
-    /** Shared stepping loop; `stop` is any bool() callable. */
+    /** Shared stepping loop; `stop` is any bool() callable, `warm`
+     * any void(tid, block) callable run after each executed block. */
+    template <typename Stop, typename Warm>
+    void fastForwardImpl(Stop &&stop, Warm &&warm);
+    /** fastForwardImpl warming this sim's own caches when `warm`. */
     template <typename Stop>
-    void fastForwardImpl(Stop &&stop, bool warm);
+    void fastForwardInPlace(Stop &&stop, bool warm);
 
     /**
      * Event-driven detailed loop: a binary min-heap of packed

@@ -1,11 +1,12 @@
 /**
  * @file
- * Warm-checkpoint stage tests: the warm key partition (what re-keys a
- * region's stored start state and what must not), bit-identity of
- * regions simulated from stored checkpoints against the serial warming
- * pass for every uarch preset on both backends, and the miss paths — a
- * corrupt object, a mismatched image, an interrupted and resumed run
- * on the hit path.
+ * Warm-checkpoint tests: the warm key partition (what re-keys a
+ * region's stored start state and what must not); set-partitioned
+ * warming (the owned-set assembly equals a single hierarchy's image,
+ * through the worker queues too); bit-identity of every uarch preset
+ * at jobs 1–4 on both backends, with and without a store, against the
+ * serial warming pass; and the miss paths — a corrupt object, a
+ * mismatched image, an interrupted and resumed run, retries.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -25,9 +27,11 @@
 #include "core/looppoint.hh"
 #include "core/run_journal.hh"
 #include "obs/trace.hh"
+#include "sim/warm_partition.hh"
 #include "store/artifact_store.hh"
 #include "store/stage_cache.hh"
 #include "util/interrupt.hh"
+#include "util/rng.hh"
 #include "workload/descriptor.hh"
 
 namespace looppoint {
@@ -247,6 +251,171 @@ TEST(StageKeys, WarmKeyCoversClusterConstrainedAndRegion)
               StageCache::simKey("HASH_C", sim, false));
 }
 
+// ------------------------------------------- set-partitioned warming
+
+/** One hierarchy access of a replayed warming stream. */
+struct WarmOp
+{
+    enum Kind : uint8_t { Fetch, Read, Write } kind;
+    uint32_t core;
+    Addr addr;
+};
+
+/**
+ * A seeded stream of `n` accesses. Lines crowd into 96 L3 sets (40
+ * lines each, over 16 ways) so L3 victims, back-invalidations of their
+ * sharers and write-invalidations of remote copies all occur; every
+ * core draws from the same lines.
+ */
+std::vector<WarmOp>
+warmStream(uint64_t seed, uint32_t cores, const SimConfig &cfg, size_t n)
+{
+    Rng rng(seed);
+    const uint64_t l3_sets =
+        cfg.l3.sizeBytes / (cfg.l3.lineBytes * cfg.l3.assoc);
+    std::vector<WarmOp> ops;
+    ops.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t set = rng.nextBounded(96) * 37 % l3_sets;
+        const uint64_t line = set + rng.nextBounded(40) * l3_sets;
+        const uint64_t r = rng.nextBounded(100);
+        WarmOp op;
+        op.kind = r < 15 ? WarmOp::Fetch
+                         : (r < 70 ? WarmOp::Read : WarmOp::Write);
+        op.core = static_cast<uint32_t>(rng.nextBounded(cores));
+        op.addr = line * cfg.l3.lineBytes + rng.nextBounded(64);
+        ops.push_back(op);
+    }
+    return ops;
+}
+
+void
+apply(CacheHierarchy &h, const WarmOp &op)
+{
+    if (op.kind == WarmOp::Fetch)
+        h.fetch(op.core, op.addr);
+    else
+        h.access(op.core, op.addr, op.kind == WarmOp::Write);
+}
+
+std::vector<uint8_t>
+stateImage(const CacheHierarchy &h)
+{
+    std::vector<uint8_t> img(h.stateBytes());
+    h.exportState(img.data());
+    return img;
+}
+
+/**
+ * The set-ownership argument, without threads: a hierarchy fed only
+ * its partition's share of the stream, in order, holds the single
+ * hierarchy's state in the sets it owns, at every marker.
+ */
+TEST(PartitionedWarming, OwnedSetAssemblyEqualsTheSingleHierarchy)
+{
+    const size_t kOps = 24'000, kMarkers = 4;
+    for (const char *preset : {"baseline", "big-l2"}) {
+        const SimConfig cfg = presetConfig(preset);
+        const uint32_t fewest = CacheHierarchy::fewestSets(cfg);
+        ASSERT_EQ(fewest, 64u) << preset;
+        for (uint32_t cores : {1u, 3u, 4u, 8u}) {
+            const auto ops = warmStream(0x5e7 + cores, cores, cfg, kOps);
+            const size_t every = kOps / kMarkers;
+            std::vector<std::vector<uint8_t>> want;
+            {
+                CacheHierarchy single(cfg, cores);
+                for (size_t i = 0; i < kOps; ++i) {
+                    apply(single, ops[i]);
+                    if ((i + 1) % every == 0)
+                        want.push_back(stateImage(single));
+                }
+            }
+            for (uint32_t parts : {2u, 3u, 4u, 64u}) {
+                // One partition at a time keeps a single extra
+                // hierarchy live.
+                std::vector<std::vector<uint8_t>> got(
+                    want.size(), std::vector<uint8_t>(want[0].size(), 0xa5));
+                for (uint32_t p = 0; p < parts; ++p) {
+                    CacheHierarchy mine(cfg, cores);
+                    size_t marker = 0;
+                    for (size_t i = 0; i < kOps; ++i) {
+                        const uint64_t line = ops[i].addr / cfg.l3.lineBytes;
+                        if (warmPartitionOf(line, fewest, parts) == p)
+                            apply(mine, ops[i]);
+                        if ((i + 1) % every == 0)
+                            mine.exportOwnedSets(got[marker++].data(), p,
+                                                 parts);
+                    }
+                }
+                for (size_t m = 0; m < want.size(); ++m)
+                    EXPECT_TRUE(got[m] == want[m])
+                        << preset << ", " << cores << " cores, " << parts
+                        << " partitions, marker " << m;
+            }
+        }
+    }
+}
+
+/** The same through PartitionedWarmer's queues and worker threads,
+ * long enough for the producer to block on full queues. */
+TEST(PartitionedWarming, WorkerCheckpointsEqualTheSerialImage)
+{
+    const SimConfig cfg;
+    const uint32_t cores = 4;
+    const size_t kOps = 200'000, kMarkers = 5;
+    const auto ops = warmStream(0xc0ffee, cores, cfg, kOps);
+    CacheHierarchy single(cfg, cores);
+    const size_t header = 16, image = single.stateBytes();
+    for (uint32_t parts : {2u, 3u, 4u}) {
+        CacheHierarchy serial(cfg, cores);
+        std::vector<std::vector<uint8_t>> want;
+        std::vector<std::shared_ptr<WarmCheckpoint>> got;
+        {
+            PartitionedWarmer warmer(cfg, cores, parts);
+            EXPECT_EQ(warmer.partitions(), parts);
+            for (size_t i = 0; i < kOps; ++i) {
+                apply(serial, ops[i]);
+                if (ops[i].kind == WarmOp::Fetch)
+                    warmer.fetch(ops[i].core, ops[i].addr);
+                else
+                    warmer.access(ops[i].core, ops[i].addr,
+                                  ops[i].kind == WarmOp::Write);
+                if ((i + 1) % (kOps / kMarkers) == 0) {
+                    want.push_back(stateImage(serial));
+                    // The bytes around the image are the producer's.
+                    got.push_back(warmer.checkpoint(
+                        std::string(header, 'h') +
+                            std::string(image, '\0') + "tail",
+                        header));
+                }
+            }
+        }
+        ASSERT_EQ(got.size(), kMarkers);
+        for (size_t m = 0; m < kMarkers; ++m) {
+            const std::string payload = got[m]->take();
+            ASSERT_EQ(payload.size(), header + image + 4);
+            EXPECT_EQ(payload.substr(0, header), std::string(header, 'h'));
+            EXPECT_EQ(payload.substr(header + image), "tail");
+            EXPECT_EQ(std::memcmp(payload.data() + header, want[m].data(),
+                                  image),
+                      0)
+                << parts << " partitions, marker " << m;
+        }
+    }
+}
+
+TEST(PartitionedWarming, PartitionCountFollowsJobsAndThePrefetcher)
+{
+    EXPECT_EQ(PartitionedWarmer::partitionsFor(SimConfig(), 1), 1u);
+    EXPECT_EQ(PartitionedWarmer::partitionsFor(SimConfig(), 2), 2u);
+    EXPECT_EQ(PartitionedWarmer::partitionsFor(SimConfig(), 4), 4u);
+    // Capped by the L1-D's 64 sets, the fewest of Table I.
+    EXPECT_EQ(PartitionedWarmer::partitionsFor(SimConfig(), 200), 64u);
+    // The next-line prefetcher couples neighbouring sets.
+    EXPECT_EQ(PartitionedWarmer::partitionsFor(presetConfig("prefetch"), 4),
+              1u);
+}
+
 // ------------------------------------------------------- bit-identity
 
 struct Combo
@@ -267,16 +436,36 @@ comboName(const testing::TestParamInfo<Combo> &info)
 class WarmStageBitIdentity : public testing::TestWithParam<Combo>
 {};
 
+/** Partitions the warming pass must choose: the prefetcher and
+ * jobs == 1 keep it inline, otherwise one per job. */
+uint32_t
+expectedPartitions(const std::string &preset, uint32_t jobs)
+{
+    return preset == "prefetch" ? 1 : jobs;
+}
+
 /**
- * Every preset on one fresh store, baseline first: the warm-sharing
- * presets run from baseline's stored checkpoints with no warming pass,
- * big-l2 and prefetch warm (and publish) their own, and every region's
- * metrics equal the serial warming pass's.
+ * Every preset without a store, then on one fresh store, baseline
+ * first: the warm-sharing presets run from baseline's stored
+ * checkpoints with no warming pass, big-l2 and prefetch warm (and
+ * publish) their own. Every region's metrics equal the serial
+ * (jobs = 1) warming pass's, whatever the partition count.
  */
 TEST_P(WarmStageBitIdentity, EveryPresetMatchesTheSerialWarmingPass)
 {
     const Combo combo = GetParam();
     ASSERT_GE(numRegions(), 3u);
+    for (const std::string &preset : kPresets) {
+        auto ckpt = runPhase(
+            nullptr, presetConfig(preset, combo.jobs, combo.backend),
+            combo.constrained);
+        EXPECT_EQ(ckpt.warmPartitions,
+                  expectedPartitions(preset, combo.jobs))
+            << preset;
+        EXPECT_EQ(ckpt.regionMetrics,
+                  reference(preset, combo.constrained))
+            << preset << " without a store";
+    }
     ArtifactStore store(freshStoreDir(comboName({combo, 0})));
     StageCache cache(store);
     for (const std::string &preset : kPresets) {
@@ -286,6 +475,9 @@ TEST_P(WarmStageBitIdentity, EveryPresetMatchesTheSerialWarmingPass)
         const bool hit =
             preset != "baseline" && sharesBaselineWarmState(preset);
         EXPECT_EQ(ckpt.warmStageHit, hit) << preset;
+        EXPECT_EQ(ckpt.warmPartitions,
+                  hit ? 0u : expectedPartitions(preset, combo.jobs))
+            << preset;
         EXPECT_EQ(ckpt.warmHits, hit ? numRegions() : 0u) << preset;
         EXPECT_EQ(ckpt.warmPublished, hit ? 0u : numRegions()) << preset;
         if (hit) {
@@ -312,12 +504,20 @@ TEST_P(WarmStageBitIdentity, EveryPresetMatchesTheSerialWarmingPass)
 INSTANTIATE_TEST_SUITE_P(
     Backends, WarmStageBitIdentity,
     testing::Values(Combo{ExecBackendKind::Pool, 1, false},
+                    Combo{ExecBackendKind::Pool, 2, false},
+                    Combo{ExecBackendKind::Pool, 3, false},
                     Combo{ExecBackendKind::Pool, 4, false},
                     Combo{ExecBackendKind::Pool, 1, true},
+                    Combo{ExecBackendKind::Pool, 2, true},
+                    Combo{ExecBackendKind::Pool, 3, true},
                     Combo{ExecBackendKind::Pool, 4, true},
                     Combo{ExecBackendKind::Procs, 1, false},
+                    Combo{ExecBackendKind::Procs, 2, false},
+                    Combo{ExecBackendKind::Procs, 3, false},
                     Combo{ExecBackendKind::Procs, 4, false},
                     Combo{ExecBackendKind::Procs, 1, true},
+                    Combo{ExecBackendKind::Procs, 2, true},
+                    Combo{ExecBackendKind::Procs, 3, true},
                     Combo{ExecBackendKind::Procs, 4, true}),
     comboName);
 
@@ -455,7 +655,8 @@ journalKey()
  * kind=interrupt parks the hit path at the same region boundary as the
  * warming pass, and --resume on the hit path completes bit-identically.
  */
-TEST(WarmStage, InterruptAndResumeBehaveTheSameOnTheHitPath)
+void
+interruptAndResume(uint32_t jobs)
 {
     const auto &lp = analyzed().lp;
     ASSERT_GE(lp.regions.size(), 3u);
@@ -467,19 +668,21 @@ TEST(WarmStage, InterruptAndResumeBehaveTheSameOnTheHitPath)
         return lp.regions[a].sliceIndex < lp.regions[b].sliceIndex;
     });
     const uint32_t park = order[order.size() / 2];
-    SimConfig parked = presetConfig("slow-mem", 2);
+    SimConfig parked = presetConfig("slow-mem", jobs);
     parked.faults = FaultPlan::parse("sim:region=" + std::to_string(park) +
                                      ",kind=interrupt");
 
     // Interrupted + resumed, with (hit) and without (warming pass) a
     // populated store: the same regions complete before the park.
-    ArtifactStore store(freshStoreDir("interrupt"));
+    // Per jobs count: ctest runs the callers in parallel processes.
+    ArtifactStore store(freshStoreDir("interrupt_j" + std::to_string(jobs)));
     StageCache cache(store);
-    runPhase(&cache, presetConfig("baseline", 2), false);
+    runPhase(&cache, presetConfig("baseline", jobs), false);
     size_t parked_done[2] = {0, 0};
     for (int with_store = 0; with_store < 2; ++with_store) {
         const std::string path = testing::TempDir() +
-                                 "lp_warm_interrupt_" +
+                                 "lp_warm_interrupt_j" +
+                                 std::to_string(jobs) + "_" +
                                  std::to_string(with_store) + ".journal";
         std::remove(path.c_str());
         StageCache *c = with_store ? &cache : nullptr;
@@ -494,7 +697,7 @@ TEST(WarmStage, InterruptAndResumeBehaveTheSameOnTheHitPath)
         RunJournal journal(path, journalKey());
         ASSERT_FALSE(journal.load(/*must_exist=*/true).has_value());
         auto resumed =
-            runPhase(c, presetConfig("slow-mem", 2), false, &journal);
+            runPhase(c, presetConfig("slow-mem", jobs), false, &journal);
         EXPECT_FALSE(resumed.interrupted);
         EXPECT_EQ(resumed.warmStageHit, with_store == 1);
         EXPECT_EQ(resumed.journalHits, parked_done[with_store]);
@@ -504,6 +707,63 @@ TEST(WarmStage, InterruptAndResumeBehaveTheSameOnTheHitPath)
     EXPECT_EQ(parked_done[0], order.size() / 2);
     EXPECT_EQ(parked_done[1], parked_done[0]);
 }
+
+TEST(WarmStage, InterruptAndResumeBehaveTheSameOnTheHitPath)
+{
+    interruptAndResume(2);
+}
+
+/** The same with the warming pass split four ways. */
+TEST(PartitionedWarming, InterruptAndResumeAtJobs4)
+{
+    interruptAndResume(4);
+}
+
+/** Retries re-run from a copy of the restored checkpoint (pool), or
+ * re-warm serially after a worker death (procs). */
+TEST(PartitionedWarming, RetriedRegionsMatchAtJobs4)
+{
+    SimConfig flaky = presetConfig("baseline", 4);
+    flaky.regionRetries = 1;
+    flaky.faults = FaultPlan::parse("sim:region=0,kind=throw,times=1");
+    auto ckpt = runPhase(nullptr, flaky, false);
+    EXPECT_EQ(ckpt.warmPartitions, 4u);
+    EXPECT_EQ(ckpt.regionOutcomes[0].attempts, 2u);
+    EXPECT_EQ(ckpt.coverage, 1.0);
+    EXPECT_EQ(ckpt.regionMetrics, reference("baseline", false));
+
+    SimConfig killed = presetConfig("baseline", 4, ExecBackendKind::Procs);
+    killed.regionRetries = 1;
+    killed.faults = FaultPlan::parse("sim:region=0,kind=kill,times=1");
+    ckpt = runPhase(nullptr, killed, false);
+    EXPECT_EQ(ckpt.warmPartitions, 4u);
+    EXPECT_EQ(ckpt.workerRespawns, 1u);
+    EXPECT_EQ(ckpt.coverage, 1.0);
+    EXPECT_EQ(ckpt.regionMetrics, reference("baseline", false));
+}
+
+/** Observability: one warm.partition span per worker, and the phase
+ * names its partition count. */
+TEST(PartitionedWarming, TraceHasOnePartitionSpanPerWorker)
+{
+    Tracer &tracer = Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    runPhase(nullptr, presetConfig("baseline", 3), false);
+    std::ostringstream trace;
+    tracer.writeChromeTrace(trace);
+    tracer.setEnabled(false);
+    tracer.clear();
+    const std::string t = trace.str();
+    size_t spans = 0;
+    for (size_t at = t.find("\"warm.partition\""); at != std::string::npos;
+         at = t.find("\"warm.partition\"", at + 1))
+        ++spans;
+    EXPECT_EQ(spans, 3u);
+    EXPECT_NE(t.find("\"warm_partitions\": 3"), std::string::npos);
+    EXPECT_NE(t.find("\"accesses\": "), std::string::npos);
+}
+
 
 TEST(WarmStage, TracedHitPointHasNoFastForwardSpans)
 {

@@ -85,9 +85,11 @@ usage()
         "                       <suite>-<app>-<input-num>\n"
         "                       (default: demo-matrix-1)\n"
         "  -n, --ncores=N       number of threads (default: 8)\n"
-        "  -j, --jobs=N         host workers for region simulation\n"
-        "                       and clustering; 0 or omitted =\n"
-        "                       auto-detect (hardware concurrency).\n"
+        "  -j, --jobs=N         host workers for region simulation,\n"
+        "                       clustering and the warming pass's\n"
+        "                       cache-set partitions (inline when\n"
+        "                       the prefetcher is on); 0 or omitted\n"
+        "                       = auto-detect (hardware concurrency).\n"
         "                       Results are identical for any N\n"
         "      --workers=N      alias for --jobs (the region-farm\n"
         "                       vocabulary; same auto-detect rule)\n"
@@ -450,10 +452,11 @@ runOne(const std::string &program, const CliOptions &cli)
                     r.actualSerialSpeedup, r.actualParallelSpeedup,
                     r.wallCheckpointSeconds);
     }
-    std::printf("host-parallel  : %u jobs, phase %.3f s, "
-                "self-relative speedup %.2fx (efficiency %.0f%%)\n",
-                r.jobs, r.wallPhaseSeconds, r.hostParallelSpeedup,
-                100.0 * r.hostParallelEfficiency);
+    std::printf("host-parallel  : %u jobs, %u warm partition(s), "
+                "phase %.3f s, self-relative speedup %.2fx "
+                "(efficiency %.0f%%)\n",
+                r.jobs, r.warmPartitions, r.wallPhaseSeconds,
+                r.hostParallelSpeedup, 100.0 * r.hostParallelEfficiency);
     std::printf("backend        : %s, %u worker(s)",
                 execBackendName(r.backend), r.jobs);
     if (r.backend == ExecBackendKind::Procs)
