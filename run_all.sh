@@ -31,21 +31,17 @@
 # BENCH_hotpath.json baseline to assert the disabled-obs overhead
 # stays within 2%.
 #
-# With --dist-smoke the multi-process region farm is exercised end to
-# end: spec-roms-1 train runs under --backend=procs --workers=4 and
-# its region results are diffed bit-exact against the pool backend,
-# then a worker-kill fault is replayed under procs to check the
-# respawn/retry path recovers full coverage, lbm train's results at
-# -j 1, -j 3 and -j 4 (baseline and prefetch) are diffed bit-exact
-# across warming partition counts, and the Dist test subset runs.
+# With --jobs-smoke lbm train's results at -j 1, -j 3 and -j 4
+# (baseline and prefetch) are diffed bit-exact across host worker and
+# warming partition counts, and the partition count each run reports
+# is checked.
 #
 # With --store-smoke the artifact store is exercised end to end: a
 # cold run populates the store, a small-rob run must be served from its
 # region warm checkpoints (no warming pass) with output equal to a
 # store-less run while big-l2 misses the warm stage, a warm re-run must
-# be served with zero misses and bit-identical output on both
-# execution backends, a
-# corrupted object must be evicted and transparently recomputed, and a
+# be served with zero misses and bit-identical output at -j 4 and
+# -j 1, a corrupted object must be evicted and transparently recomputed, and a
 # two-point lp_campaign must reuse the analysis prefix and skip
 # completed jobs on re-invocation.
 #
@@ -132,80 +128,40 @@ if [ "$1" = "--faults" ]; then
     exit 0
 fi
 
-if [ "$1" = "--dist-smoke" ]; then
-    echo "== dist smoke: procs backend vs pool, bit-exact =="
+if [ "$1" = "--jobs-smoke" ]; then
+    echo "== jobs smoke: lbm train bit-exact across -j and partitions =="
     cmake -B build -S . || exit 1
-    cmake --build build -j --target run_looppoint lp_tests || exit 1
+    cmake --build build -j --target run_looppoint || exit 1
     lp=build/tools/run_looppoint
-    common="-p spec-roms-1 -i train --no-fullsim -j 4"
-    out=/tmp/lp_dist
+    out=/tmp/lp_jobs
     # shellcheck disable=SC2086
     {
-        $lp $common --backend=pool > "$out.pool.txt"
-        rc=$?
-        [ $rc -eq 0 ] || { echo "dist-smoke FAIL: pool run exited $rc (want 0)"; exit 1; }
-
-        $lp $common --backend=procs > "$out.procs.txt"
-        rc=$?
-        [ $rc -eq 0 ] || { echo "dist-smoke FAIL: procs run exited $rc (want 0)"; exit 1; }
-        grep -q 'backend        : procs' "$out.procs.txt" || {
-            echo "dist-smoke FAIL: procs run did not report the procs backend"; exit 1; }
-        # Bit-exact modulo the lines that name the backend or measure
-        # host wall-clock.
-        if ! diff <(grep -vE '^(journal|host-parallel|backend|actual speedup)' "$out.pool.txt") \
-                  <(grep -vE '^(journal|host-parallel|backend|actual speedup)' "$out.procs.txt"); then
-            echo "dist-smoke FAIL: procs results differ from pool"; exit 1
-        fi
-
-        # A SIGKILL'd worker must be respawned and the region retried
-        # back to full coverage, with results still bit-exact.
-        $lp $common --backend=procs --region-retries=1 \
-            --inject-fault='sim:region=0,kind=kill,times=1' > "$out.killed.txt"
-        rc=$?
-        [ $rc -eq 0 ] || { echo "dist-smoke FAIL: worker-kill run exited $rc (want 0)"; exit 1; }
-        grep -q 'coverage       : 1\.0000' "$out.killed.txt" || {
-            echo "dist-smoke FAIL: worker kill did not recover full coverage"; exit 1; }
-        grep -q '1 death(s), 1 respawn(s)' "$out.killed.txt" || {
-            echo "dist-smoke FAIL: worker kill did not report a death + respawn"; exit 1; }
-        # The recovery leaves a warning-severity finding (and its
-        # section's blank line) in the report; every simulated metric
-        # must still match the pool.
-        filter='^(journal|host-parallel|backend|actual speedup|warning \[fault-tolerance\]|analysis |$)'
-        if ! diff <(grep -vE "$filter" "$out.pool.txt") \
-                  <(grep -vE "$filter" "$out.killed.txt"); then
-            echo "dist-smoke FAIL: worker-kill results differ from pool"; exit 1
-        fi
-
         # Set-partitioned warming: lbm train's checkpoints, and so every
         # simulated number, must not depend on the partition count
         # (-j 3 and -j 4 split the cache work; -j 1 and the prefetch
         # preset warm inline). The header line names the jobs count.
         lbm="-p spec-lbm-1 -i train -n 4 --no-fullsim"
-        filter='^(====|journal|host-parallel|backend|actual speedup)'
+        filter='^(====|journal|host-parallel|actual speedup)'
         for uarch in baseline prefetch; do
             for j in 1 3 4; do
                 $lp $lbm --uarch=$uarch -j $j > "$out.lbm.$uarch.j$j.txt"
                 rc=$?
-                [ $rc -eq 0 ] || { echo "dist-smoke FAIL: lbm $uarch -j $j exited $rc (want 0)"; exit 1; }
+                [ $rc -eq 0 ] || { echo "jobs-smoke FAIL: lbm $uarch -j $j exited $rc (want 0)"; exit 1; }
             done
             for j in 3 4; do
                 if ! diff <(grep -vE "$filter" "$out.lbm.$uarch.j1.txt") \
                           <(grep -vE "$filter" "$out.lbm.$uarch.j$j.txt"); then
-                    echo "dist-smoke FAIL: lbm $uarch -j $j differs from -j 1"; exit 1
+                    echo "jobs-smoke FAIL: lbm $uarch -j $j differs from -j 1"; exit 1
                 fi
             done
         done
         grep -q '4 jobs, 4 warm partition(s)' "$out.lbm.baseline.j4.txt" || {
-            echo "dist-smoke FAIL: lbm baseline -j 4 did not warm in 4 partitions"; exit 1; }
+            echo "jobs-smoke FAIL: lbm baseline -j 4 did not warm in 4 partitions"; exit 1; }
         grep -q '4 jobs, 1 warm partition(s)' "$out.lbm.prefetch.j4.txt" || {
-            echo "dist-smoke FAIL: lbm prefetch -j 4 did not warm inline"; exit 1; }
+            echo "jobs-smoke FAIL: lbm prefetch -j 4 did not warm inline"; exit 1; }
     } || exit 1
-
-    echo "== dist smoke: wire-protocol + backend test subset =="
-    ctest --test-dir build --output-on-failure -R \
-        'DistFrame|DistProtocol|DistWorkers|ProcsBackend|PoolBackend' || exit 1
     rm -f "$out".*.txt
-    echo "dist-smoke OK"
+    echo "jobs-smoke OK"
     exit 0
 fi
 
@@ -221,7 +177,7 @@ if [ "$1" = "--store-smoke" ]; then
     # Lines that legitimately differ between runs: host wall-clock,
     # store hit accounting, and the eviction notice of the corruption
     # scenario. Every simulated number must survive the filter.
-    filter='^(journal|host-parallel|backend|actual speedup|store|error: artifact store)'
+    filter='^(journal|host-parallel|actual speedup|store|error: artifact store)'
     # shellcheck disable=SC2086
     {
         $lp $common --store="$store/s" > "$out.cold.txt"
@@ -266,16 +222,17 @@ if [ "$1" = "--store-smoke" ]; then
             echo "store-smoke FAIL: warm output differs from cold"; exit 1
         fi
 
-        # The store is backend-agnostic: a procs-backend rerun is
-        # served from the pool-populated store, bit-identically.
-        $lp $common --store="$store/s" --backend=procs > "$out.procs.txt"
+        # The store is host-knob-agnostic: a -j 1 rerun is served
+        # from the -j 4-populated store, bit-identically. Its header
+        # line names the jobs count, so that one field is blanked.
+        $lp $common --store="$store/s" -j 1 > "$out.j1.txt"
         rc=$?
-        [ $rc -eq 0 ] || { echo "store-smoke FAIL: procs run exited $rc (want 0)"; exit 1; }
-        grep -q 'regions cached' "$out.procs.txt" || {
-            echo "store-smoke FAIL: procs run missed the pool-written entries"; exit 1; }
-        if ! diff <(grep -vE "$filter" "$out.cold.txt") \
-                  <(grep -vE "$filter" "$out.procs.txt"); then
-            echo "store-smoke FAIL: procs output differs from cold"; exit 1
+        [ $rc -eq 0 ] || { echo "store-smoke FAIL: -j 1 run exited $rc (want 0)"; exit 1; }
+        grep -q 'regions cached' "$out.j1.txt" || {
+            echo "store-smoke FAIL: -j 1 run missed the -j 4-written entries"; exit 1; }
+        if ! diff <(grep -vE "$filter" "$out.cold.txt" | sed 's/, [0-9]* jobs) ====$/) ====/') \
+                  <(grep -vE "$filter" "$out.j1.txt" | sed 's/, [0-9]* jobs) ====$/) ====/'); then
+            echo "store-smoke FAIL: -j 1 output differs from cold"; exit 1
         fi
 
         echo "== store smoke: corrupt object evicted + recomputed =="

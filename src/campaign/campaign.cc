@@ -45,7 +45,7 @@ atomicWrite(const std::string &path, const std::string &contents)
 
 void
 writeResultJson(const std::string &path, const CampaignJob &job,
-                const ExperimentResult &r, const CampaignSpec &spec)
+                const ExperimentResult &r)
 {
     size_t errors = 0, warnings = 0;
     for (const auto &d : r.analysis.diagnostics) {
@@ -61,7 +61,6 @@ writeResultJson(const std::string &path, const CampaignJob &job,
        << "  \"input\": " << jsonQuote(job.input) << ",\n"
        << "  \"threads\": " << r.threads << ",\n"
        << "  \"uarch\": " << jsonQuote(job.uarch) << ",\n"
-       << "  \"backend\": " << jsonQuote(spec.backend) << ",\n"
        << "  \"chosenK\": " << r.analysis.chosenK << ",\n"
        << "  \"regions\": " << r.analysis.regions.size() << ",\n"
        << "  \"coverage\": " << fmtDouble(r.coverage) << ",\n"
@@ -113,8 +112,6 @@ validateCampaignSpec(const CampaignSpec &spec)
 {
     if (spec.outDir.empty())
         fatal("--out=DIR is required");
-    if (spec.backend != "pool" && spec.backend != "procs")
-        fatal("backend must be 'pool' or 'procs'");
     if (spec.waitPolicy != "passive" && spec.waitPolicy != "active")
         fatal("wait policy must be 'passive' or 'active'");
     for (const auto &p : spec.apps)
@@ -164,8 +161,7 @@ campaignFingerprint(const CampaignSpec &spec)
     os << ";uarchs=";
     for (const auto &u : spec.uarchs)
         os << u << "|";
-    os << ";backend=" << spec.backend
-       << ";wait=" << spec.waitPolicy << ";seed=" << spec.seed
+    os << ";wait=" << spec.waitPolicy << ";seed=" << spec.seed
        << ";fullsim=" << (spec.fullSim ? 1 : 0)
        << ";audit=" << (spec.audit ? 1 : 0) << ";";
     const std::string text = os.str();
@@ -191,9 +187,9 @@ validJobResult(const std::string &job_dir)
            doc->find("wallSeconds") != nullptr;
 }
 
-int
-runCampaignJob(CampaignJob &job, const std::string &job_dir,
-               const CampaignSpec &spec)
+ExperimentConfig
+campaignJobConfig(const CampaignJob &job, const std::string &job_dir,
+                  const CampaignSpec &spec)
 {
     ExperimentConfig cfg;
     cfg.app = resolveArtifactProgram(job.program);
@@ -205,8 +201,6 @@ runCampaignJob(CampaignJob &job, const std::string &job_dir,
     cfg.simulateFull = spec.fullSim;
     cfg.loopPoint.seed = spec.seed;
     applyUarchPreset(cfg.sim, job.uarch);
-    cfg.sim.backend = spec.backend == "procs" ? ExecBackendKind::Procs
-                                              : ExecBackendKind::Pool;
     cfg.storeDir = spec.storeDir;
     if (cfg.input == InputClass::Test)
         cfg.loopPoint.sliceSizePerThread = 25'000;
@@ -218,7 +212,14 @@ runCampaignJob(CampaignJob &job, const std::string &job_dir,
     cfg.journalPath = job_dir + "/journal";
     struct stat st;
     cfg.resume = stat(cfg.journalPath.c_str(), &st) == 0;
+    return cfg;
+}
 
+int
+runCampaignJob(CampaignJob &job, const std::string &job_dir,
+               const CampaignSpec &spec)
+{
+    const ExperimentConfig cfg = campaignJobConfig(job, job_dir, spec);
     auto t0 = std::chrono::steady_clock::now();
     ExperimentResult r;
     try {
@@ -236,7 +237,7 @@ runCampaignJob(CampaignJob &job, const std::string &job_dir,
                           .count();
     job.status = r.coverage < 1.0 ? "degraded" : "ok";
 
-    writeResultJson(job_dir + "/result.json", job, r, spec);
+    writeResultJson(job_dir + "/result.json", job, r);
     std::ofstream done(job_dir + "/.done");
     done << job.status << "\n";
     return r.coverage < 1.0 ? 1 : 0;
@@ -266,7 +267,6 @@ writeCampaignJson(const std::string &path, const CampaignSpec &spec,
     os << "{\n"
        << "  \"kind\": \"lp_campaign\",\n"
        << "  \"store\": " << jsonQuote(spec.storeDir) << ",\n"
-       << "  \"backend\": " << jsonQuote(spec.backend) << ",\n"
        << "  \"jobsTotal\": " << jobs.size() << ",\n"
        << "  \"jobsRan\": " << ran << ",\n"
        << "  \"jobsSkippedDone\": " << done << ",\n"

@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
+
 namespace looppoint {
 
 /** The sweep matrix plus the per-job execution knobs. */
@@ -43,7 +45,6 @@ struct CampaignSpec
     std::string outDir;
     std::string storeDir; ///< default: <outDir>/store
     uint32_t jobs = 1;    ///< host workers per job
-    std::string backend = "pool";
     std::string waitPolicy = "passive";
     uint64_t seed = 42;
     bool fullSim = true;
@@ -98,6 +99,15 @@ std::string campaignFingerprint(const CampaignSpec &spec);
  * skipping such a job would silently hole the campaign.
  */
 bool validJobResult(const std::string &job_dir);
+
+/**
+ * The experiment a job runs: its matrix point under `spec`, journaled
+ * at `<job_dir>/journal` and resuming from that journal when it
+ * exists.
+ */
+ExperimentConfig campaignJobConfig(const CampaignJob &job,
+                                   const std::string &job_dir,
+                                   const CampaignSpec &spec);
 
 /**
  * The in-child job body: configure and run the experiment, write

@@ -135,9 +135,6 @@ runExperiment(const ExperimentConfig &cfg)
         res.wallCheckpointSeconds = ckpt.checkpointWallSeconds;
         res.wallPhaseSeconds = ckpt.phaseWallSeconds;
         res.jobs = ckpt.jobs;
-        res.backend = ckpt.backend;
-        res.workerDeaths = ckpt.workerDeaths;
-        res.workerRespawns = ckpt.workerRespawns;
         res.hostParallelSpeedup = ckpt.hostParallelSpeedup();
         res.hostParallelEfficiency = ckpt.parallelEfficiency();
         for (double wall : ckpt.regionWallSeconds) {

@@ -99,13 +99,6 @@ struct ExperimentResult
 
     /** Host workers the parallel phases ran with. */
     uint32_t jobs = 1;
-    /** Execution backend of the checkpointed phase (host-side only;
-     * region metrics are bit-identical across backends). */
-    ExecBackendKind backend = ExecBackendKind::Pool;
-    /** Procs backend: worker processes that died mid-region. */
-    uint32_t workerDeaths = 0;
-    /** Procs backend: workers respawned to retry after a death. */
-    uint32_t workerRespawns = 0;
     /** Measured host-parallel self-relative speedup of the
      * checkpointed phase (serial-equivalent / phase wall). */
     double hostParallelSpeedup = 0.0;

@@ -18,7 +18,6 @@
 #include "analysis/race_detector.hh"
 #include "core/region_exec.hh"
 #include "core/run_journal.hh"
-#include "dist/region_farm.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "dcfg/dcfg.hh"
@@ -468,7 +467,6 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
     pinMmapThreshold();
     CheckpointedSimResult out;
     out.jobs = ThreadPool::resolveWorkers(sim_cfg.jobs);
-    out.backend = sim_cfg.backend;
     out.regionMetrics.resize(lp.regions.size());
     out.regionWallSeconds.resize(lp.regions.size(), 0.0);
     out.regionOutcomes.resize(lp.regions.size());
@@ -541,7 +539,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
     // when there is more than one, or runs inline in `base`. Either way
     // the checkpoints are bit-identical. Without its own cache work,
     // and in a phase served from warm checkpoints, `base` gets no cache
-    // arrays (the procs backend still reads its image size).
+    // arrays.
     const uint32_t partitions =
         warm_hit ? 0 : PartitionedWarmer::partitionsFor(sim_cfg, out.jobs);
     ReplayArbiter base_arbiter(lp.pinball.log);
@@ -550,11 +548,10 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                       partitions == 1 ? CacheBacking::Owned
                                       : CacheBacking::Deferred);
 
-    // Every region reports here, whichever backend ran it. The pool
-    // backend may invoke this from several worker threads at once:
-    // everything touched is either index-addressed (the out arrays),
-    // atomic (counters), or internally locked (sink, journal) —
-    // exactly the concurrency profile of the historical in-task code.
+    // Every region reports here, possibly from several pool worker
+    // threads at once: everything touched is either index-addressed
+    // (the out arrays), atomic (counters), or internally locked (sink,
+    // journal).
     const uint32_t max_attempts = 1 + sim_cfg.regionRetries;
     auto on_completion = [&](const RegionCompletion &c) {
         const size_t idx = c.item.index;
@@ -563,8 +560,8 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         outcome.attempts = c.result.attempts;
         outcome.error = c.result.error;
         if (c.killed) {
-            // Simulated host death under the pool backend: the phase
-            // is about to unwind; record the outcome and nothing else.
+            // Simulated host death: the phase is about to unwind;
+            // record the outcome and nothing else.
             return;
         }
         if (c.result.ok) {
@@ -606,19 +603,15 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             static_cast<uint64_t>(c.wallSeconds * 1e6));
     };
 
-    // Re-warm for a procs retry whose warm state died with its worker:
-    // replay the warming pass from program start with the *exact*
-    // original stop schedule — the fast-forward scheduler's quantum
-    // rotation restarts at each stop, so every stop (not just the
-    // target's) shapes the trajectory — and hand the warm state to
-    // the backend. Bit-identical to the first dispatch by
-    // construction.
-    auto rewarm = [&](uint32_t region_index,
-                      const std::function<void(MulticoreSim &,
-                                               const ReplayArbiter &)>
-                          &use) {
+    // Re-warm one region whose stored checkpoint is unusable: replay
+    // the warming pass from program start with the *exact* original
+    // stop schedule — the fast-forward scheduler's quantum rotation
+    // restarts at each stop, so every stop (not just the target's)
+    // shapes the trajectory — and encode its start state. Bit-identical
+    // to the warming pass by construction.
+    auto rewarm = [&](const RegionWorkItem &item) {
         ScopedSpan rewarm_span(tracer, "warm.rewarm");
-        rewarm_span.arg("region", static_cast<uint64_t>(region_index));
+        rewarm_span.arg("region", static_cast<uint64_t>(item.index));
         ReplayArbiter arbiter(lp.pinball.log);
         MulticoreSim sim(*prog, execConfig(), sim_cfg,
                          constrained ? &arbiter : nullptr);
@@ -629,10 +622,10 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                 sim.fastForwardUntil(start_block, r.start.count,
                                      /*warm=*/true);
             }
-            if (j == region_index)
+            if (j == item.index)
                 break;
         }
-        use(sim, arbiter);
+        return WarmSnapshot::encode(sim, arbiter, item);
     };
 
     // Restore a snapshot from a checkpoint payload on the thread that
@@ -693,12 +686,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             }
             span.arg("outcome", "miss");
         }
-        std::string payload;
-        rewarm(item.index,
-               [&](MulticoreSim &sim, const ReplayArbiter &arbiter) {
-                   payload = WarmSnapshot::encode(sim, arbiter, item);
-               });
-        return publish_warm(std::move(payload), item);
+        return publish_warm(rewarm(item), item);
     };
 
     // A shutdown request — supervisor SIGTERM/SIGINT, or the injected
@@ -763,7 +751,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         item.end = region.end;
         item.multiplier = region.multiplier;
         item.filteredIcount = region.filteredIcount;
-        // Marker blocks resolve on the producer thread so backend
+        // Marker blocks resolve on the producer thread so region
         // execution can never throw a missing-block FatalError.
         item.endBlock =
             region.end.pc ? block_of(region.end.pc) : kInvalidBlock;
@@ -773,32 +761,10 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         return item;
     };
 
-    // The backend is destroyed before `out`, the sink and the lambdas
-    // above on unwind, draining (or killing) whatever is in flight.
-    std::unique_ptr<RegionExecBackend> backend;
-    if (sim_cfg.backend == ExecBackendKind::Procs) {
-        // The coordinator must be single-threaded at every fork; the
-        // shared pool (from the analysis phase) has to go first.
-        sharedPool.reset();
-        ProcsBackendOptions procs_opts;
-        procs_opts.workers = out.jobs;
-        procs_opts.workerTimeoutSeconds = sim_cfg.workerTimeoutSeconds;
-        procs_opts.faults = sim_cfg.faults;
-        // Checkpoint-shipping context: workers rebuild their simulator
-        // from the same program + configs the warming pass uses, and
-        // each slot's arena is sized for this configuration's
-        // microarchitectural state image.
-        procs_opts.prog = prog;
-        procs_opts.execCfg = execConfig();
-        procs_opts.simCfg = sim_cfg;
-        procs_opts.syncLog = &lp.pinball.log;
-        procs_opts.arenaBytes = base.microarchStateBytes();
-        backend = std::make_unique<ProcsBackend>(
-            std::move(procs_opts), on_completion, rewarm);
-    } else {
-        ThreadPool *pool = out.jobs > 1 ? poolFor(out.jobs) : nullptr;
-        backend = makePoolBackend(pool, sim_cfg.faults, on_completion);
-    }
+    // The executor is destroyed before `out`, the sink and the lambdas
+    // above on unwind, draining whatever is in flight.
+    RegionExecutor executor(out.jobs > 1 ? poolFor(out.jobs) : nullptr,
+                            sim_cfg.faults, on_completion);
 
     if (warm_hit) {
         // Every start state is stored: no warming pass. The boundary
@@ -819,16 +785,14 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                             const RegionWorkItem &b) {
                              return a.filteredIcount > b.filteredIcount;
                          });
-        backend->submitSnapshots(std::move(launch), load_warm);
+        executor.submit(std::move(launch), load_warm);
     } else {
         // Checkpoint fanout: the warming pass (one execution, so its
         // engine steps serially) advances in program order; each
-        // checkpoint it reaches goes straight to the execution
-        // backend, so region bodies simulate while warming continues
-        // toward the next checkpoint. The pool backend with jobs == 1
-        // runs each region inline, which is exactly the old serial
-        // schedule. The partition workers start after the procs
-        // backend has forked its fleet.
+        // checkpoint it reaches goes straight to the executor, so
+        // region bodies simulate while warming continues toward the
+        // next checkpoint. With jobs == 1 the executor runs each
+        // region inline, which is exactly the serial schedule.
         std::optional<PartitionedWarmer> warmer;
         if (partitions > 1)
             warmer.emplace(sim_cfg, opts.numThreads, partitions);
@@ -878,7 +842,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                              WarmSnapshot::encode(base, base_arbiter,
                                                   item));
             const bool publish = warm_stage && !warm_bound[idx];
-            backend->submitSnapshots(
+            executor.submit(
                 {item}, [&publish_warm, &restore_own, ckpt,
                          publish](const RegionWorkItem &it) {
                     std::string payload = ckpt->take();
@@ -896,14 +860,10 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         out.warmPartitions = partitions;
     }
 
-    // Drain the backend (the pool backend's producer thread helps run
-    // queued regions instead of idling; the procs coordinator pumps
-    // worker channels and runs death-retries). The first exception
-    // that must escape the phase — the pool backend's InjectedKill —
-    // is rethrown once everything is quiescent.
-    backend->finish();
-    out.workerDeaths = backend->workerDeaths();
-    out.workerRespawns = backend->workerRespawns();
+    // Drain the executor (this thread helps run queued regions instead
+    // of idling). The first exception that must escape the phase — an
+    // InjectedKill — is rethrown once everything is quiescent.
+    executor.finish();
     out.warmStageHit = warm_hit;
     out.warmHits = warm_hits.load();
     out.warmPublished = warm_published.load();
@@ -924,14 +884,10 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
     out.diagnostics = sink.take();
     out.phaseWallSeconds = seconds_since(t_phase);
     phase_span.arg("jobs", out.jobs)
-        .arg("backend", execBackendName(out.backend))
-        .arg("workers", out.jobs)
         .arg("regions", static_cast<uint64_t>(lp.regions.size()))
         .arg("journal_hits", static_cast<uint64_t>(out.journalHits))
         .arg("coverage", out.coverage)
         .arg("phase_wall_seconds", out.phaseWallSeconds)
-        .arg("worker_deaths", out.workerDeaths)
-        .arg("worker_respawns", out.workerRespawns)
         .arg("warm_hits", out.warmHits)
         .arg("warm_published", out.warmPublished)
         .arg("warm_partitions", out.warmPartitions);

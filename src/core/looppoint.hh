@@ -225,7 +225,7 @@ class LoopPointPipeline
          * partition queues) plus, with partitioned warming, the drain
          * of the partition workers' backlog after the last stop, so
          * it ends when the last checkpoint is complete. Time spent
-         * handing regions to the backend is excluded.
+         * handing regions to the executor is excluded.
          */
         double checkpointWallSeconds = 0.0;
         /**
@@ -242,13 +242,6 @@ class LoopPointPipeline
         double phaseWallSeconds = 0.0;
         /** Host workers the phase ran with. */
         uint32_t jobs = 1;
-        /** Execution backend the phase ran on (host-side only; region
-         * metrics are bit-identical across backends). */
-        ExecBackendKind backend = ExecBackendKind::Pool;
-        /** Procs backend: worker processes that died mid-region. */
-        uint32_t workerDeaths = 0;
-        /** Procs backend: workers respawned to retry after a death. */
-        uint32_t workerRespawns = 0;
         /** Per-region fate, ordered like regionMetrics. */
         std::vector<RegionOutcome> regionOutcomes;
         /** Regions satisfied from the resume journal. */
@@ -302,30 +295,18 @@ class LoopPointPipeline
      * analysis pass and are what parallel deployment would see.
      *
      * Checkpoint fanout: with sim_cfg.jobs != 1, each checkpoint is
-     * handed to the execution backend as soon as it is taken, so
-     * region bodies simulate concurrently while the warming pass
-     * advances toward the next checkpoint (the warming thread joins
-     * the workers once the last checkpoint is out). The warming pass
-     * itself splits its cache work across min(jobs, fewest cache
-     * sets) partition threads by set ownership (sim/warm_partition.hh;
-     * not with the next-line prefetcher, which couples sets), while
-     * the engine and the branch predictors step on the calling
-     * thread. Region results are bit-identical for any jobs count:
+     * handed to the region executor (core/region_exec.hh) as soon as
+     * it is taken, so region bodies simulate concurrently while the
+     * warming pass advances toward the next checkpoint (the warming
+     * thread joins the workers once the last checkpoint is out). The
+     * warming pass itself splits its cache work across min(jobs,
+     * fewest cache sets) partition threads by set ownership
+     * (sim/warm_partition.hh; not with the next-line prefetcher, which
+     * couples sets), while the engine and the branch predictors step
+     * on the calling thread. Region results are bit-identical for any jobs count:
      * every checkpoint image equals the serial pass's, and every
      * region simulates from its own restored checkpoint and shares no
      * mutable state.
-     *
-     * Execution backends (sim_cfg.backend; see dist/region_exec.hh):
-     * `pool` fans regions out across the shared in-process thread
-     * pool; `procs` forks a fleet of sim_cfg.jobs persistent worker
-     * processes and ships each region's warm state to one of them as
-     * a checkpoint (microarch state via a shared-memory arena,
-     * functional state plus task/result frames on a CRC32-checked
-     * socketpair protocol). Region metrics are bit-identical across
-     * backends and worker counts; under `procs` a killed or wedged
-     * worker is retried within the region's attempt budget (after
-     * re-warming with the identical stop schedule) instead of
-     * aborting the phase.
      *
      * Fault tolerance: a region whose simulation throws or diverges
      * (end marker unreachable within the watchdog budget) is retried

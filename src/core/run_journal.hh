@@ -155,9 +155,9 @@ class RunJournal
  * metric set reloads bit-identical to what the simulation produced.
  *
  * Inline so the codec is shared without a link dependency: the journal
- * itself uses it for persistence, and the multi-process region farm
- * (src/dist) ships exactly these journal-compatible completion records
- * over its wire protocol.
+ * itself uses it for persistence, and the stage cache (lp_store, which
+ * lp_core links) stores region-sim and full-sim metrics as exactly
+ * these lines.
  */
 inline std::string
 encodeJournalRecord(const RunJournal::Record &r)

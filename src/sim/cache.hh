@@ -143,8 +143,8 @@ class Cache
      * (imageBytes() bytes, 8-byte aligned) instead of the internal
      * vectors, releasing the latter. The memory must hold a valid
      * exported image and must outlive the cache (or the next bind).
-     * This is how a region-farm worker simulates directly in a
-     * shipped shared-memory checkpoint without copying it again.
+     * This is how a restored region simulates directly in its warm
+     * checkpoint payload without copying it again.
      */
     void bindImage(void *mem);
 

@@ -22,24 +22,6 @@ enum class CoreType : uint8_t
     InOrder     ///< Fig. 5b portability study
 };
 
-/**
- * Execution backend for checkpointed region simulation: where the
- * per-region detailed simulations run. Purely a host-side knob —
- * region metrics are bit-identical across backends and worker counts.
- */
-enum class ExecBackendKind : uint8_t
-{
-    Pool, ///< in-process work-stealing thread pool (default)
-    Procs ///< coordinator + forked worker processes (src/dist)
-};
-
-/** "pool" / "procs". */
-constexpr const char *
-execBackendName(ExecBackendKind kind)
-{
-    return kind == ExecBackendKind::Procs ? "procs" : "pool";
-}
-
 /** One cache level's geometry. */
 struct CacheConfig
 {
@@ -125,22 +107,6 @@ struct SimConfig
     uint32_t jobs = 1;
 
     /**
-     * Execution backend for the checkpointed region simulations (see
-     * ExecBackendKind). Host-side only and deliberately excluded from
-     * describe(): the run-journal fingerprint must not change with the
-     * backend, so --resume composes across pool and procs runs.
-     */
-    ExecBackendKind backend = ExecBackendKind::Pool;
-
-    /**
-     * Procs backend only: SIGKILL a worker process whose region has
-     * been in flight longer than this many seconds (a wedged worker),
-     * then retry the region like any other worker death. 0 disables
-     * the timeout. Host-side only; excluded from describe().
-     */
-    double workerTimeoutSeconds = 0.0;
-
-    /**
      * Use the straightforward scan-based core scheduler instead of the
      * event-driven heap in detailed mode. Purely a host-side knob: the
      * two schedulers make bit-identical decisions (the golden-metrics
@@ -187,8 +153,8 @@ struct SimConfig
      * Canonical one-line encoding of every *result-affecting*
      * (microarchitectural) field — the config partition that keys the
      * run journal and the store's region-simulation stage. Host-side
-     * knobs (jobs, backend, obs, retries, watchdog, worker timeout,
-     * reference scheduler, analysis passes, fault plan) are
+     * knobs (jobs, obs, retries, watchdog, reference scheduler,
+     * analysis passes, fault plan) are
      * deliberately absent: flipping them never changes simulated
      * metrics, so they must never invalidate cached results. Unlike
      * describe(), this covers prefetchDegree and the op latencies —

@@ -182,7 +182,8 @@ class MulticoreSim
      * clocks, dependence rings, statistics) is reset when detailed
      * simulation enters. The layout is a pure function of the
      * configuration, so a sim built from the same Program/configs can
-     * adopt an image exported by another process.
+     * adopt an image another sim exported (a warm checkpoint taken by
+     * the warming pass or loaded from the store).
      *
      * adoptMicroarchState() binds the cache arrays directly into
      * `mem` (zero-copy): the memory must stay valid while the sim

@@ -20,7 +20,7 @@
  *
  * Concurrency contract: every mutation (publish, gc) and every lookup
  * holds an exclusive flock on `.lock` and reloads the manifest first,
- * so pool/procs workers, parallel campaigns, and concurrent processes
+ * so pool workers, parallel campaigns, and concurrent processes
  * share one store without torn state. A lookup holds it only to
  * resolve the binding and open the object; reading and both integrity
  * checks run unlocked on the open descriptor, and an eviction re-takes

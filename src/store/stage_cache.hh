@@ -11,7 +11,7 @@
  * transitive — a new recording re-keys profiling, clustering, and
  * simulation automatically — while the field partition keeps it
  * minimal: changing a cache size re-keys only the simulation stages,
- * and host-side knobs (jobs, backend, obs, retries, ...) appear in no
+ * and host-side knobs (jobs, obs, retries, ...) appear in no
  * key at all.
  *
  *   record   f(program, threads, wait policy, seed, flow quantum)
@@ -123,7 +123,7 @@ class StageCache
     /** The key is bound (manifest only: nothing is read or counted). */
     bool hasWarm(const std::string &key);
     /** The integrity-checked checkpoint payload (format: WarmSnapshot
-     * in dist/region_run.hh; decoding is the caller's). */
+     * in core/region_run.hh; decoding is the caller's). */
     std::optional<std::string> loadWarm(const std::string &key);
     void publishWarm(const std::string &key, const std::string &payload);
 

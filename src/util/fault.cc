@@ -114,11 +114,15 @@ parseClause(const std::string &clause)
                   clause.c_str());
         if (!have_kind)
             spec.kind = FaultSpec::Kind::Throw;
+        if (spec.kind == FaultSpec::Kind::Wedge)
+            fatal("--inject-fault: sim clause '%s': kind=wedge is a "
+                  "campaign job fault (job:index=N,kind=wedge); a "
+                  "region simulation cannot hang", clause.c_str());
         if (spec.kind == FaultSpec::Kind::FlipByte ||
             spec.kind == FaultSpec::Kind::Crash ||
             spec.kind == FaultSpec::Kind::CorruptResult)
             fatal("--inject-fault: sim clause '%s' expects kind "
-                  "throw, diverge, kill, wedge, or interrupt",
+                  "throw, diverge, kill, or interrupt",
                   clause.c_str());
     } else if (site == "corrupt") {
         spec.site = FaultSpec::Site::Corrupt;

@@ -15,15 +15,7 @@
  *   sim:region=3,kind=diverge         region 3's end marker is made
  *                                     unreachable (watchdog territory)
  *   sim:region=3,kind=kill            host death: aborts the phase,
- *                                     not retried (journal-resume path;
- *                                     under --backend=procs the worker
- *                                     process SIGKILLs itself instead
- *                                     and the region is retried)
- *   sim:region=3,kind=wedge           the attempt hangs: a procs
- *                                     worker stalls until the
- *                                     coordinator's --worker-timeout
- *                                     kills it; under the pool backend
- *                                     it degenerates to kind=throw
+ *                                     not retried (journal-resume path)
  *   sim:region=3,kind=interrupt       a shutdown request fires before
  *                                     region 3 warms: the run parks at
  *                                     the boundary and exits 4 (the
@@ -67,10 +59,8 @@ struct FaultSpec
         Throw,    ///< the attempt throws InjectedFault (retryable)
         Diverge,  ///< the end marker becomes unreachable
         Kill,     ///< InjectedKill aborts the whole phase (not retried)
-        Wedge,    ///< the attempt hangs forever (procs: worker-timeout
-                  ///< territory; pool degenerates to Throw so the
-                  ///< phase still terminates; job site: ignores
-                  ///< SIGTERM so the watchdog must escalate)
+        Wedge,    ///< job site: the child hangs and ignores SIGTERM,
+                  ///< so the watchdog must escalate
         FlipByte, ///< corrupt-site: XOR 0xFF one payload byte
         Interrupt, ///< sim site: request shutdown at this boundary
         Crash,     ///< job site: the child SIGKILLs itself

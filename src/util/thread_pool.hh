@@ -71,12 +71,12 @@ class ThreadPool
     static uint32_t defaultWorkers();
 
     /**
-     * Resolve a user-facing worker-count knob (--jobs / --workers):
-     * 0 means "auto-detect" and resolves to defaultWorkers()
+     * Resolve a user-facing worker-count knob (--jobs): 0 means
+     * "auto-detect" and resolves to defaultWorkers()
      * (std::thread::hardware_concurrency, clamped to at least 1);
      * any other value is taken as is. The one shared helper for every
-     * such knob, so auto-detection is uniform across the pool and
-     * procs backends and the analysis phase.
+     * such knob, so auto-detection is uniform across region
+     * simulation, warming partitions and the analysis phase.
      */
     static uint32_t
     resolveWorkers(uint32_t requested)

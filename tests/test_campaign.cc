@@ -25,6 +25,7 @@
 #include "campaign/campaign.hh"
 #include "campaign/campaign_journal.hh"
 #include "campaign/supervisor.hh"
+#include "obs/json.hh"
 #include "util/backoff.hh"
 #include "util/checksum.hh"
 #include "util/fault.hh"
@@ -470,6 +471,50 @@ TEST(Supervisor, CrashFaultCostsOneAttemptNotTheCampaign)
     ASSERT_FALSE(jnl.load(true));
     EXPECT_EQ(countEvents(jnl, 0, "fail-transient"), 1u);
     EXPECT_EQ(countEvents(jnl, 0, "ok"), 1u);
+}
+
+/**
+ * A host death mid-simulation ends the job's attempt; the retry
+ * resumes from the job's run journal and writes the clean job's
+ * prediction and coverage.
+ */
+TEST(Supervisor, KilledJobResumesFromItsJournal)
+{
+    auto job_dir_of = [](const CampaignSpec &spec,
+                         const CampaignJob &job) {
+        makeCampaignDir(spec.outDir);
+        const std::string job_dir = spec.outDir + "/" + job.id;
+        makeCampaignDir(job_dir);
+        return job_dir;
+    };
+    auto spec_in = [](const std::string &name) {
+        CampaignSpec spec = tinySpec(freshDir(name));
+        // Five regions at 4 threads; region 1 is the third in warming
+        // order, so two regions are journaled when it dies.
+        spec.apps = {"spec-lbm-1"};
+        return spec;
+    };
+    const CampaignSpec killed_spec = spec_in("job_killed");
+    CampaignJob job = expandCampaignMatrix(killed_spec)[0];
+    const std::string killed_dir = job_dir_of(killed_spec, job);
+    ExperimentConfig dying =
+        campaignJobConfig(job, killed_dir, killed_spec);
+    dying.sim.faults = FaultPlan::parse("sim:region=1,kind=kill");
+    EXPECT_THROW(runExperiment(dying), InjectedKill);
+    ASSERT_TRUE(campaignJobConfig(job, killed_dir, killed_spec).resume);
+    EXPECT_EQ(runCampaignJob(job, killed_dir, killed_spec), 0);
+
+    const CampaignSpec clean_spec = spec_in("job_clean");
+    const std::string clean_dir = job_dir_of(clean_spec, job);
+    EXPECT_EQ(runCampaignJob(job, clean_dir, clean_spec), 0);
+
+    auto resumed = parseJson(slurp(killed_dir + "/result.json"));
+    auto clean = parseJson(slurp(clean_dir + "/result.json"));
+    ASSERT_TRUE(resumed && clean);
+    EXPECT_EQ(resumed->numberOr("predictedRuntime", -1.0),
+              clean->numberOr("predictedRuntime", -2.0));
+    EXPECT_EQ(resumed->numberOr("coverage", -1.0),
+              clean->numberOr("coverage", -2.0));
 }
 
 TEST(Supervisor, WedgeFaultIsClearedByWatchdogEscalation)

@@ -162,6 +162,7 @@ TEST(FaultPlan, RejectsMalformedSpecs)
                  FatalError);
     EXPECT_THROW(FaultPlan::parse("corrupt:seed=3"), FatalError);
     EXPECT_THROW(FaultPlan::parse("sim:region"), FatalError);
+    EXPECT_THROW(FaultPlan::parse("sim:region=1,kind=wedge"), FatalError);
 }
 
 // ------------------------------------------------ artifact fixtures

@@ -428,10 +428,6 @@ TEST(StageKeys, UarchPartitionCoversEveryResultAffectingField)
     const std::vector<std::pair<const char *,
                                 void (*)(SimConfig &)>> host_knobs = {
         {"jobs", [](SimConfig &c) { c.jobs = 16; }},
-        {"backend",
-         [](SimConfig &c) { c.backend = ExecBackendKind::Procs; }},
-        {"workerTimeoutSeconds",
-         [](SimConfig &c) { c.workerTimeoutSeconds = 5.0; }},
         {"referenceScheduler",
          [](SimConfig &c) { c.referenceScheduler = true; }},
         {"obs.trace", [](SimConfig &c) { c.obs.trace = true; }},
@@ -543,7 +539,6 @@ TEST(StageKeys, InvalidationTable)
         EXPECT_EQ(StageCache::clusterKey("HASH_P", m), clus);
         SimConfig host = sim;
         host.jobs = 32;
-        host.backend = ExecBackendKind::Procs;
         host.obs.trace = true;
         host.regionRetries = 5;
         EXPECT_EQ(StageCache::simKey("HASH_C", host, false), simk);
@@ -568,7 +563,6 @@ TEST(StageKeys, JournalKeyUsesUarchPartition)
 
     SimConfig host = a;
     host.jobs = 8;
-    host.backend = ExecBackendKind::Procs;
     host.obs.metrics = true;
     RunKey kh = makeRunKey("app", "test", 4, WaitPolicy::Passive, 42,
                            false, host);

@@ -29,6 +29,15 @@ TEST(ThreadPool, DefaultWorkersAtLeastOne)
     EXPECT_EQ(three.numWorkers(), 3u);
 }
 
+TEST(ThreadPool, ResolveWorkersAutoDetects)
+{
+    EXPECT_EQ(ThreadPool::resolveWorkers(0),
+              ThreadPool::defaultWorkers());
+    EXPECT_GE(ThreadPool::resolveWorkers(0), 1u);
+    EXPECT_EQ(ThreadPool::resolveWorkers(1), 1u);
+    EXPECT_EQ(ThreadPool::resolveWorkers(5), 5u);
+}
+
 TEST(ThreadPool, SubmitReturnsValue)
 {
     ThreadPool pool(2);

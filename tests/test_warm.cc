@@ -4,8 +4,8 @@
  * region's stored start state and what must not); set-partitioned
  * warming (the owned-set assembly equals a single hierarchy's image,
  * through the worker queues too); bit-identity of every uarch preset
- * at jobs 1–4 on both backends, with and without a store, against the
- * serial warming pass; and the miss paths — a corrupt object, a
+ * at jobs 1–4, with and without a store, against the serial warming
+ * pass; and the miss paths — a corrupt object, a
  * mismatched image, an interrupted and resumed run, retries.
  */
 
@@ -105,13 +105,11 @@ analyzed()
 }
 
 SimConfig
-presetConfig(const std::string &preset, uint32_t jobs = 1,
-             ExecBackendKind backend = ExecBackendKind::Pool)
+presetConfig(const std::string &preset, uint32_t jobs = 1)
 {
     SimConfig sim;
     applyUarchPreset(sim, preset);
     sim.jobs = jobs;
-    sim.backend = backend;
     return sim;
 }
 
@@ -210,8 +208,6 @@ TEST(StageKeys, WarmPartitionCoversEveryWarmAffectingField)
         {"latAtomicExtra",
          [](SimConfig &c) { c.latAtomicExtra = 20; }},
         {"jobs", [](SimConfig &c) { c.jobs = 16; }},
-        {"backend",
-         [](SimConfig &c) { c.backend = ExecBackendKind::Procs; }},
         {"regionRetries", [](SimConfig &c) { c.regionRetries = 3; }},
         {"obs.trace", [](SimConfig &c) { c.obs.trace = true; }},
     };
@@ -420,7 +416,6 @@ TEST(PartitionedWarming, PartitionCountFollowsJobsAndThePrefetcher)
 
 struct Combo
 {
-    ExecBackendKind backend;
     uint32_t jobs;
     bool constrained;
 };
@@ -428,8 +423,7 @@ struct Combo
 std::string
 comboName(const testing::TestParamInfo<Combo> &info)
 {
-    return std::string(execBackendName(info.param.backend)) + "_j" +
-           std::to_string(info.param.jobs) +
+    return "pool_j" + std::to_string(info.param.jobs) +
            (info.param.constrained ? "_constrained" : "_unconstrained");
 }
 
@@ -457,8 +451,7 @@ TEST_P(WarmStageBitIdentity, EveryPresetMatchesTheSerialWarmingPass)
     ASSERT_GE(numRegions(), 3u);
     for (const std::string &preset : kPresets) {
         auto ckpt = runPhase(
-            nullptr, presetConfig(preset, combo.jobs, combo.backend),
-            combo.constrained);
+            nullptr, presetConfig(preset, combo.jobs), combo.constrained);
         EXPECT_EQ(ckpt.warmPartitions,
                   expectedPartitions(preset, combo.jobs))
             << preset;
@@ -469,8 +462,7 @@ TEST_P(WarmStageBitIdentity, EveryPresetMatchesTheSerialWarmingPass)
     ArtifactStore store(freshStoreDir(comboName({combo, 0})));
     StageCache cache(store);
     for (const std::string &preset : kPresets) {
-        const SimConfig sim =
-            presetConfig(preset, combo.jobs, combo.backend);
+        const SimConfig sim = presetConfig(preset, combo.jobs);
         auto ckpt = runPhase(&cache, sim, combo.constrained);
         const bool hit =
             preset != "baseline" && sharesBaselineWarmState(preset);
@@ -491,9 +483,8 @@ TEST_P(WarmStageBitIdentity, EveryPresetMatchesTheSerialWarmingPass)
     }
     // A second pass over the store: every preset now hits.
     for (const char *preset : {"big-l2", "prefetch"}) {
-        auto ckpt = runPhase(
-            &cache, presetConfig(preset, combo.jobs, combo.backend),
-            combo.constrained);
+        auto ckpt = runPhase(&cache, presetConfig(preset, combo.jobs),
+                             combo.constrained);
         EXPECT_TRUE(ckpt.warmStageHit) << preset;
         EXPECT_EQ(ckpt.regionMetrics,
                   reference(preset, combo.constrained))
@@ -503,22 +494,9 @@ TEST_P(WarmStageBitIdentity, EveryPresetMatchesTheSerialWarmingPass)
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, WarmStageBitIdentity,
-    testing::Values(Combo{ExecBackendKind::Pool, 1, false},
-                    Combo{ExecBackendKind::Pool, 2, false},
-                    Combo{ExecBackendKind::Pool, 3, false},
-                    Combo{ExecBackendKind::Pool, 4, false},
-                    Combo{ExecBackendKind::Pool, 1, true},
-                    Combo{ExecBackendKind::Pool, 2, true},
-                    Combo{ExecBackendKind::Pool, 3, true},
-                    Combo{ExecBackendKind::Pool, 4, true},
-                    Combo{ExecBackendKind::Procs, 1, false},
-                    Combo{ExecBackendKind::Procs, 2, false},
-                    Combo{ExecBackendKind::Procs, 3, false},
-                    Combo{ExecBackendKind::Procs, 4, false},
-                    Combo{ExecBackendKind::Procs, 1, true},
-                    Combo{ExecBackendKind::Procs, 2, true},
-                    Combo{ExecBackendKind::Procs, 3, true},
-                    Combo{ExecBackendKind::Procs, 4, true}),
+    testing::Values(Combo{1, false}, Combo{2, false}, Combo{3, false},
+                    Combo{4, false}, Combo{1, true}, Combo{2, true},
+                    Combo{3, true}, Combo{4, true}),
     comboName);
 
 // ---------------------------------------------------------- miss paths
@@ -719,8 +697,7 @@ TEST(PartitionedWarming, InterruptAndResumeAtJobs4)
     interruptAndResume(4);
 }
 
-/** Retries re-run from a copy of the restored checkpoint (pool), or
- * re-warm serially after a worker death (procs). */
+/** Retries re-run from a copy of the restored checkpoint. */
 TEST(PartitionedWarming, RetriedRegionsMatchAtJobs4)
 {
     SimConfig flaky = presetConfig("baseline", 4);
@@ -729,15 +706,6 @@ TEST(PartitionedWarming, RetriedRegionsMatchAtJobs4)
     auto ckpt = runPhase(nullptr, flaky, false);
     EXPECT_EQ(ckpt.warmPartitions, 4u);
     EXPECT_EQ(ckpt.regionOutcomes[0].attempts, 2u);
-    EXPECT_EQ(ckpt.coverage, 1.0);
-    EXPECT_EQ(ckpt.regionMetrics, reference("baseline", false));
-
-    SimConfig killed = presetConfig("baseline", 4, ExecBackendKind::Procs);
-    killed.regionRetries = 1;
-    killed.faults = FaultPlan::parse("sim:region=0,kind=kill,times=1");
-    ckpt = runPhase(nullptr, killed, false);
-    EXPECT_EQ(ckpt.warmPartitions, 4u);
-    EXPECT_EQ(ckpt.workerRespawns, 1u);
     EXPECT_EQ(ckpt.coverage, 1.0);
     EXPECT_EQ(ckpt.regionMetrics, reference("baseline", false));
 }

@@ -61,7 +61,6 @@ usage()
         "  --out=DIR          campaign directory (required)\n"
         "  --store=DIR        artifact store (default: <out>/store)\n"
         "  --jobs=N           host workers per job (default: 1)\n"
-        "  --backend=B        pool | procs (default: pool)\n"
         "  --wait-policy=P    passive | active (default: passive)\n"
         "  --seed=N           analysis seed (default: 42)\n"
         "  --no-fullsim       skip per-job ground-truth simulation\n"
@@ -101,7 +100,8 @@ usage()
         "\nJobs are grouped by (app, input, threads) so consecutive\n"
         "uarch points reuse the analysis stages from the store. Each\n"
         "job runs in a forked child: crashes cost one attempt, never\n"
-        "the sweep. Completed jobs are adopted from campaign.journal\n"
+        "the sweep, and the retry resumes the job from its run\n"
+        "journal bit-identically. Completed jobs are adopted from campaign.journal\n"
         "on restart (exactly-once); SIGINT/SIGTERM drains at the next\n"
         "job boundary (exit 4, resumable), a second signal kills the\n"
         "running child first.\n",
@@ -173,8 +173,6 @@ parseCli(int argc, char **argv)
             spec.storeDir = value;
         } else if (parseArg(argc, argv, i, "--jobs", &value)) {
             spec.jobs = static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "--backend", &value)) {
-            spec.backend = value;
         } else if (parseArg(argc, argv, i, "--wait-policy", &value)) {
             spec.waitPolicy = value;
         } else if (parseArg(argc, argv, i, "--seed", &value)) {

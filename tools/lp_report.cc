@@ -268,7 +268,6 @@ reportTrace(const Options &opt)
     const Event *checkpointed = nullptr;
     std::map<int64_t, const Event *> regionSims;  // region id -> span
     std::map<int64_t, const Event *> regionWarms; // region id -> span
-    std::vector<const Event *> workerTasks;       // backend.task spans
     for (const Event &ev : spans) {
         if (ev.mirror)
             continue;
@@ -288,8 +287,6 @@ reportTrace(const Options &opt)
             regionSims[region_of()] = &ev;
         else if (ev.name == "warm.fastforward" || ev.name == "warm.load")
             regionWarms[region_of()] = &ev;
-        else if (ev.name == "backend.task")
-            workerTasks.push_back(&ev);
     }
 
     std::printf("== phases (mirrored spans excluded) ==\n");
@@ -333,23 +330,12 @@ reportTrace(const Options &opt)
         const double jobs = arg("jobs");
         const double phase_ms = cp.durUs / 1e3;
 
-        // Busy time inside the phase. For the in-process pool that is
-        // every region body plus the (serial) warming stops, measured
-        // on the threads that ran them. Under the procs backend the
-        // region work happens in forked worker processes that cannot
-        // write into this trace; the coordinator records one
-        // backend.task span per dispatched region on a per-worker
-        // virtual track, and aggregating those tracks (plus the
-        // coordinator's serial warming) is the multi-process
-        // equivalent of the thread busy time.
+        // Busy time inside the phase: every region body plus the
+        // (serial) warming stops, measured on the threads that ran
+        // them.
         double busy_ms = 0.0;
-        if (!workerTasks.empty()) {
-            for (const Event *ev : workerTasks)
-                busy_ms += ev->durUs / 1e3;
-        } else {
-            for (const auto &[region, ev] : regionSims)
-                busy_ms += ev->durUs / 1e3;
-        }
+        for (const auto &[region, ev] : regionSims)
+            busy_ms += ev->durUs / 1e3;
         for (const auto &[region, ev] : regionWarms)
             busy_ms += ev->durUs / 1e3;
         if (jobs > 0.0 && phase_ms > 0.0)
@@ -357,35 +343,6 @@ reportTrace(const Options &opt)
                         "over phase %.3f ms -> efficiency %.0f%%\n",
                         jobs, busy_ms, phase_ms,
                         100.0 * busy_ms / (phase_ms * jobs));
-
-        // Per-worker utilization (procs backend only): how evenly the
-        // coordinator sharded regions across worker processes.
-        if (!workerTasks.empty() && phase_ms > 0.0) {
-            struct WorkerAgg
-            {
-                size_t regions = 0;
-                double busyUs = 0.0;
-            };
-            std::map<int64_t, WorkerAgg> workers;
-            for (const Event *ev : workerTasks) {
-                auto it = ev->numArgs.find("worker");
-                const int64_t w =
-                    it == ev->numArgs.end()
-                        ? static_cast<int64_t>(-1)
-                        : static_cast<int64_t>(it->second);
-                WorkerAgg &agg = workers[w];
-                ++agg.regions;
-                agg.busyUs += ev->durUs;
-            }
-            std::printf("\n== workers (procs backend) ==\n");
-            std::printf("%6s %8s %12s %7s\n", "worker", "regions",
-                        "busy ms", "util %");
-            for (const auto &[w, agg] : workers)
-                std::printf("%6lld %8zu %12.3f %7.0f\n",
-                            static_cast<long long>(w), agg.regions,
-                            agg.busyUs / 1e3,
-                            100.0 * agg.busyUs / 1e3 / phase_ms);
-        }
 
         // Critical path: a region cannot start before its checkpoint
         // exists; the fanout's floor is the slowest
@@ -477,25 +434,6 @@ reportMetrics(const Options &opt)
         const double sum = v.numberOr("sum", 0.0);
         std::printf("%-32s count %.0f, mean %.1f\n", name.c_str(),
                     count, count > 0.0 ? sum / count : 0.0);
-    }
-    // Wire-protocol overhead of the multi-process backend: what the
-    // coordinator spent framing, checksumming, and shipping region
-    // tasks relative to the payload it moved.
-    auto counter = [&](const char *name) {
-        const JsonValue *v = counters->find(name);
-        return v && v->isNumber() ? v->number : 0.0;
-    };
-    const double frames =
-        counter("backend.procs.frames_tx") +
-        counter("backend.procs.frames_rx");
-    if (frames > 0.0) {
-        const double bytes = counter("backend.procs.bytes_tx") +
-                             counter("backend.procs.bytes_rx");
-        std::printf("protocol       : %.0f frame(s), %.0f byte(s), "
-                    "%.3f ms coordinator overhead (%.1f us/frame)\n",
-                    frames, bytes,
-                    counter("backend.procs.protocol_us") / 1e3,
-                    counter("backend.procs.protocol_us") / frames);
     }
     if (opt.check)
         std::printf("metrics check  : %zu violation(s)\n",

@@ -45,11 +45,6 @@ struct CliOptions
     /** Host workers for the parallel phases; 0 = hardware concurrency
      * (resolved at parse time so the report shows the real width). */
     uint32_t jobs = 0;
-    /** Execution backend for region simulation: "pool" or "procs". */
-    std::string backend = "pool";
-    /** Procs backend: SIGKILL a wedged worker after this many
-     * seconds; 0 = no timeout. */
-    double workerTimeout = 0.0;
     std::string inputClass = "test";
     std::string waitPolicy = "passive";
     bool native = false;
@@ -91,17 +86,6 @@ usage()
         "                       the prefetcher is on); 0 or omitted\n"
         "                       = auto-detect (hardware concurrency).\n"
         "                       Results are identical for any N\n"
-        "      --workers=N      alias for --jobs (the region-farm\n"
-        "                       vocabulary; same auto-detect rule)\n"
-        "      --backend=B      execution backend for region\n"
-        "                       simulation: pool (in-process thread\n"
-        "                       pool, default) or procs (forked\n"
-        "                       worker processes; bit-identical\n"
-        "                       metrics, isolates worker crashes)\n"
-        "      --worker-timeout=S  procs only: SIGKILL a worker\n"
-        "                       stuck on one region for more than S\n"
-        "                       seconds, then retry the region\n"
-        "                       (default: 0 = no timeout)\n"
         "  -i, --input-class=C  test | train | ref | A | C | D\n"
         "                       (default: test)\n"
         "  -w, --wait-policy=P  passive | active (default: passive)\n"
@@ -171,16 +155,12 @@ usage()
         "     rerun with --resume continues bit-identically. A third\n"
         "     signal skips the graceful stop and dies immediately\n"
         "  3  runtime failure: I/O error, corrupt artifact or journal,\n"
-        "     or (injected) crash. Note the backends differ on a\n"
-        "     worker crash by design: under --backend=pool a (real or\n"
-        "     injected) death takes the whole run down (exit 3, resume\n"
-        "     with --resume); under --backend=procs it kills one\n"
-        "     worker process and the region is retried within its\n"
-        "     --region-retries budget (exit 0 when recovered, 1 when\n"
-        "     the region dropped). --journal/--resume compose with\n"
-        "     either backend: the journal identity excludes host-side\n"
-        "     knobs, so a procs run can resume a pool run's journal\n"
-        "     and vice versa\n"
+        "     or (injected) crash. A crash mid-simulation (real, or\n"
+        "     an injected kind=kill) ends the run; completed regions\n"
+        "     are already journaled, so --resume (or lp_campaign's\n"
+        "     automatic retry) continues it bit-identically. The\n"
+        "     journal identity excludes host-side knobs, so the\n"
+        "     resumed run may use a different --jobs\n"
         "\nexamples (artifact appendix):\n"
         "  ./run_looppoint -p demo-matrix-1 -n 8 --force\n"
         "  ./run_looppoint -p demo-matrix-2,demo-matrix-3 -w active "
@@ -238,14 +218,8 @@ parseCli(int argc, char **argv)
             opts.programs = splitCommas(value);
         } else if (parseArg(argc, argv, i, "-n", "--ncores", &value)) {
             opts.ncores = static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "-j", "--jobs", &value) ||
-                   parseArg(argc, argv, i, "", "--workers", &value)) {
+        } else if (parseArg(argc, argv, i, "-j", "--jobs", &value)) {
             opts.jobs = static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "", "--backend", &value)) {
-            opts.backend = value;
-        } else if (parseArg(argc, argv, i, "", "--worker-timeout",
-                            &value)) {
-            opts.workerTimeout = std::stod(value);
         } else if (parseArg(argc, argv, i, "-i", "--input-class",
                             &value)) {
             opts.inputClass = value;
@@ -305,10 +279,6 @@ parseCli(int argc, char **argv)
     }
     if (opts.waitPolicy != "passive" && opts.waitPolicy != "active")
         fatal("wait policy must be 'passive' or 'active'");
-    if (opts.backend != "pool" && opts.backend != "procs")
-        fatal("backend must be 'pool' or 'procs'");
-    if (opts.workerTimeout < 0.0)
-        fatal("--worker-timeout must be >= 0");
     // Validate the fault spec and uarch preset up front: a malformed
     // one is a usage error (exit 2), not a runtime failure.
     FaultPlan::parse(opts.faultSpec);
@@ -377,9 +347,6 @@ runOne(const std::string &program, const CliOptions &cli)
     cfg.sim.analysis.audit = cli.audit;
     cfg.sim.analysis.maxFindings = cli.maxFindings;
     cfg.sim.regionRetries = cli.regionRetries;
-    cfg.sim.backend = cli.backend == "procs" ? ExecBackendKind::Procs
-                                             : ExecBackendKind::Pool;
-    cfg.sim.workerTimeoutSeconds = cli.workerTimeout;
     cfg.sim.faults = FaultPlan::parse(cli.faultSpec);
     cfg.sim.obs.trace = !cli.tracePath.empty();
     cfg.sim.obs.metrics = !cli.metricsPath.empty();
@@ -457,12 +424,6 @@ runOne(const std::string &program, const CliOptions &cli)
                 "(efficiency %.0f%%)\n",
                 r.jobs, r.warmPartitions, r.wallPhaseSeconds,
                 r.hostParallelSpeedup, 100.0 * r.hostParallelEfficiency);
-    std::printf("backend        : %s, %u worker(s)",
-                execBackendName(r.backend), r.jobs);
-    if (r.backend == ExecBackendKind::Procs)
-        std::printf(", %u death(s), %u respawn(s)", r.workerDeaths,
-                    r.workerRespawns);
-    std::printf("\n");
     std::printf("theo. speedup  : %.1fx serial, %.1fx parallel\n\n",
                 r.theoreticalSerialSpeedup,
                 r.theoreticalParallelSpeedup);
