@@ -59,6 +59,12 @@
 # then a store + journal fixture is deliberately corrupted and the
 # audit must flag exactly the injected defects.
 #
+# With --e2e-smoke every BENCHMARK.json workload runs once through
+# e2ebench/run.py with --seconds 0: untraced at workload seeds 42 and
+# 7, plus one traced run. Each result must report correct: true (its
+# output fingerprints match e2ebench/expected.txt) and failed: 0.
+# Outputs only; there is no timing gate.
+#
 # With --faults the fault-tolerance layer is exercised under
 # AddressSanitizer (-DLOOPPOINT_SANITIZE=address in build-asan/): the
 # corruption/journal/fault-injection test subset runs first, then
@@ -125,6 +131,34 @@ if [ "$1" = "--faults" ]; then
     } || exit 1
     rm -f "$journal" "$journal.kill"
     echo "faults OK"
+    exit 0
+fi
+
+if [ "$1" = "--e2e-smoke" ]; then
+    echo "== e2e smoke: every benchmark workload, fingerprints only =="
+    workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))') || exit 1
+    out=$(mktemp /tmp/lp_e2e_smoke.XXXXXX)
+    for w in $workloads; do
+        for run in "--trace 0 --workload-seed 42" "--trace 0 --workload-seed 7" \
+                   "--trace 1 --workload-seed 42"; do
+            echo "-- $w $run"
+            # shellcheck disable=SC2086
+            python3 e2ebench/run.py --workload "$w" --seconds 0 $run > "$out" || {
+                tail -n 20 "$out"
+                echo "e2e-smoke FAIL: $w ($run) exited nonzero"; exit 1; }
+            python3 - "$out" <<'PYEOF' || { echo "e2e-smoke FAIL: $w ($run)"; exit 1; }
+import json, sys
+last = open(sys.argv[1]).read().strip().splitlines()[-1]
+result = json.loads(last)
+print("correct=%s attempted=%s failed=%s" % (
+    result["correct"], result["attempted"], result["failed"]))
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
+PYEOF
+        done
+    done
+    rm -f "$out"
+    echo "e2e-smoke OK"
     exit 0
 fi
 

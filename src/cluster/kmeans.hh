@@ -11,6 +11,7 @@
 #ifndef LOOPPOINT_CLUSTER_KMEANS_HH
 #define LOOPPOINT_CLUSTER_KMEANS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,11 +34,15 @@ struct KmeansResult
     double distortion = 0.0;
     /** Number of Lloyd iterations executed. */
     uint32_t iterations = 0;
+    /** Squared-difference terms evaluated (the work the pruning left). */
+    uint64_t distanceTerms = 0;
 };
 
 /**
  * Lloyd's algorithm with k-means++ seeding. Deterministic for a given
- * rng state. Requires 1 <= k <= rows.
+ * rng state. Requires 1 <= k <= rows. Distance sums whose outcome is
+ * already decided stop early; assignment, centroids, distortion and
+ * iteration count are bit-identical to the unpruned algorithm.
  */
 KmeansResult kmeans(const FeatureMatrix &points, uint32_t k, Rng &rng,
                     uint32_t max_iters = 100);
@@ -61,6 +66,12 @@ struct ClusteringResult
     /** Measured wall time of the whole sweep. */
     double sweepWallSeconds = 0.0;
 };
+
+/**
+ * The k values simpointCluster scans for `rows` points: every value up
+ * to 16, then coarser steps, clamped to at most rows / 2.
+ */
+std::vector<uint32_t> simpointCandidateKs(size_t rows, uint32_t max_k);
 
 /**
  * Scan k over 1..maxK (every value up to 16, then coarser steps, all

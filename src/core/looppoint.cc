@@ -188,10 +188,19 @@ LoopPointPipeline::analyze()
     Tracer &tracer = Tracer::global();
 
     // (1) Record the whole program once as a pinball, building the DCFG
-    // from the same execution. With a stage cache, a prior run's
-    // pinball is reused when the recording key (workload, threads,
-    // wait policy, seed, flow quantum) matches.
+    // and profiling the slices from the same execution. With a stage
+    // cache, a prior run's pinball is reused when the recording key
+    // (workload, threads, wait policy, seed, flow quantum) matches.
+    //
+    // The slices' boundary markers are the DCFG's main-image loop
+    // headers, known only once the run ends, so the recording slices
+    // at markers predicted from the static program. When the
+    // prediction equals the DCFG's list, the recorded slices are the
+    // ones a replay would produce: the same block streams cut at the
+    // same markers. Otherwise they are dropped and step (3) replays.
+    const uint64_t slice_global = opts.sliceSizePerThread * cfg.numThreads;
     std::optional<Dcfg> dcfg;
+    bool profiled = false;
     {
         ScopedSpan span(tracer, "analyze.record");
         std::string key;
@@ -210,17 +219,29 @@ LoopPointPipeline::analyze()
             }
         }
         if (!out.stageHashes.recordHit) {
+            const std::vector<BlockId> predicted =
+                predictMainImageLoopHeaders(*prog);
             DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
+            SliceProfiler profiler(*prog, predicted, slice_global,
+                                   cfg.numThreads, opts.filterSpin);
+            ListenerPair listeners(dcfg_builder, profiler);
             out.pinball = recordPinball(*prog, cfg, opts.flowQuantum,
-                                        &dcfg_builder);
+                                        &listeners);
             dcfg = dcfg_builder.build();
+            if (!predicted.empty() &&
+                dcfg->mainImageLoopHeaders() == predicted) {
+                profiler.finalize();
+                out.slices = profiler.takeSlices();
+                profiled = true;
+            }
             if (cache)
                 out.stageHashes.record =
                     cache->publishPinball(key, out.pinball);
         }
         span.arg("threads", cfg.numThreads)
             .arg("cached", out.stageHashes.recordHit)
-            .arg("dcfg", dcfg.has_value());
+            .arg("dcfg", dcfg.has_value())
+            .arg("profile", profiled);
     }
 
     // (2) A store-served pinball gets its DCFG (the legal region
@@ -235,9 +256,11 @@ LoopPointPipeline::analyze()
         dcfg = dcfg_builder.build();
     };
 
-    // (3) Constrained replay: collect per-slice, per-thread BBVs with
+    // (3) The profile stage: per-slice, per-thread BBVs with
     // spin/synchronization filtering. Keyed on the recording's content
-    // hash plus the fields this stage consumes.
+    // hash plus the fields this stage consumes. Without a hit, the
+    // slices come from the recording, or else from a constrained
+    // replay (a store-served pinball, or a mispredicted marker set).
     std::string profile_key;
     if (cache && !out.stageHashes.record.empty()) {
         profile_key =
@@ -249,24 +272,24 @@ LoopPointPipeline::analyze()
         }
     }
     if (!out.stageHashes.profileHit) {
-        if (!dcfg)
-            build_dcfg();
-        std::vector<BlockId> markers = dcfg->mainImageLoopHeaders();
-        if (markers.empty())
-            fatal("program '%s' exposes no main-image loop headers to "
-                  "mark regions", prog->name.c_str());
-        const uint64_t slice_global =
-            opts.sliceSizePerThread * cfg.numThreads;
-        SliceProfiler profiler(*prog, markers, slice_global,
-                               cfg.numThreads, opts.filterSpin);
-        {
+        if (!profiled) {
+            if (!dcfg)
+                build_dcfg();
+            std::vector<BlockId> markers = dcfg->mainImageLoopHeaders();
+            if (markers.empty())
+                fatal("program '%s' exposes no main-image loop headers "
+                      "to mark regions", prog->name.c_str());
+            SliceProfiler profiler(*prog, markers, slice_global,
+                                   cfg.numThreads, opts.filterSpin);
             ScopedSpan span(tracer, "analyze.profile");
+            span.arg("reason", out.stageHashes.recordHit
+                                   ? "store_pinball"
+                                   : "marker_mismatch");
             replayPinball(*prog, out.pinball, opts.flowQuantum,
                           &profiler);
             profiler.finalize();
-            out.slices = profiler.slices();
-            span.arg("slices",
-                     static_cast<uint64_t>(out.slices.size()));
+            out.slices = profiler.takeSlices();
+            span.arg("slices", static_cast<uint64_t>(out.slices.size()));
         }
         if (cache)
             out.stageHashes.profile =

@@ -316,6 +316,50 @@ Dcfg::mainImageLoopHeaders() const
     return headers;
 }
 
+namespace {
+
+void
+predictInnerLoopHeaders(const std::vector<BodyItem> &items,
+                        std::vector<BlockId> &out)
+{
+    for (const BodyItem &item : items) {
+        // A back edge needs a second trip in some execution.
+        if (item.kind == BodyItem::Kind::Loop &&
+            item.trips + item.tripJitter >= 2)
+            out.push_back(item.blocks[0]);
+        predictInnerLoopHeaders(item.children, out);
+    }
+}
+
+} // namespace
+
+std::vector<BlockId>
+predictMainImageLoopHeaders(const Program &prog)
+{
+    std::vector<char> runs(prog.kernels.size(), 0);
+    std::vector<char> back_to_back(prog.kernels.size(), 0);
+    for (size_t i = 0; i < prog.runList.size(); ++i) {
+        runs[prog.runList[i]] = 1;
+        if (i > 0 && prog.runList[i] == prog.runList[i - 1])
+            back_to_back[prog.runList[i]] = 1;
+    }
+    std::vector<BlockId> headers;
+    for (size_t k = 0; k < prog.kernels.size(); ++k) {
+        if (!runs[k])
+            continue;
+        const LoweredKernel &kernel = prog.kernels[k];
+        headers.push_back(kernel.workerHeader);
+        if (back_to_back[k])
+            headers.push_back(kernel.entryBlock);
+        predictInnerLoopHeaders(kernel.body, headers);
+    }
+    std::sort(headers.begin(), headers.end(),
+              [&](BlockId a, BlockId b) {
+                  return prog.blocks[a].pc < prog.blocks[b].pc;
+              });
+    return headers;
+}
+
 bool
 Dcfg::isLoopHeader(BlockId id) const
 {

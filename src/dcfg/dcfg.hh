@@ -104,6 +104,18 @@ class Dcfg
 };
 
 /**
+ * Static prediction of Dcfg::mainImageLoopHeaders() for any execution
+ * of `prog`, read off the program's structure; sorted by PC like the
+ * DCFG's list. Blocks of kernels that never run head no loop; a run
+ * kernel's worker header does; its entry block does when the run list
+ * repeats the kernel back to back (thread 0's exit-to-entry summary
+ * edge); a body-tree inner loop does when its trip count can reach 2.
+ * A prediction, not a proof: callers compare it with the DCFG built
+ * from the same execution before relying on it.
+ */
+std::vector<BlockId> predictMainImageLoopHeaders(const Program &prog);
+
+/**
  * ExecListener that accumulates DCFG edges from a live execution.
  * Per-thread transitions only: a thread migrating between blocks forms
  * an edge; two threads in unrelated blocks do not. A replay of a

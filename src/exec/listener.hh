@@ -28,6 +28,30 @@ class ExecListener
                          const ExecutionEngine &engine) = 0;
 };
 
+/**
+ * Lets two listeners observe one execution: every event goes to
+ * `first`, then to `second`.
+ */
+class ListenerPair : public ExecListener
+{
+  public:
+    ListenerPair(ExecListener &first, ExecListener &second)
+        : a(&first), b(&second)
+    {}
+
+    void
+    onBlock(uint32_t tid, BlockId block,
+            const ExecutionEngine &engine) override
+    {
+        a->onBlock(tid, block, engine);
+        b->onBlock(tid, block, engine);
+    }
+
+  private:
+    ExecListener *a;
+    ExecListener *b;
+};
+
 } // namespace looppoint
 
 #endif // LOOPPOINT_EXEC_LISTENER_HH

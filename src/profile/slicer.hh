@@ -29,7 +29,7 @@ class SliceProfiler : public ExecListener
     /**
      * @param prog the program being profiled
      * @param marker_blocks legal boundary blocks (main-image loop
-     *        headers from the DCFG)
+     *        headers from the DCFG, or their static prediction)
      * @param slice_size_global target slice size in global filtered
      *        instructions
      * @param num_threads thread count of the profiled execution
@@ -46,6 +46,9 @@ class SliceProfiler : public ExecListener
     void finalize();
 
     const std::vector<SliceRecord> &slices() const { return sliceList; }
+
+    /** Move the slices out (after finalize()); the profiler is spent. */
+    std::vector<SliceRecord> takeSlices() { return std::move(sliceList); }
 
     /** Global execution count of a marker block so far. */
     uint64_t markerCount(BlockId block) const;

@@ -106,15 +106,6 @@ struct SimConfig
      */
     uint32_t jobs = 1;
 
-    /**
-     * Use the straightforward scan-based core scheduler instead of the
-     * event-driven heap in detailed mode. Purely a host-side knob: the
-     * two schedulers make bit-identical decisions (the golden-metrics
-     * tests assert it); the reference path exists as the oracle for
-     * those tests and for debugging.
-     */
-    bool referenceScheduler = false;
-
     /** Optional guest-program verification passes. */
     AnalysisConfig analysis;
 

@@ -309,8 +309,6 @@ MulticoreSim::runDetailedImpl(Stop &&stop)
 SimMetrics
 MulticoreSim::runDetailed(const std::function<bool()> &stop)
 {
-    if (simCfg.referenceScheduler)
-        return runDetailedReference(stop);
     if (stop)
         return runDetailedImpl([&stop] { return stop(); });
     return runDetailedImpl(NeverStop{});
@@ -322,8 +320,6 @@ MulticoreSim::runDetailedUntil(BlockId block, uint64_t count)
     auto at_end = [this, block, count] {
         return eng.blockExecCount(block) >= count;
     };
-    if (simCfg.referenceScheduler)
-        return runDetailedReference(at_end);
     return runDetailedImpl(at_end);
 }
 
@@ -344,89 +340,10 @@ MulticoreSim::runDetailedUntilBudget(BlockId block, uint64_t count,
         return eng.blockExecCount(block) >= count ||
                eng.globalIcount() >= limit;
     };
-    SimMetrics m = simCfg.referenceScheduler
-                       ? runDetailedReference(at_end)
-                       : runDetailedImpl(at_end);
+    SimMetrics m = runDetailedImpl(at_end);
     if (reached)
         *reached = eng.blockExecCount(block) >= count;
     return m;
-}
-
-SimMetrics
-MulticoreSim::runDetailedReference(const std::function<bool()> &stop)
-{
-    // Align clocks and reset statistics at the region start.
-    hierarchy.resetStats();
-    for (auto &core : cores) {
-        core.resetTime();
-        core.resetStats();
-    }
-    const uint64_t icount_base = eng.globalIcount();
-    const uint64_t filtered_base = eng.globalFilteredIcount();
-
-    std::vector<char> asleep(numThreads, 0);
-    bool done = false;
-    while (!done) {
-        // Pick the runnable thread with the smallest core-local time.
-        uint32_t best = numThreads;
-        uint64_t best_time = std::numeric_limits<uint64_t>::max();
-        for (uint32_t tid = 0; tid < numThreads; ++tid) {
-            if (eng.finished(tid) || asleep[tid])
-                continue;
-            if (!eng.runnable(tid)) {
-                asleep[tid] = 1;
-                continue;
-            }
-            uint64_t t = cores[tid].time();
-            if (t < best_time) {
-                best_time = t;
-                best = tid;
-            }
-        }
-        if (best == numThreads) {
-            if (eng.allFinished())
-                break;
-            // Everyone is asleep or finished: wake the runnable ones
-            // (a prior step may have released them).
-            bool woke = false;
-            for (uint32_t tid = 0; tid < numThreads; ++tid) {
-                if (asleep[tid] && eng.runnable(tid)) {
-                    asleep[tid] = 0;
-                    woke = true;
-                }
-            }
-            if (!woke)
-                panic("MulticoreSim: deadlock in detailed mode");
-            continue;
-        }
-
-        StepResult r = eng.step(best);
-        switch (r.kind) {
-          case StepResult::Kind::Block: {
-            cores[best].executeBlock(prog->blocks[r.block],
-                                     eng.memRefs(best),
-                                     eng.branchTaken(best));
-            // Wake threads this step may have released; they resume at
-            // the waker's current time.
-            uint64_t now = cores[best].time();
-            for (uint32_t tid = 0; tid < numThreads; ++tid) {
-                if (asleep[tid] && eng.runnable(tid)) {
-                    asleep[tid] = 0;
-                    cores[tid].advanceTo(now);
-                }
-            }
-            if (stop && stop())
-                done = true;
-            break;
-          }
-          case StepResult::Kind::Blocked:
-            asleep[best] = 1;
-            break;
-          case StepResult::Kind::Finished:
-            break;
-        }
-    }
-    return collectMetrics(icount_base, filtered_base);
 }
 
 SimMetrics

@@ -218,13 +218,7 @@ class MulticoreSim
     template <typename Stop>
     SimMetrics runDetailedImpl(Stop &&stop);
 
-    /**
-     * The original scan-based scheduler, kept verbatim as the oracle
-     * for SimConfig::referenceScheduler and the golden-metrics tests.
-     */
-    SimMetrics runDetailedReference(const std::function<bool()> &stop);
-
-    /** Metric assembly shared by both detailed schedulers. */
+    /** Metric assembly at the end of a detailed run. */
     SimMetrics collectMetrics(uint64_t icount_base,
                               uint64_t filtered_base) const;
 
@@ -234,6 +228,13 @@ class MulticoreSim
     CacheHierarchy hierarchy;
     std::vector<CoreModel> cores;
     uint32_t numThreads;
+
+    /**
+     * The scan-based reference scheduler in tests/test_hotpath.cc, the
+     * oracle the event-driven one is checked against, drives the cores
+     * directly.
+     */
+    friend struct MulticoreSimPeer;
 };
 
 } // namespace looppoint

@@ -1,18 +1,196 @@
 /**
  * @file
  * Tests for k-means, BIC model selection, representatives, and the
- * random projection.
+ * random projection. The pruned production k-means is checked bit for
+ * bit against the textbook loop kept here as its oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "cluster/kmeans.hh"
+#include "core/looppoint.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
+#include "workload/descriptor.hh"
 
 namespace looppoint {
 namespace {
+
+/**
+ * Reference k-means: Lloyd's algorithm with k-means++ seeding, every
+ * distance summed in full (`distanceTerms` counts them). `reseeds`
+ * counts empty-cluster reseeds.
+ */
+KmeansResult
+referenceKmeans(const FeatureMatrix &points, uint32_t k, Rng &rng,
+                uint32_t *reseeds = nullptr, uint32_t max_iters = 100)
+{
+    const size_t n = points.size();
+    const size_t d = points[0].size();
+
+    KmeansResult res;
+    res.k = k;
+    auto refSqDist = [&](const std::vector<double> &a,
+                         const std::vector<double> &b) {
+        double sum = 0.0;
+        for (size_t i = 0; i < a.size(); ++i) {
+            double diff = a[i] - b[i];
+            sum += diff * diff;
+        }
+        res.distanceTerms += a.size();
+        return sum;
+    };
+
+    // k-means++ seeding.
+    std::vector<size_t> seeds;
+    seeds.push_back(rng.nextBounded(n));
+    std::vector<double> min_d2(n, std::numeric_limits<double>::max());
+    while (seeds.size() < k) {
+        for (size_t i = 0; i < n; ++i) {
+            double d2 = refSqDist(points[i], points[seeds.back()]);
+            min_d2[i] = std::min(min_d2[i], d2);
+        }
+        double total = 0.0;
+        for (double v : min_d2)
+            total += v;
+        size_t chosen;
+        if (total <= 0.0) {
+            chosen = rng.nextBounded(n); // all points identical
+        } else {
+            double target = rng.nextDouble() * total;
+            double acc = 0.0;
+            chosen = n - 1;
+            for (size_t i = 0; i < n; ++i) {
+                acc += min_d2[i];
+                if (acc >= target) {
+                    chosen = i;
+                    break;
+                }
+            }
+        }
+        seeds.push_back(chosen);
+    }
+    res.centroids.clear();
+    for (size_t s : seeds)
+        res.centroids.push_back(points[s]);
+
+    res.assignment.assign(n, 0);
+    for (uint32_t iter = 0; iter < max_iters; ++iter) {
+        res.iterations = iter + 1;
+        // Assignment step.
+        bool changed = false;
+        for (size_t i = 0; i < n; ++i) {
+            double best = std::numeric_limits<double>::max();
+            uint32_t best_c = 0;
+            for (uint32_t c = 0; c < k; ++c) {
+                double d2 = refSqDist(points[i], res.centroids[c]);
+                if (d2 < best) {
+                    best = d2;
+                    best_c = c;
+                }
+            }
+            if (res.assignment[i] != best_c) {
+                res.assignment[i] = best_c;
+                changed = true;
+            }
+        }
+        // Update step.
+        FeatureMatrix sums(k, std::vector<double>(d, 0.0));
+        std::vector<size_t> counts(k, 0);
+        for (size_t i = 0; i < n; ++i) {
+            uint32_t c = res.assignment[i];
+            ++counts[c];
+            for (size_t j = 0; j < d; ++j)
+                sums[c][j] += points[i][j];
+        }
+        for (uint32_t c = 0; c < k; ++c) {
+            if (counts[c] == 0) {
+                // Re-seed an empty cluster at the point farthest from
+                // its centroid (centroids below c already moved).
+                size_t far_i = 0;
+                double far_d = -1.0;
+                for (size_t i = 0; i < n; ++i) {
+                    double d2 = refSqDist(points[i],
+                                          res.centroids[res.assignment[i]]);
+                    if (d2 > far_d) {
+                        far_d = d2;
+                        far_i = i;
+                    }
+                }
+                res.centroids[c] = points[far_i];
+                if (reseeds)
+                    ++*reseeds;
+                changed = true;
+                continue;
+            }
+            for (size_t j = 0; j < d; ++j)
+                res.centroids[c][j] =
+                    sums[c][j] / static_cast<double>(counts[c]);
+        }
+        if (!changed)
+            break;
+    }
+
+    res.distortion = 0.0;
+    for (size_t i = 0; i < n; ++i)
+        res.distortion += refSqDist(points[i],
+                                    res.centroids[res.assignment[i]]);
+    return res;
+}
+
+void
+expectKmeansIdentical(const KmeansResult &ref, const KmeansResult &opt,
+                      const FeatureMatrix &points)
+{
+    EXPECT_EQ(ref.k, opt.k);
+    EXPECT_EQ(ref.assignment, opt.assignment);
+    EXPECT_EQ(ref.centroids, opt.centroids);
+    EXPECT_EQ(ref.distortion, opt.distortion);
+    EXPECT_EQ(ref.iterations, opt.iterations);
+    EXPECT_EQ(bicScore(points, ref), bicScore(points, opt));
+}
+
+/**
+ * Every k of simpointCluster's scan, seeded as the sweep seeds it:
+ * the production kernel must equal the reference bit for bit.
+ * Returns the reference's total empty-cluster reseeds.
+ */
+uint32_t
+expectSweepMatchesReference(const FeatureMatrix &points, uint64_t seed,
+                            uint32_t max_k = 50)
+{
+    uint32_t reseeds = 0;
+    for (uint32_t k : simpointCandidateKs(points.size(), max_k)) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        Rng r1(hashCombine(seed, k)), r2(hashCombine(seed, k));
+        KmeansResult ref = referenceKmeans(points, k, r1, &reseeds);
+        KmeansResult opt = kmeans(points, k, r2);
+        expectKmeansIdentical(ref, opt, points);
+        // Pruning never adds work.
+        EXPECT_GT(opt.distanceTerms, 0u);
+        EXPECT_LE(opt.distanceTerms, ref.distanceTerms);
+    }
+    return reseeds;
+}
+
+/**
+ * Small-integer features: many duplicate rows and exactly tied
+ * distances, the cases where tie-breaking and bound checks decide.
+ */
+FeatureMatrix
+makeTiedGrid(size_t rows, size_t dims, uint64_t levels, uint64_t seed)
+{
+    Rng rng(seed);
+    FeatureMatrix points(rows, std::vector<double>(dims));
+    for (auto &row : points)
+        for (double &v : row)
+            v = static_cast<double>(rng.nextBounded(levels));
+    return points;
+}
 
 /** Three well-separated Gaussian blobs in 2-D. */
 FeatureMatrix
@@ -139,6 +317,99 @@ TEST(Representatives, ClosestToCentroid)
     for (uint32_t c = 0; c < 3; ++c) {
         // The representative belongs to its own cluster.
         EXPECT_EQ(km.assignment[reps[c]], c);
+    }
+}
+
+TEST(KmeansOracle, TiedGridsMatchReference)
+{
+    // Few distinct rows: duplicates everywhere, exact distance ties.
+    expectSweepMatchesReference(makeTiedGrid(120, 3, 3, 1), 11);
+    expectSweepMatchesReference(makeTiedGrid(200, 16, 2, 2), 12);
+    // Long rows exercise the blocked bound checks.
+    expectSweepMatchesReference(makeTiedGrid(150, 37, 4, 3), 13);
+}
+
+TEST(KmeansOracle, RandomMatricesMatchReference)
+{
+    for (uint64_t seed : {21u, 22u}) {
+        Rng rng(seed);
+        FeatureMatrix points(180, std::vector<double>(24));
+        for (auto &row : points)
+            for (double &v : row)
+                v = rng.nextGaussian();
+        // Exact duplicates of some rows.
+        for (size_t i = 0; i < 30; ++i)
+            points[150 + i] = points[i * 3];
+        expectSweepMatchesReference(points, seed);
+    }
+}
+
+TEST(KmeansOracle, EmptyClusterReseedingMatchesReference)
+{
+    // Three distinct rows: once k exceeds three, k-means++ seeds land
+    // on duplicates, their clusters empty out, and the reseed scan
+    // reads centroids the same pass already moved.
+    FeatureMatrix points;
+    for (size_t i = 0; i < 40; ++i)
+        points.push_back(i % 3 == 0   ? std::vector<double>{0.0, 0.0}
+                         : i % 3 == 1 ? std::vector<double>{4.0, 0.0}
+                                      : std::vector<double>{0.0, 3.0});
+    points.push_back({1.0, 1.0});
+    const uint32_t reseeds = expectSweepMatchesReference(points, 5, 20);
+    EXPECT_GT(reseeds, 0u) << "the case must force empty clusters";
+}
+
+/** Projected features of a real app's slices, as analyze() builds them. */
+FeatureMatrix
+appFeatures(const char *app_name)
+{
+    const AppDescriptor &app = findApp(app_name);
+    LoopPointOptions opts;
+    opts.numThreads = app.effectiveThreads(4);
+    opts.sliceSizePerThread = 20'000;
+    Program prog = generateProgram(app, InputClass::Train);
+    LoopPointResult lp = LoopPointPipeline(prog, opts).analyze();
+    return buildFeatureMatrix(prog, lp.slices, opts.projectionDims,
+                              opts.seed);
+}
+
+TEST(KmeansOracle, RealAppFeaturesMatchReference)
+{
+    for (const char *app : {"654.roms_s.1", "628.pop2_s.1"}) {
+        SCOPED_TRACE(app);
+        FeatureMatrix points = appFeatures(app);
+        ASSERT_GT(points.size(), 100u);
+        expectSweepMatchesReference(points, hashCombine(42, 0xc1u));
+    }
+}
+
+TEST(KmeansOracle, SimpointClusterMatchesReferenceAtAnyJobs)
+{
+    FeatureMatrix points = appFeatures("654.roms_s.1");
+    const uint64_t seed = hashCombine(42, 0xc1u);
+    std::vector<KmeansResult> ref_runs;
+    for (uint32_t k : simpointCandidateKs(points.size(), 50)) {
+        Rng rng(hashCombine(seed, k));
+        ref_runs.push_back(referenceKmeans(points, k, rng));
+    }
+    for (uint32_t jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        std::optional<ThreadPool> pool;
+        if (jobs > 1)
+            pool.emplace(jobs);
+        ClusteringResult r = simpointCluster(
+            points, 50, seed, 0.9, pool ? &*pool : nullptr);
+        ASSERT_EQ(r.bicByK.size(), ref_runs.size());
+        size_t chosen = ref_runs.size();
+        for (size_t i = 0; i < ref_runs.size(); ++i) {
+            EXPECT_EQ(r.bicByK[i].first, ref_runs[i].k);
+            EXPECT_EQ(r.bicByK[i].second,
+                      bicScore(points, ref_runs[i]));
+            if (ref_runs[i].k == r.chosenK)
+                chosen = i;
+        }
+        ASSERT_LT(chosen, ref_runs.size());
+        expectKmeansIdentical(ref_runs[chosen], r.best, points);
     }
 }
 

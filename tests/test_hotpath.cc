@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -31,7 +34,107 @@
 #include "workload/descriptor.hh"
 
 namespace looppoint {
+
+/**
+ * The original scan-based detailed scheduler, kept as the oracle for
+ * MulticoreSim's event-driven one: each step scans every core for the
+ * runnable thread with the smallest core-local time (ties to the
+ * lowest tid), and every step rescans sleepers for wake-ups.
+ */
+struct MulticoreSimPeer
+{
+    static SimMetrics
+    runReference(MulticoreSim &sim, const std::function<bool()> &stop)
+    {
+        // Align clocks and reset statistics at the region start.
+        sim.hierarchy.resetStats();
+        for (auto &core : sim.cores) {
+            core.resetTime();
+            core.resetStats();
+        }
+        ExecutionEngine &eng = sim.eng;
+        auto &cores = sim.cores;
+        const uint32_t num_threads = sim.numThreads;
+        const uint64_t icount_base = eng.globalIcount();
+        const uint64_t filtered_base = eng.globalFilteredIcount();
+
+        std::vector<char> asleep(num_threads, 0);
+        bool done = false;
+        while (!done) {
+            // Pick the runnable thread with the smallest core time.
+            uint32_t best = num_threads;
+            uint64_t best_time = std::numeric_limits<uint64_t>::max();
+            for (uint32_t tid = 0; tid < num_threads; ++tid) {
+                if (eng.finished(tid) || asleep[tid])
+                    continue;
+                if (!eng.runnable(tid)) {
+                    asleep[tid] = 1;
+                    continue;
+                }
+                uint64_t t = cores[tid].time();
+                if (t < best_time) {
+                    best_time = t;
+                    best = tid;
+                }
+            }
+            if (best == num_threads) {
+                if (eng.allFinished())
+                    break;
+                // Everyone is asleep or finished: wake the runnable
+                // ones (a prior step may have released them).
+                bool woke = false;
+                for (uint32_t tid = 0; tid < num_threads; ++tid) {
+                    if (asleep[tid] && eng.runnable(tid)) {
+                        asleep[tid] = 0;
+                        woke = true;
+                    }
+                }
+                if (!woke)
+                    panic("reference scheduler: deadlock");
+                continue;
+            }
+
+            StepResult r = eng.step(best);
+            switch (r.kind) {
+              case StepResult::Kind::Block: {
+                cores[best].executeBlock(sim.prog->blocks[r.block],
+                                         eng.memRefs(best),
+                                         eng.branchTaken(best));
+                // Wake threads this step may have released; they
+                // resume at the waker's current time.
+                uint64_t now = cores[best].time();
+                for (uint32_t tid = 0; tid < num_threads; ++tid) {
+                    if (asleep[tid] && eng.runnable(tid)) {
+                        asleep[tid] = 0;
+                        cores[tid].advanceTo(now);
+                    }
+                }
+                if (stop && stop())
+                    done = true;
+                break;
+              }
+              case StepResult::Kind::Blocked:
+                asleep[best] = 1;
+                break;
+              case StepResult::Kind::Finished:
+                break;
+            }
+        }
+        return sim.collectMetrics(icount_base, filtered_base);
+    }
+};
+
 namespace {
+
+/** The reference scheduler until `block` has run `count` times. */
+SimMetrics
+runReferenceUntil(MulticoreSim &sim, BlockId block, uint64_t count)
+{
+    const ExecutionEngine &eng = sim.engine();
+    return MulticoreSimPeer::runReference(sim, [&] {
+        return eng.blockExecCount(block) >= count;
+    });
+}
 
 void
 expectMetricsIdentical(const SimMetrics &a, const SimMetrics &b,
@@ -63,6 +166,43 @@ struct PipelineOutput
     MetricPrediction pred;
 };
 
+/**
+ * Region metrics the plain serial way, under the reference scheduler:
+ * one warming pass stops at each region start in program order, and
+ * each region simulates from a deep copy of the warmed sim.
+ */
+std::vector<SimMetrics>
+referenceRegionMetrics(const Program &prog, const LoopPointOptions &opts,
+                       const LoopPointResult &lp, const SimConfig &sim_cfg)
+{
+    ExecConfig exec_cfg;
+    exec_cfg.numThreads = opts.numThreads;
+    exec_cfg.waitPolicy = opts.waitPolicy;
+    exec_cfg.seed = opts.seed;
+    std::vector<size_t> order(lp.regions.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return lp.regions[a].sliceIndex < lp.regions[b].sliceIndex;
+    });
+    const auto pc_index = buildPcIndex(prog);
+    MulticoreSim warming(prog, exec_cfg, sim_cfg);
+    std::vector<SimMetrics> metrics(lp.regions.size());
+    for (size_t idx : order) {
+        const LoopPointRegion &r = lp.regions[idx];
+        if (r.start.pc != 0 && r.start.count > 0)
+            warming.fastForwardUntil(pc_index.at(r.start.pc),
+                                     r.start.count, /*warm=*/true);
+        MulticoreSim region(warming);
+        metrics[idx] =
+            r.end.pc == 0
+                ? MulticoreSimPeer::runReference(region, {})
+                : runReferenceUntil(region, pc_index.at(r.end.pc),
+                                    r.end.count);
+    }
+    return metrics;
+}
+
 PipelineOutput
 runPipeline(const char *app_name, uint32_t jobs, bool reference)
 {
@@ -78,8 +218,11 @@ runPipeline(const char *app_name, uint32_t jobs, bool reference)
     out.lp = pipe.analyze();
     SimConfig sim_cfg;
     sim_cfg.jobs = jobs;
-    sim_cfg.referenceScheduler = reference;
-    out.ckpt = pipe.simulateRegionsCheckpointed(out.lp, sim_cfg);
+    if (reference)
+        out.ckpt.regionMetrics =
+            referenceRegionMetrics(prog, opts, out.lp, sim_cfg);
+    else
+        out.ckpt = pipe.simulateRegionsCheckpointed(out.lp, sim_cfg);
     out.pred =
         extrapolateMetrics(out.lp, out.ckpt.regionMetrics, sim_cfg);
     return out;
@@ -171,9 +314,8 @@ runScheduler(const Program &p, WaitPolicy policy, uint32_t threads,
              bool reference)
 {
     ExecConfig cfg{.numThreads = threads, .waitPolicy = policy};
-    SimConfig sc;
-    sc.referenceScheduler = reference;
-    return MulticoreSim(p, cfg, sc).run();
+    MulticoreSim sim(p, cfg, SimConfig{});
+    return reference ? MulticoreSimPeer::runReference(sim, {}) : sim.run();
 }
 
 TEST(HotpathScheduler, FullRunMatchesReferencePassive)
@@ -207,13 +349,10 @@ TEST(HotpathScheduler, RegionRunMatchesReference)
     const Addr wh_pc = p.blocks[wh].pc;
     ExecConfig cfg{.numThreads = 4, .waitPolicy = WaitPolicy::Passive};
 
-    SimConfig ref_cfg;
-    ref_cfg.referenceScheduler = true;
-    SimConfig opt_cfg;
-
-    SimMetrics ref = MulticoreSim(p, cfg, ref_cfg)
-                         .runRegion(wh_pc, 256, wh_pc, 640, true);
-    SimMetrics opt = MulticoreSim(p, cfg, opt_cfg)
+    MulticoreSim ref_sim(p, cfg, SimConfig{});
+    ref_sim.fastForwardUntil(wh, 256, /*warm=*/true);
+    SimMetrics ref = runReferenceUntil(ref_sim, wh, 640);
+    SimMetrics opt = MulticoreSim(p, cfg, SimConfig{})
                          .runRegion(wh_pc, 256, wh_pc, 640, true);
     expectMetricsIdentical(ref, opt, "warmed region");
 }

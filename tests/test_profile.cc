@@ -1,17 +1,26 @@
 /**
  * @file
  * Tests for the slice profiler: slice sizing, (PC, count) boundary
- * semantics, spin filtering, per-thread BBV collection, and the
- * stability of boundaries across wait policies.
+ * semantics, spin filtering, per-thread BBV collection, the stability
+ * of boundaries across wait policies, and profiling during the
+ * recording at statically predicted markers.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <sstream>
+
+#include "core/looppoint.hh"
 #include "dcfg/dcfg.hh"
 #include "exec/driver.hh"
 #include "exec/engine.hh"
 #include "isa/program_builder.hh"
+#include "obs/trace.hh"
+#include "pinball/pinball.hh"
 #include "profile/slicer.hh"
+#include "store/artifact_store.hh"
+#include "store/stage_cache.hh"
 #include "util/logging.hh"
 #include "workload/descriptor.hh"
 
@@ -203,6 +212,230 @@ TEST(PcIndex, MapsEveryBlock)
     EXPECT_EQ(index.size(), p.numBlocks());
     for (const auto &bb : p.blocks)
         EXPECT_EQ(index.at(bb.pc), bb.id);
+}
+
+// ---------------------------------------------------------------------
+// Profiling while recording: analyze() slices the recording at markers
+// predicted from the static program and keeps those slices only when
+// the prediction equals the DCFG's main-image loop headers.
+// ---------------------------------------------------------------------
+
+/** Same slices, same per-thread map contents and iteration order. */
+void
+expectSlicesIdentical(const std::vector<SliceRecord> &a,
+                      const std::vector<SliceRecord> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        const SliceRecord &x = a[i];
+        const SliceRecord &y = b[i];
+        EXPECT_EQ(x.index, y.index) << "slice " << i;
+        EXPECT_EQ(x.start, y.start) << "slice " << i;
+        EXPECT_EQ(x.end, y.end) << "slice " << i;
+        EXPECT_EQ(x.filteredIcount, y.filteredIcount) << "slice " << i;
+        EXPECT_EQ(x.totalIcount, y.totalIcount) << "slice " << i;
+        EXPECT_EQ(x.threadFilteredIcount, y.threadFilteredIcount)
+            << "slice " << i;
+        ASSERT_EQ(x.perThread.size(), y.perThread.size());
+        for (size_t t = 0; t < x.perThread.size(); ++t) {
+            std::vector<std::pair<BlockId, uint64_t>> xs(
+                x.perThread[t].counts.begin(),
+                x.perThread[t].counts.end());
+            std::vector<std::pair<BlockId, uint64_t>> ys(
+                y.perThread[t].counts.begin(),
+                y.perThread[t].counts.end());
+            EXPECT_EQ(xs, ys) << "slice " << i << " thread " << t;
+        }
+    }
+}
+
+/**
+ * For every app of `apps` at `input`, each thread count and both wait
+ * policies: the static prediction equals the recording's DCFG list,
+ * and the slices cut during the recording equal a replay's.
+ */
+void
+expectPredictionHolds(const std::vector<AppDescriptor> &apps,
+                      InputClass input,
+                      std::initializer_list<uint32_t> thread_counts)
+{
+    constexpr uint64_t kQuantum = 1000; // LoopPointOptions default
+    const uint64_t per_thread = input == InputClass::Test ? 25'000
+                                                          : 100'000;
+    for (const AppDescriptor &app : apps) {
+        const Program p = generateProgram(app, input);
+        const std::vector<BlockId> predicted =
+            predictMainImageLoopHeaders(p);
+        for (WaitPolicy policy : {WaitPolicy::Passive, WaitPolicy::Active})
+            for (uint32_t threads : thread_counts) {
+                ExecConfig cfg{.numThreads = app.effectiveThreads(threads),
+                               .waitPolicy = policy};
+                SCOPED_TRACE(p.name + " threads=" +
+                             std::to_string(cfg.numThreads) + " " +
+                             waitPolicyName(policy));
+                const uint64_t slice = per_thread * cfg.numThreads;
+                DcfgBuilder dcfg(p, cfg.numThreads);
+                SliceProfiler online(p, predicted, slice, cfg.numThreads);
+                ListenerPair both(dcfg, online);
+                Pinball pb = recordPinball(p, cfg, kQuantum, &both);
+                online.finalize();
+                ASSERT_EQ(dcfg.build().mainImageLoopHeaders(), predicted);
+
+                SliceProfiler replayed(p, predicted, slice,
+                                       cfg.numThreads);
+                replayPinball(p, pb, kQuantum, &replayed);
+                replayed.finalize();
+                expectSlicesIdentical(online.slices(), replayed.slices());
+            }
+    }
+}
+
+TEST(MarkerPrediction, Spec2017TestAndTrain)
+{
+    expectPredictionHolds(spec2017Apps(), InputClass::Test, {2, 4, 8});
+    expectPredictionHolds(spec2017Apps(), InputClass::Train, {2, 4, 8});
+}
+
+TEST(MarkerPrediction, NpbTestAndTrain)
+{
+    expectPredictionHolds(npbApps(), InputClass::Test, {2, 4, 8});
+    expectPredictionHolds(npbApps(), InputClass::Train, {2, 4, 8});
+}
+
+TEST(MarkerPrediction, PthreadTestAndTrain)
+{
+    expectPredictionHolds(pthreadApps(), InputClass::Test, {2, 4, 8});
+    expectPredictionHolds(pthreadApps(), InputClass::Train, {2, 4, 8});
+}
+
+TEST(MarkerPrediction, BackToBackKernelsAtRef)
+{
+    // At ref the run list repeats these apps' one kernel back to back,
+    // so the entry block heads a loop too.
+    expectPredictionHolds({findApp("npb-is"), findApp("pt-workqueue")},
+                          InputClass::Ref, {4});
+}
+
+/**
+ * Two kernels in alternation; `once` runs a single iteration per
+ * invocation, so its worker header never loops although the static
+ * rule predicts that it does.
+ */
+Program
+mispredictedProgram()
+{
+    ProgramBuilder b("mispredicted", 41);
+    uint32_t once = b.beginKernel("once", SchedPolicy::StaticFor, 1);
+    b.addStream({.footprintBytes = 1 << 14, .strideBytes = 8});
+    b.addBlock({.numInstrs = 40, .fracMem = 0.3, .streams = {0}});
+    b.endKernel();
+    uint32_t work = b.beginKernel("work", SchedPolicy::StaticFor, 64);
+    b.addStream({.footprintBytes = 1 << 16, .strideBytes = 8});
+    b.addBlock({.numInstrs = 30, .fracMem = 0.3, .streams = {0}});
+    b.endKernel();
+    b.runKernels({once, work}, 12);
+    return b.build();
+}
+
+/** Trace JSON of one analyze() call. */
+std::string
+tracedAnalyze(LoopPointPipeline &pipe, LoopPointResult &out)
+{
+    Tracer &tracer = Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    out = pipe.analyze();
+    std::ostringstream os;
+    tracer.writeChromeTrace(os);
+    tracer.setEnabled(false);
+    tracer.clear();
+    return os.str();
+}
+
+void
+expectAnalysisIdentical(const LoopPointResult &a, const LoopPointResult &b)
+{
+    expectSlicesIdentical(a.slices, b.slices);
+    EXPECT_EQ(a.chosenK, b.chosenK);
+    EXPECT_EQ(a.bicByK, b.bicByK);
+    EXPECT_EQ(a.assignment, b.assignment);
+    ASSERT_EQ(a.regions.size(), b.regions.size());
+    for (size_t i = 0; i < a.regions.size(); ++i) {
+        EXPECT_EQ(a.regions[i].start, b.regions[i].start);
+        EXPECT_EQ(a.regions[i].end, b.regions[i].end);
+        EXPECT_EQ(a.regions[i].multiplier, b.regions[i].multiplier);
+    }
+}
+
+TEST(MarkerPrediction, MispredictionFallsBackToReplay)
+{
+    const Program p = mispredictedProgram();
+    LoopPointOptions opts;
+    opts.numThreads = 4;
+    opts.sliceSizePerThread = 2'000;
+    ExecConfig cfg{.numThreads = opts.numThreads,
+                   .waitPolicy = opts.waitPolicy, .seed = opts.seed};
+
+    // The DCFG drops the `once` kernel's worker header.
+    DcfgBuilder dcfg(p, cfg.numThreads);
+    Pinball pb = recordPinball(p, cfg, opts.flowQuantum, &dcfg);
+    const std::vector<BlockId> markers =
+        dcfg.build().mainImageLoopHeaders();
+    ASSERT_EQ(markers, std::vector<BlockId>{p.kernels[1].workerHeader});
+    ASSERT_NE(predictMainImageLoopHeaders(p), markers);
+
+    LoopPointPipeline pipe(p, opts);
+    LoopPointResult lp;
+    const std::string trace = tracedAnalyze(pipe, lp);
+    EXPECT_NE(trace.find("\"profile\": 0"), std::string::npos);
+    EXPECT_NE(trace.find("\"reason\": \"marker_mismatch\""),
+              std::string::npos);
+
+    // The slices are the replay's at the DCFG's markers.
+    SliceProfiler replayed(p, markers,
+                           opts.sliceSizePerThread * opts.numThreads,
+                           opts.numThreads);
+    replayPinball(p, pb, opts.flowQuantum, &replayed);
+    replayed.finalize();
+    expectSlicesIdentical(lp.slices, replayed.slices());
+}
+
+TEST(MarkerPrediction, StorePinballReplaysToTheSameAnalysis)
+{
+    const AppDescriptor &app = findApp("654.roms_s.1");
+    const Program p = generateProgram(app, InputClass::Test);
+    LoopPointOptions opts;
+    opts.numThreads = 4;
+    opts.sliceSizePerThread = 20'000;
+
+    const std::string dir = testing::TempDir() + "lp_marker_store";
+    ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+    ArtifactStore store(dir);
+    StageCache cache(store);
+
+    // A cold run profiles while recording: no replay.
+    LoopPointPipeline cold(p, opts);
+    cold.setStageCache(&cache);
+    LoopPointResult cold_lp;
+    const std::string cold_trace = tracedAnalyze(cold, cold_lp);
+    EXPECT_NE(cold_trace.find("\"profile\": 1"), std::string::npos);
+    EXPECT_EQ(cold_trace.find("\"analyze.profile\""), std::string::npos);
+    LoopPointResult plain = LoopPointPipeline(p, opts).analyze();
+    expectAnalysisIdentical(cold_lp, plain);
+
+    // Another slice size reuses the stored pinball but not the
+    // profile: the slices come from a replay, equal to a fresh run's.
+    opts.sliceSizePerThread = 15'000;
+    LoopPointPipeline served(p, opts);
+    served.setStageCache(&cache);
+    LoopPointResult served_lp;
+    const std::string served_trace = tracedAnalyze(served, served_lp);
+    EXPECT_TRUE(served_lp.stageHashes.recordHit);
+    EXPECT_FALSE(served_lp.stageHashes.profileHit);
+    EXPECT_NE(served_trace.find("\"reason\": \"store_pinball\""),
+              std::string::npos);
+    expectAnalysisIdentical(served_lp,
+                            LoopPointPipeline(p, opts).analyze());
 }
 
 } // namespace

@@ -428,8 +428,6 @@ TEST(StageKeys, UarchPartitionCoversEveryResultAffectingField)
     const std::vector<std::pair<const char *,
                                 void (*)(SimConfig &)>> host_knobs = {
         {"jobs", [](SimConfig &c) { c.jobs = 16; }},
-        {"referenceScheduler",
-         [](SimConfig &c) { c.referenceScheduler = true; }},
         {"obs.trace", [](SimConfig &c) { c.obs.trace = true; }},
         {"obs.metrics", [](SimConfig &c) { c.obs.metrics = true; }},
         {"analysis.lint",

@@ -13,7 +13,8 @@
  * limit): max over regions of (checkpoint-ready time + region sim
  * time). A region's checkpoint is ready when its warm.fastforward stop
  * ends, or, in a phase served from stored warm checkpoints, when its
- * warm.load ends.
+ * warm.load ends. It also counts the whole-program executions the
+ * analysis made (the recording plus any DCFG or profile replay).
  *
  * --check turns lp_report into a validator: the document must parse,
  * every event must carry the Chrome trace-event required fields, 'X'
@@ -384,6 +385,28 @@ reportTrace(const Options &opt)
     } else if (opt.check) {
         log.failf("trace has no phase.checkpointed span");
     }
+
+    // Whole-program executions the analysis made to record and profile:
+    // the recording (unless the store served the pinball) plus each
+    // constrained replay.
+    size_t executions = 0;
+    bool analyzed = false;
+    for (const Event &ev : spans) {
+        if (ev.mirror)
+            continue;
+        if (ev.name == "analyze.record") {
+            analyzed = true;
+            auto it = ev.numArgs.find("cached");
+            if (it == ev.numArgs.end() || it->second == 0.0)
+                ++executions;
+        } else if (ev.name == "analyze.dcfg" ||
+                   ev.name == "analyze.profile") {
+            ++executions;
+        }
+    }
+    if (analyzed)
+        std::printf("\nanalysis       : %zu program execution(s)\n",
+                    executions);
 
     size_t journal_hits = 0;
     for (const Event &ev : instants)
