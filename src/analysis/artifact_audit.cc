@@ -1,7 +1,9 @@
 #include "analysis/artifact_audit.hh"
 
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -10,6 +12,7 @@
 #include <unordered_set>
 
 #include "core/region_checkpoint.hh"
+#include "core/region_run.hh"
 #include "store/artifact_store.hh"
 #include "util/logging.hh"
 
@@ -329,7 +332,7 @@ auditJournal(const AuditContext &ctx, DiagnosticSink &sink)
 
 // --------------------------------------------------------------- store
 
-/** record < profile < cluster < sim/fullsim in the stage DAG. */
+/** record < profile < cluster < warm/sim/fullsim in the stage DAG. */
 int
 stageRank(const std::string &stage)
 {
@@ -339,9 +342,48 @@ stageRank(const std::string &stage)
         return 1;
     if (stage == "cluster")
         return 2;
-    if (stage == "sim" || stage == "fullsim")
+    if (stage == "warm" || stage == "sim" || stage == "fullsim")
         return 3;
     return -1;
+}
+
+/**
+ * A warm checkpoint's `looppoint-warm-v1` header (core/region_run.hh)
+ * must name the constrained flag and the region its key ends with
+ * (StageCache::warmKey), and its image must fit between kImageOffset
+ * and the payload's end.
+ */
+void
+auditWarmHeader(const ArtifactStore::Entry &e, const std::string &payload,
+                const std::string &loc, DiagnosticSink &sink)
+{
+    constexpr size_t kOffset = WarmSnapshot::kImageOffset;
+    unsigned region = 0, constrained = 0;
+    uint64_t pc = 0, count = 0;
+    size_t image = 0;
+    int used = 0;
+    std::string header = payload.substr(0, kOffset - 1);
+    const bool ok =
+        payload.size() >= kOffset && payload[kOffset - 1] == '\n' &&
+        std::sscanf(header.c_str(),
+                    "looppoint-warm-v1 region=%u start=%" SCNu64
+                    ":%" SCNu64 " image=%zu constrained=%u%n",
+                    &region, &pc, &count, &image, &constrained,
+                    &used) == 5 &&
+        header.find_first_not_of(' ', used) == std::string::npos &&
+        e.key.ends_with(strFormat(";constrained=%u;region=%u;",
+                                  constrained, region)) &&
+        image <= payload.size() - kOffset;
+    if (ok)
+        return;
+    header.erase(header.find_last_not_of(' ') + 1);
+    sink.error(kPass, loc,
+               strFormat("warm checkpoint %s: header '%s' does not "
+                         "match its key (...%s) or its %zu-byte payload",
+                         e.hash.c_str(), header.c_str(),
+                         e.key.substr(e.key.rfind(";constrained=") + 1)
+                             .c_str(),
+                         payload.size()));
 }
 
 bool
@@ -358,7 +400,12 @@ auditStore(const AuditContext &ctx, DiagnosticSink &sink)
 {
     const std::string loc = strFormat("store %s", ctx.storeDir.c_str());
     ArtifactStore store(ctx.storeDir);
-    const size_t corrupt = store.verify();
+    const size_t corrupt =
+        store.verify([&](const ArtifactStore::Entry &e,
+                         const std::string &payload) {
+            if (e.stage == "warm")
+                auditWarmHeader(e, payload, loc, sink);
+        });
     if (corrupt > 0)
         sink.error(kPass, loc,
                    strFormat("%zu object(s) failed hash "

@@ -21,9 +21,10 @@
  *    and its region's identity;
  *  - journal: the run journal loads under its expected key, every
  *    record references an existing region and matches its identity;
- *  - store: every manifest entry hash-verifies and the stage-key
- *    chains (record -> profile -> cluster -> sim) are complete and
- *    acyclic.
+ *  - store: every manifest entry hash-verifies, the stage-key chains
+ *    (record -> profile -> cluster -> warm/sim) are complete and
+ *    acyclic, and every warm checkpoint's header matches its key and
+ *    payload length.
  *
  * Sub-checks run only when their inputs are present in the
  * AuditContext, so the same analysis serves lp_lint (program +

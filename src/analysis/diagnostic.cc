@@ -49,20 +49,6 @@ DiagnosticSink::take()
 }
 
 void
-DiagnosticSink::printText(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> guard(mtx);
-    printDiagnosticsText(os, list);
-}
-
-void
-DiagnosticSink::printJson(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> guard(mtx);
-    printDiagnosticsJson(os, list);
-}
-
-void
 printDiagnosticsText(std::ostream &os,
                      const std::vector<Diagnostic> &diags)
 {

@@ -80,9 +80,6 @@ class DiagnosticSink
     /** Move the collected list out (sink becomes empty). */
     std::vector<Diagnostic> take();
 
-    void printText(std::ostream &os) const;
-    void printJson(std::ostream &os) const;
-
   private:
     mutable std::mutex mtx;
     std::vector<Diagnostic> list;

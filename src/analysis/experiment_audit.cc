@@ -27,7 +27,6 @@ auditExperiment(const ExperimentConfig &cfg, ExperimentResult &res)
     opts.numThreads = threads;
     opts.waitPolicy = cfg.waitPolicy;
     opts.jobs = cfg.jobs;
-    opts.analysis = cfg.sim.analysis;
     SimConfig sim_cfg = cfg.sim;
     sim_cfg.jobs = cfg.jobs;
 

@@ -13,6 +13,7 @@
 #include "core/experiment.hh"
 #include "obs/json.hh"
 #include "util/checksum.hh"
+#include "util/crc_log.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
 
@@ -31,14 +32,7 @@ fmtDouble(double v)
 void
 atomicWrite(const std::string &path, const std::string &contents)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp);
-        if (!f)
-            fatal("cannot write '%s'", tmp.c_str());
-        f << contents;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    if (!writeFileAtomic(path, contents))
         fatal("cannot publish '%s': %s", path.c_str(),
               std::strerror(errno));
 }

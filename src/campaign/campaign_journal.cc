@@ -1,10 +1,6 @@
 #include "campaign/campaign_journal.hh"
 
-#include <cstdio>
-#include <fstream>
-
-#include "obs/metrics.hh"
-#include "util/checksum.hh"
+#include <algorithm>
 
 namespace looppoint {
 
@@ -15,8 +11,9 @@ constexpr const char *kJournalMagic = "looppoint-campaign-journal-v1";
 } // namespace
 
 CampaignJournal::CampaignJournal(std::string path,
-                                 std::string fingerprint_)
-    : filePath(std::move(path)), fingerprint(std::move(fingerprint_))
+                                 std::string fingerprint)
+    : log(std::move(path), {kJournalMagic, "key fp=" + fingerprint},
+          "campaign journal", "campaign.journal")
 {
 }
 
@@ -25,64 +22,12 @@ CampaignJournal::load(bool must_exist)
 {
     std::lock_guard<std::mutex> lock(mu);
     records.clear();
-    dropped = 0;
-
-    std::ifstream is(filePath);
-    if (!is) {
-        if (must_exist)
-            return LoadError{LoadErrorKind::Io,
-                             "cannot open campaign journal '" +
-                                 filePath + "'"};
-        return std::nullopt; // fresh journal
-    }
-
-    std::string line;
-    if (!std::getline(is, line))
-        return LoadError{LoadErrorKind::Truncated,
-                         "campaign journal is empty"};
-    auto magic = checkCrcLine(line);
-    if (!magic || *magic != kJournalMagic)
-        return LoadError{LoadErrorKind::BadMagic,
-                         "'" + filePath + "' is not a looppoint "
-                         "campaign journal"};
-    if (!std::getline(is, line))
-        return LoadError{LoadErrorKind::Truncated,
-                         "campaign journal has no key line"};
-    auto key_line = checkCrcLine(line);
-    if (!key_line)
-        return LoadError{LoadErrorKind::BadChecksum,
-                         "campaign journal key line fails its "
-                         "checksum"};
-    const std::string want = "key fp=" + fingerprint;
-    if (*key_line != want)
-        return LoadError{
-            LoadErrorKind::Validation,
-            "campaign journal was written by a different campaign "
-            "(key mismatch): journal has '" + *key_line +
-                "', this campaign is '" + want + "'"};
-
-    while (std::getline(is, line)) {
-        auto payload = checkCrcLine(line);
-        auto ev = payload ? parseCampaignEvent(*payload)
-                          : std::optional<CampaignEvent>();
-        if (!ev) {
-            // Torn tail: this record (and anything after it, which
-            // was written later) is unusable. Keep the valid prefix.
-            ++dropped;
-            while (std::getline(is, line))
-                ++dropped;
-            break;
-        }
-        records.push_back(std::move(*ev));
-    }
-    MetricsRegistry::global()
-        .counter("campaign.journal.loaded_records")
-        .add(records.size());
-    if (dropped)
-        MetricsRegistry::global()
-            .counter("campaign.journal.dropped_records")
-            .add(dropped);
-    return std::nullopt;
+    return log.open(must_exist, [&](const std::string &payload) {
+        auto ev = parseCampaignEvent(payload);
+        if (ev)
+            records.push_back(std::move(*ev));
+        return ev.has_value();
+    });
 }
 
 void
@@ -90,16 +35,7 @@ CampaignJournal::append(const CampaignEvent &ev)
 {
     std::lock_guard<std::mutex> lock(mu);
     records.push_back(ev);
-    if (!rewriteLocked()) {
-        ++writeFailures;
-        MetricsRegistry::global()
-            .counter("campaign.journal.failed_writes")
-            .add();
-    } else {
-        MetricsRegistry::global()
-            .counter("campaign.journal.appends")
-            .add();
-    }
+    log.append(encodeCampaignEvent(ev));
 }
 
 std::map<uint32_t, CampaignJournal::Ledger>
@@ -129,25 +65,6 @@ CampaignJournal::events() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return records;
-}
-
-bool
-CampaignJournal::rewriteLocked()
-{
-    const std::string tmp = filePath + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return false;
-        os << withCrcLine(kJournalMagic) << '\n';
-        os << withCrcLine("key fp=" + fingerprint) << '\n';
-        for (const auto &ev : records)
-            os << withCrcLine(encodeCampaignEvent(ev)) << '\n';
-        os.flush();
-        if (!os)
-            return false;
-    }
-    return std::rename(tmp.c_str(), filePath.c_str()) == 0;
 }
 
 } // namespace looppoint

@@ -22,12 +22,10 @@
  * code (-1 for signal deaths and non-exit events), `sig` the
  * terminating signal (0 when none).
  *
- * Appends rewrite the whole file to `<path>.tmp` and rename it over
- * the journal (atomic); a torn or corrupted *tail* in an existing
- * journal is tolerated — invalid trailing records are dropped and
- * counted, valid prefix records are kept. Append failures are counted
- * and swallowed: the journal is a recovery aid, never worth failing
- * the campaign for.
+ * The file is a CrcLog (util/crc_log.hh): appends go in place, and a
+ * torn tail is dropped on load() and cut by the next append. Append
+ * failures are counted and swallowed: the journal is a recovery aid,
+ * never worth failing the campaign for.
  */
 
 #ifndef LOOPPOINT_CAMPAIGN_CAMPAIGN_JOURNAL_HH
@@ -42,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "util/crc_log.hh"
 #include "util/load_result.hh"
 
 namespace looppoint {
@@ -74,7 +73,7 @@ class CampaignJournal
      */
     std::optional<LoadError> load(bool must_exist);
 
-    /** Record a transition and persist atomically (tmp + rename). */
+    /** Record a transition and append its line to the file. */
     void append(const CampaignEvent &ev);
 
     /** What the journal knows about one job, replayed in order. */
@@ -91,22 +90,15 @@ class CampaignJournal
     /** Replay the event stream into per-job ledgers. */
     std::map<uint32_t, Ledger> ledgers() const;
 
-    const std::string &path() const { return filePath; }
+    const std::string &path() const { return log.path(); }
     /** Copy of the loaded + appended events, in order. */
     std::vector<CampaignEvent> events() const;
     /** Invalid tail records dropped by load(). */
-    size_t droppedRecords() const { return dropped; }
-    /** Appends that failed to persist (disk full, permissions). */
-    size_t failedWrites() const { return writeFailures; }
+    size_t droppedRecords() const { return log.dropped(); }
 
   private:
-    bool rewriteLocked();
-
-    std::string filePath;
-    std::string fingerprint;
+    CrcLog log;
     std::vector<CampaignEvent> records;
-    size_t dropped = 0;
-    size_t writeFailures = 0;
     mutable std::mutex mu;
 };
 

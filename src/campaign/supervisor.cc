@@ -22,6 +22,7 @@
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "store/artifact_store.hh"
+#include "util/crc_log.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -551,18 +552,7 @@ CampaignSupervisor::writeStatus(const std::vector<CampaignJob> &jobs,
 
     // Best effort: a live surface is never worth failing the
     // campaign for.
-    const std::string tmp = statusPath + ".tmp";
-    {
-        std::ofstream f(tmp);
-        if (!f)
-            return;
-        f << os.str();
-        f.flush();
-        if (!f)
-            return;
-    }
-    if (std::rename(tmp.c_str(), statusPath.c_str()) != 0)
-        unlink(tmp.c_str());
+    writeFileAtomic(statusPath, os.str());
 }
 
 SupervisorResult

@@ -57,7 +57,6 @@ runExperiment(const ExperimentConfig &cfg)
     opts.numThreads = threads;
     opts.waitPolicy = cfg.waitPolicy;
     opts.jobs = cfg.jobs;
-    opts.analysis = cfg.sim.analysis;
     SimConfig sim_cfg = cfg.sim;
     sim_cfg.jobs = cfg.jobs;
 

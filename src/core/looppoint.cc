@@ -13,9 +13,6 @@
 #include <malloc.h>
 #endif
 
-#include "analysis/lockset.hh"
-#include "analysis/program_lint.hh"
-#include "analysis/race_detector.hh"
 #include "core/region_exec.hh"
 #include "core/run_journal.hh"
 #include "obs/metrics.hh"
@@ -197,7 +194,7 @@ LoopPointPipeline::analyze()
     // at markers predicted from the static program. When the
     // prediction equals the DCFG's list, the recorded slices are the
     // ones a replay would produce: the same block streams cut at the
-    // same markers. Otherwise they are dropped and step (3) replays.
+    // same markers. Otherwise they are dropped and step (2) replays.
     const uint64_t slice_global = opts.sliceSizePerThread * cfg.numThreads;
     std::optional<Dcfg> dcfg;
     bool profiled = false;
@@ -244,19 +241,7 @@ LoopPointPipeline::analyze()
             .arg("profile", profiled);
     }
 
-    // (2) A store-served pinball gets its DCFG (the legal region
-    // markers are its main-image loop headers) from a constrained
-    // replay, which reproduces the recorded block streams and so the
-    // same graph. A profile-stage hit skips it unless lint needs it.
-    auto build_dcfg = [&] {
-        ScopedSpan span(tracer, "analyze.dcfg");
-        DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
-        replayPinball(*prog, out.pinball, opts.flowQuantum,
-                      &dcfg_builder);
-        dcfg = dcfg_builder.build();
-    };
-
-    // (3) The profile stage: per-slice, per-thread BBVs with
+    // (2) The profile stage: per-slice, per-thread BBVs with
     // spin/synchronization filtering. Keyed on the recording's content
     // hash plus the fields this stage consumes. Without a hit, the
     // slices come from the recording, or else from a constrained
@@ -273,8 +258,17 @@ LoopPointPipeline::analyze()
     }
     if (!out.stageHashes.profileHit) {
         if (!profiled) {
-            if (!dcfg)
-                build_dcfg();
+            // A store-served pinball gets its DCFG (the legal region
+            // markers are its main-image loop headers) from a
+            // constrained replay, which reproduces the recorded block
+            // streams and so the same graph.
+            if (!dcfg) {
+                ScopedSpan span(tracer, "analyze.dcfg");
+                DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
+                replayPinball(*prog, out.pinball, opts.flowQuantum,
+                              &dcfg_builder);
+                dcfg = dcfg_builder.build();
+            }
             std::vector<BlockId> markers = dcfg->mainImageLoopHeaders();
             if (markers.empty())
                 fatal("program '%s' exposes no main-image loop headers "
@@ -297,44 +291,12 @@ LoopPointPipeline::analyze()
     }
     LP_ASSERT(!out.slices.empty());
 
-    // (2b) Optional verification passes over the recorded execution.
-    // They only produce diagnostics; the pipeline output is
-    // unaffected. Lint wants the DCFG, which a profile hit skipped.
-    if (opts.analysis.lint || opts.analysis.raceCheck ||
-        opts.analysis.lockCheck) {
-        if (opts.analysis.lint && !dcfg)
-            build_dcfg();
-        ScopedSpan span(tracer, "analyze.verify");
-        DiagnosticSink sink;
-        const uint32_t cap = opts.analysis.maxFindings
-                                 ? opts.analysis.maxFindings
-                                 : RaceDetector::kMaxReports;
-        if (opts.analysis.lint) {
-            LintContext lint_ctx;
-            lint_ctx.prog = prog;
-            lint_ctx.dcfg = &*dcfg;
-            lint_ctx.pinball = &out.pinball;
-            lint_ctx.flowQuantum = opts.flowQuantum;
-            ProgramLint().run(lint_ctx, sink);
-        }
-        if (opts.analysis.raceCheck)
-            checkGuestRaces(*prog, out.pinball, sink,
-                            opts.flowQuantum, cap);
-        if (opts.analysis.lockCheck)
-            checkGuestLockDiscipline(*prog, out.pinball, sink,
-                                     opts.flowQuantum, cap);
-        out.diagnostics = sink.take();
-        sortDiagnosticsCanonical(out.diagnostics);
-        span.arg("diagnostics",
-                 static_cast<uint64_t>(out.diagnostics.size()));
-    }
-
     for (const auto &s : out.slices) {
         out.totalFilteredIcount += s.filteredIcount;
         out.totalIcount += s.totalIcount;
     }
 
-    // (4) Cluster the projected BBVs and pick one representative per
+    // (3) Cluster the projected BBVs and pick one representative per
     // cluster, weighted by the cluster's share of the work (Eq. 2).
     // Both the projection and the K sweep fan out over the shared
     // pool when opts.jobs allows. Keyed on the profile artifact hash

@@ -66,14 +66,6 @@ struct LoopPointOptions
      * concurrency. Results are bit-identical for any value.
      */
     uint32_t jobs = 1;
-    /**
-     * Optional verification passes (ProgramLint over the recorded
-     * program + DCFG, and the happens-before race detector during an
-     * extra constrained replay). Findings land in
-     * LoopPointResult::diagnostics; the pipeline output itself is
-     * unaffected.
-     */
-    AnalysisConfig analysis;
 };
 
 /** One selected representative region ("looppoint"). */
@@ -122,7 +114,8 @@ struct LoopPointResult
     double clusterSerialSeconds = 0.0;
     /** Measured wall time of the clustering sweep. */
     double clusterWallSeconds = 0.0;
-    /** Findings of the enabled analysis passes (empty when off). */
+    /** Findings about this run: degraded regions (runExperiment)
+     * and, when audited, the artifact audit's (auditExperiment). */
     std::vector<Diagnostic> diagnostics;
     /** Artifact-store provenance (empty without a stage cache). */
     StageHashes stageHashes;

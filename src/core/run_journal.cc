@@ -1,10 +1,7 @@
 #include "core/run_journal.hh"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
-#include "obs/metrics.hh"
 #include "util/checksum.hh"
 
 namespace looppoint {
@@ -42,8 +39,9 @@ makeRunKey(const std::string &app, const std::string &input,
     return key;
 }
 
-RunJournal::RunJournal(std::string path, RunKey key_)
-    : filePath(std::move(path)), key(std::move(key_))
+RunJournal::RunJournal(std::string path, RunKey key)
+    : log(std::move(path), {kJournalMagic, key.encode()}, "run journal",
+          "journal")
 {
 }
 
@@ -52,60 +50,12 @@ RunJournal::load(bool must_exist)
 {
     std::lock_guard<std::mutex> lock(mu);
     records.clear();
-    dropped = 0;
-
-    std::ifstream is(filePath);
-    if (!is) {
-        if (must_exist)
-            return LoadError{LoadErrorKind::Io,
-                             "cannot open journal '" + filePath + "'"};
-        return std::nullopt; // fresh journal
-    }
-
-    std::string line;
-    if (!std::getline(is, line))
-        return LoadError{LoadErrorKind::Truncated, "journal is empty"};
-    auto magic = checkCrcLine(line);
-    if (!magic || *magic != kJournalMagic)
-        return LoadError{LoadErrorKind::BadMagic,
-                         "'" + filePath + "' is not a looppoint run "
-                         "journal"};
-    if (!std::getline(is, line))
-        return LoadError{LoadErrorKind::Truncated,
-                         "journal has no key line"};
-    auto key_line = checkCrcLine(line);
-    if (!key_line)
-        return LoadError{LoadErrorKind::BadChecksum,
-                         "journal key line fails its checksum"};
-    if (*key_line != key.encode())
-        return LoadError{
-            LoadErrorKind::Validation,
-            "journal was written by a different run (key mismatch): "
-            "journal has '" + *key_line + "', this run is '" +
-                key.encode() + "'"};
-
-    while (std::getline(is, line)) {
-        auto payload = checkCrcLine(line);
-        auto rec = payload ? parseJournalRecord(*payload)
-                           : std::optional<Record>();
-        if (!rec) {
-            // Torn tail: this record (and anything after it, which
-            // was written later) is unusable. Keep the valid prefix.
-            ++dropped;
-            while (std::getline(is, line))
-                ++dropped;
-            break;
-        }
-        records.push_back(std::move(*rec));
-    }
-    MetricsRegistry::global()
-        .counter("journal.loaded_records")
-        .add(records.size());
-    if (dropped)
-        MetricsRegistry::global()
-            .counter("journal.dropped_records")
-            .add(dropped);
-    return std::nullopt;
+    return log.open(must_exist, [&](const std::string &payload) {
+        auto rec = parseJournalRecord(payload);
+        if (rec)
+            records.push_back(std::move(*rec));
+        return rec.has_value();
+    });
 }
 
 std::optional<RunJournal::Record>
@@ -126,14 +76,7 @@ RunJournal::append(const Record &rec)
 {
     std::lock_guard<std::mutex> lock(mu);
     records.push_back(rec);
-    if (!rewriteLocked()) {
-        ++writeFailures;
-        MetricsRegistry::global()
-            .counter("journal.failed_writes")
-            .add();
-    } else {
-        MetricsRegistry::global().counter("journal.appends").add();
-    }
+    log.append(encodeJournalRecord(rec));
 }
 
 size_t
@@ -148,25 +91,6 @@ RunJournal::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return records;
-}
-
-bool
-RunJournal::rewriteLocked()
-{
-    const std::string tmp = filePath + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return false;
-        os << withCrcLine(kJournalMagic) << '\n';
-        os << withCrcLine(key.encode()) << '\n';
-        for (const auto &r : records)
-            os << withCrcLine(encodeJournalRecord(r)) << '\n';
-        os.flush();
-        if (!os)
-            return false;
-    }
-    return std::rename(tmp.c_str(), filePath.c_str()) == 0;
 }
 
 } // namespace looppoint

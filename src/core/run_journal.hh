@@ -19,13 +19,10 @@
  *   region idx=... start=pc:count end=pc:count mult=... attempts=...
  *       cycles=... ... l3m=... crc=...           (one line per region)
  *
- * Appends rewrite the whole file to `<path>.tmp` and std::rename it
- * over the journal, so a crash mid-write can never produce a torn
- * journal — at worst the last record is lost and its region
- * re-simulates. A torn or corrupted *tail* in an existing journal
- * (e.g. from an append that raced a power cut on a non-atomic
- * filesystem) is tolerated: invalid trailing records are dropped and
- * counted, valid prefix records are kept.
+ * The file is a CrcLog (util/crc_log.hh): appends go in place, and a
+ * torn tail is dropped on load() and cut by the next append, so at
+ * worst the last record is lost and its region re-simulates. A run
+ * that does not load() starts a fresh file on its first append.
  */
 
 #ifndef LOOPPOINT_CORE_RUN_JOURNAL_HH
@@ -42,6 +39,7 @@
 #include "profile/bbv.hh"
 #include "sim/config.hh"
 #include "sim/multicore.hh"
+#include "util/crc_log.hh"
 #include "util/load_result.hh"
 
 namespace looppoint {
@@ -121,31 +119,25 @@ class RunJournal
                                double multiplier) const;
 
     /**
-     * Record a completed region and persist the journal atomically
-     * (temp file + rename). Thread-safe: region tasks append
-     * concurrently. Disk failures are swallowed after counting — a
-     * journal is an optimization, never worth failing the run for.
+     * Record a completed region and append its line to the file.
+     * Thread-safe: region tasks append concurrently. Disk failures are
+     * swallowed after counting — a journal is an optimization, never
+     * worth failing the run for.
      */
     void append(const Record &rec);
 
-    const std::string &path() const { return filePath; }
+    const std::string &path() const { return log.path(); }
     size_t size() const;
     /** Copy of the current records (audit / reporting). */
     std::vector<Record> snapshot() const;
     /** Invalid tail records dropped by load(). */
-    size_t droppedRecords() const { return dropped; }
+    size_t droppedRecords() const { return log.dropped(); }
     /** Appends that failed to persist (disk full, permissions). */
-    size_t failedWrites() const { return writeFailures; }
+    size_t failedWrites() const { return log.failedWrites(); }
 
   private:
-    /** Serialize header + key + records to disk. Caller holds mu. */
-    bool rewriteLocked();
-
-    std::string filePath;
-    RunKey key;
+    CrcLog log;
     std::vector<Record> records;
-    size_t dropped = 0;
-    size_t writeFailures = 0;
     mutable std::mutex mu;
 };
 

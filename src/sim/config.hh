@@ -32,26 +32,6 @@ struct CacheConfig
 };
 
 /**
- * Which guest-program analyses run alongside the pipeline. All are
- * host-side verification passes: they never alter the recorded
- * execution or the simulated metrics, so (like ObsConfig) they are
- * deliberately excluded from the run-journal fingerprint.
- */
-struct AnalysisConfig
-{
-    /** Run the ProgramLint static verifier over program + DCFG. */
-    bool lint = false;
-    /** Replay with the happens-before race detector attached. */
-    bool raceCheck = false;
-    /** Replay with the lockset + lock-order deadlock pass attached. */
-    bool lockCheck = false;
-    /** Cross-check pipeline artifacts after the run (ArtifactAudit). */
-    bool audit = false;
-    /** Per-pass cap on emitted findings (0 = pass default). */
-    uint32_t maxFindings = 0;
-};
-
-/**
  * Observability switches (src/obs). Host-side only: they select what
  * telemetry is collected, never what is simulated, so results are
  * bit-identical on or off. Deliberately excluded from
@@ -106,9 +86,6 @@ struct SimConfig
      */
     uint32_t jobs = 1;
 
-    /** Optional guest-program verification passes. */
-    AnalysisConfig analysis;
-
     /** Telemetry switches (host-side; see ObsConfig). */
     ObsConfig obs;
 
@@ -144,13 +121,12 @@ struct SimConfig
      * Canonical one-line encoding of every *result-affecting*
      * (microarchitectural) field — the config partition that keys the
      * run journal and the store's region-simulation stage. Host-side
-     * knobs (jobs, obs, retries, watchdog, reference scheduler,
-     * analysis passes, fault plan) are
-     * deliberately absent: flipping them never changes simulated
-     * metrics, so they must never invalidate cached results. Unlike
-     * describe(), this covers prefetchDegree and the op latencies —
-     * the journal historically fingerprinted describe(), which missed
-     * both.
+     * knobs (jobs, obs, retries, watchdog, reference scheduler, fault
+     * plan) are deliberately absent: flipping them never changes
+     * simulated metrics, so they must never invalidate cached results.
+     * Unlike describe(), this covers prefetchDegree and the op
+     * latencies — the journal historically fingerprinted describe(),
+     * which missed both.
      */
     std::string uarchKeyText() const;
 

@@ -17,7 +17,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "pinball/pinball_io.hh"
-#include "util/checksum.hh"
 #include "util/logging.hh"
 #include "util/sha1.hh"
 
@@ -101,7 +100,10 @@ struct ArtifactStore::LockGuard
     std::lock_guard<std::mutex> guard;
 };
 
-ArtifactStore::ArtifactStore(std::string dir) : rootDir(std::move(dir))
+ArtifactStore::ArtifactStore(std::string dir)
+    : rootDir(std::move(dir)),
+      manifestLog(rootDir + "/manifest", {kManifestMagic},
+                  "store manifest")
 {
     if (rootDir.empty())
         fatal("artifact store: empty directory path");
@@ -121,12 +123,6 @@ ArtifactStore::~ArtifactStore()
 }
 
 std::string
-ArtifactStore::manifestPath() const
-{
-    return rootDir + "/manifest";
-}
-
-std::string
 ArtifactStore::objectPath(const std::string &hash) const
 {
     return rootDir + "/objects/" + hash;
@@ -136,49 +132,28 @@ void
 ArtifactStore::reloadManifestLocked()
 {
     manifest.clear();
-    std::ifstream is(manifestPath());
-    if (!is)
-        return; // fresh store
-    std::string line;
-    if (!std::getline(is, line))
-        return;
-    auto magic = checkCrcLine(line);
-    if (!magic || *magic != kManifestMagic) {
-        logError("artifact store: '%s' is not a store manifest; "
-                 "ignoring it", manifestPath().c_str());
-        return;
-    }
-    while (std::getline(is, line)) {
-        auto payload = checkCrcLine(line);
-        auto entry =
-            payload ? parseManifestEntry(*payload)
-                    : std::optional<Entry>();
-        if (!entry) {
-            // Torn tail (lost race with a power cut): later lines were
-            // written later; keep the valid prefix, drop the rest.
-            break;
-        }
+    auto err = manifestLog.open(false, [&](const std::string &payload) {
+        auto entry = parseManifestEntry(payload);
+        if (!entry)
+            return false;
+        // A key bound twice: the later line is the later publish.
         auto key = std::make_pair(entry->stage, entry->key);
         manifest[std::move(key)] = std::move(*entry);
-    }
+        return true;
+    });
+    if (err)
+        logError("artifact store: %s; ignoring it",
+                 err->describe().c_str());
 }
 
 bool
 ArtifactStore::rewriteManifestLocked()
 {
-    const std::string tmp = manifestPath() + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return false;
-        os << withCrcLine(kManifestMagic) << '\n';
-        for (const auto &[k, e] : manifest)
-            os << withCrcLine(encodeManifestEntry(e)) << '\n';
-        os.flush();
-        if (!os)
-            return false;
-    }
-    return std::rename(tmp.c_str(), manifestPath().c_str()) == 0;
+    std::vector<std::string> lines;
+    lines.reserve(manifest.size());
+    for (const auto &[k, e] : manifest)
+        lines.push_back(encodeManifestEntry(e));
+    return manifestLog.rewrite(lines);
 }
 
 void
@@ -252,12 +227,9 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         LockGuard lock(*this);
         reloadManifestLocked();
         ::unlink(path.c_str());
-        for (auto e = manifest.begin(); e != manifest.end();) {
-            if (e->second.hash == hash)
-                e = manifest.erase(e);
-            else
-                ++e;
-        }
+        std::erase_if(manifest, [&](const auto &kv) {
+            return kv.second.hash == hash;
+        });
         rewriteManifestLocked();
         countMiss(stage);
         span.arg("outcome", "corrupt");
@@ -365,10 +337,10 @@ ArtifactStore::publish(const std::string &stage, const std::string &key,
     auto it = manifest.find(map_key);
     if (it == manifest.end() || it->second.hash != hash ||
         it->second.bytes != e.bytes) {
+        if (!manifestLog.append(encodeManifestEntry(e)))
+            logError("artifact store: cannot append to manifest '%s'",
+                     manifestLog.path().c_str());
         manifest[std::move(map_key)] = std::move(e);
-        if (!rewriteManifestLocked())
-            logError("artifact store: cannot rewrite manifest '%s'",
-                     manifestPath().c_str());
     }
 
     nPublishes.fetch_add(1, std::memory_order_relaxed);
@@ -460,45 +432,36 @@ ArtifactStore::gc(uint64_t max_bytes, bool dry_run)
         total += o.bytes;
 
     GcResult res;
-    bool manifest_dirty = false;
     for (const auto &o : objects) {
         if (total <= max_bytes && o.referenced) {
             ++res.keptObjects;
             res.keptBytes += o.bytes;
             continue;
         }
-        if (total > max_bytes || !o.referenced) {
-            ++res.removedObjects;
-            res.removedBytes += o.bytes;
-            total -= o.bytes;
-            if (!dry_run) {
-                ::unlink((obj_dir + "/" + o.hash).c_str());
-                for (auto e = manifest.begin(); e != manifest.end();) {
-                    if (e->second.hash == o.hash) {
-                        e = manifest.erase(e);
-                        ++res.droppedEntries;
-                        manifest_dirty = true;
-                    } else {
-                        ++e;
-                    }
-                }
-            } else {
-                for (const auto &[k, e] : manifest)
-                    if (e.hash == o.hash)
-                        ++res.droppedEntries;
-            }
+        ++res.removedObjects;
+        res.removedBytes += o.bytes;
+        total -= o.bytes;
+        auto bound = [&](const auto &kv) {
+            return kv.second.hash == o.hash;
+        };
+        if (dry_run) {
+            res.droppedEntries +=
+                std::count_if(manifest.begin(), manifest.end(), bound);
         } else {
-            ++res.keptObjects;
-            res.keptBytes += o.bytes;
+            ::unlink((obj_dir + "/" + o.hash).c_str());
+            res.droppedEntries += std::erase_if(manifest, bound);
         }
     }
-    if (manifest_dirty)
+    // Compact: one line per live binding (drops rebound keys' older
+    // lines and any torn tail).
+    if (!dry_run)
         rewriteManifestLocked();
     return res;
 }
 
 size_t
-ArtifactStore::verify()
+ArtifactStore::verify(
+    const std::function<void(const Entry &, const std::string &)> &visit)
 {
     LockGuard lock(*this);
     reloadManifestLocked();
@@ -513,6 +476,8 @@ ArtifactStore::verify()
                                          kObjectVersion);
         if (!framed.ok() || sha1Hex(framed.value().payload) != e.hash)
             ++bad;
+        else if (visit)
+            visit(e, framed.value().payload);
     }
     return bad;
 }

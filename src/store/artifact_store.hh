@@ -18,15 +18,19 @@
  *   looppoint-store-v1 crc=...
  *   entry stage=<stage> key=<key-text> hash=<sha1> bytes=<n> crc=...
  *
+ * The manifest is a CrcLog (util/crc_log.hh): a publish appends one
+ * line, and a key bound twice resolves to its last line. An eviction
+ * or gc() rewrites it atomically, one line per key.
+ *
  * Concurrency contract: every mutation (publish, gc) and every lookup
  * holds an exclusive flock on `.lock` and reloads the manifest first,
  * so pool workers, parallel campaigns, and concurrent processes
  * share one store without torn state. A lookup holds it only to
  * resolve the binding and open the object; reading and both integrity
  * checks run unlocked on the open descriptor, and an eviction re-takes
- * the lock. Publication is atomic (tmp +
- * rename) for both objects and the manifest; a crash mid-publish
- * leaves at worst an orphaned object that the next gc collects.
+ * the lock. Objects are published atomically (tmp + rename); a crash
+ * mid-publish leaves at worst an orphaned object that the next gc
+ * collects, or a torn manifest line that the next publish cuts off.
  *
  * A corrupt object (truncated, bit-flipped, wrong length) is treated
  * as data, not a fatal error: the lookup counts it, unlinks it, drops
@@ -39,12 +43,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/crc_log.hh"
 
 namespace looppoint {
 
@@ -146,7 +153,8 @@ class ArtifactStore
      * Shrink the store to at most `max_bytes` of objects by evicting
      * least-recently-used (oldest mtime) objects first, dropping their
      * manifest bindings. Orphaned objects (no binding) are preferred
-     * eviction victims at equal age. With `dry_run`, only reports.
+     * eviction victims at equal age. Compacts the manifest to one
+     * line per binding. With `dry_run`, only reports.
      */
     GcResult gc(uint64_t max_bytes, bool dry_run = false);
 
@@ -154,8 +162,11 @@ class ArtifactStore
      * Integrity-check every object against its framing and manifest
      * hash. Returns the number of corrupt or missing objects (their
      * bindings are left in place; a later lookup evicts them).
+     * `visit` sees each entry whose object passed, with its payload.
      */
-    size_t verify();
+    size_t verify(const std::function<void(const Entry &,
+                                           const std::string &)>
+                      &visit = {});
 
     StoreStats stats() const;
     const std::string &dir() const { return rootDir; }
@@ -163,7 +174,6 @@ class ArtifactStore
   private:
     struct LockGuard;
 
-    std::string manifestPath() const;
     std::string objectPath(const std::string &hash) const;
 
     /** Re-read the manifest from disk. Caller holds the flock. */
@@ -178,6 +188,7 @@ class ArtifactStore
     int lockFd = -1;
     /** In-process serialization; the flock serializes processes. */
     std::mutex mu;
+    CrcLog manifestLog;
     /** (stage, key) -> entry, rebuilt from disk under the lock. */
     std::map<std::pair<std::string, std::string>, Entry> manifest;
 

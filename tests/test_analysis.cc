@@ -989,20 +989,30 @@ TEST(Baseline, LoaderRejectsJunk)
     EXPECT_TRUE(r3.value().count(0xffu));
 }
 
-TEST(Diagnostics, PipelineRunsAnalysesBehindConfigFlags)
+TEST(Diagnostics, RegistryRunsLintAndRaceOverARecording)
 {
+    // The verifiers run beside the pipeline, through the registry
+    // lp_lint drives: record demo-matrix with the DCFG builder
+    // attached, then run every lint pass and the race detector.
     Program p = generateProgram(demoMatrixApp(), InputClass::Test);
-    LoopPointOptions opts;
-    opts.numThreads = 4;
-    opts.sliceSizePerThread = 25'000;
-    opts.analysis.lint = true;
-    opts.analysis.raceCheck = true;
-    LoopPointPipeline pipe(p, opts);
-    LoopPointResult lp = pipe.analyze();
-    EXPECT_FALSE(lp.diagnostics.empty());
-    EXPECT_EQ(countSeverity(lp.diagnostics, Severity::Error), 0u);
+    ExecConfig cfg{.numThreads = 4};
+    DcfgBuilder builder(p, cfg.numThreads);
+    Pinball pb = recordPinball(p, cfg, 1000, &builder);
+    Dcfg dcfg = builder.build();
+
+    AnalysisContext ctx;
+    ctx.lint.prog = &p;
+    ctx.lint.dcfg = &dcfg;
+    ctx.lint.pinball = &pb;
+    std::vector<std::string> passes = lintPassNames();
+    passes.emplace_back("race");
+    DiagnosticSink sink;
+    EXPECT_EQ(runAnalyses(ctx, sink, passes), 0u);
+    const auto diags = sink.take();
+    EXPECT_FALSE(diags.empty());
+    EXPECT_EQ(countSeverity(diags, Severity::Error), 0u);
     bool have_lint = false, have_race = false;
-    for (const auto &d : lp.diagnostics) {
+    for (const auto &d : diags) {
         have_lint |= d.pass == "marker-stability";
         have_race |= d.pass == "race";
     }

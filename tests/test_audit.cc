@@ -22,10 +22,12 @@
 #include "core/experiment.hh"
 #include "core/looppoint.hh"
 #include "core/region_checkpoint.hh"
+#include "core/region_run.hh"
 #include "core/run_journal.hh"
 #include "dcfg/dcfg.hh"
 #include "pinball/pinball.hh"
 #include "store/artifact_store.hh"
+#include "store/stage_cache.hh"
 #include "util/fault.hh"
 #include "util/sha1.hh"
 #include "workload/descriptor.hh"
@@ -408,6 +410,44 @@ TEST(ArtifactAudit, FlagsCorruptStoreObjectsAndBrokenChains)
     runArtifactAudit(ctx3, cyclic);
     EXPECT_TRUE(hasDiag(cyclic.diagnostics(), Severity::Error,
                         "not acyclic"));
+}
+
+TEST(ArtifactAudit, FlagsBadWarmCheckpointHeader)
+{
+    // A warm checkpoint (core/region_run.hh): a header line padded to
+    // the image offset, the microarch image, then functional state.
+    auto warm_payload = [](const char *header_fields, size_t image) {
+        std::string header =
+            std::string("looppoint-warm-v1 ") + header_fields;
+        header.resize(WarmSnapshot::kImageOffset - 1, ' ');
+        return header + '\n' + std::string(image, '\x5a') +
+               "engine state\n";
+    };
+    const std::string dir = freshDir("warm");
+    {
+        ArtifactStore store(dir);
+        const std::string cluster =
+            store.publish("cluster", "cluster-v1;max_k=50;", "c-bytes");
+        const SimConfig sim;
+        store.publish("warm", StageCache::warmKey(cluster, sim, false, 0),
+                      warm_payload("region=0 start=4096:3 image=64 "
+                                   "constrained=0",
+                                   64));
+        // Hash-valid, but the header names another region than its key.
+        store.publish("warm", StageCache::warmKey(cluster, sim, false, 1),
+                      warm_payload("region=0 start=4096:7 image=64 "
+                                   "constrained=0",
+                                   64));
+    }
+    AuditContext ctx;
+    ctx.storeDir = dir;
+    DiagnosticSink sink;
+    EXPECT_EQ(runArtifactAudit(ctx, sink), 1u);
+    EXPECT_EQ(sink.errors(), 1u);
+    EXPECT_TRUE(hasDiag(sink.diagnostics(), Severity::Error,
+                        "header 'looppoint-warm-v1 region=0 "
+                        "start=4096:7 image=64 constrained=0' does not "
+                        "match its key (...constrained=0;region=1;)"));
 }
 
 TEST(ArtifactAudit, RegistryRunsAuditBehindItsPassName)

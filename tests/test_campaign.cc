@@ -276,6 +276,16 @@ TEST(CampaignJournal, TornTailIsDroppedNotFatal)
     auto ledgers = jnl.ledgers();
     EXPECT_TRUE(ledgers[0].completed);
     EXPECT_FALSE(ledgers[1].completed); // the torn "ok" never counted
+
+    // The first append cuts the torn tail off, so the new event does
+    // not sit behind a bad line: a reload keeps every event.
+    jnl.append(ev(1, "ok", 0, 0));
+    CampaignJournal again(path, "fp");
+    ASSERT_FALSE(again.load(true));
+    EXPECT_EQ(again.events(), jnl.events());
+    EXPECT_EQ(again.events().size(), 4u);
+    EXPECT_EQ(again.droppedRecords(), 0u);
+    EXPECT_TRUE(again.ledgers()[1].completed);
 }
 
 TEST(CampaignJournal, FingerprintMismatchRefusesTheJournal)

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -211,6 +213,65 @@ TEST(Journal, TornTailIsDroppedNotFatal)
     EXPECT_EQ(j2.droppedRecords(), 1u);
     RunJournal::Record want = makeRecord(1);
     EXPECT_TRUE(j2.find(1, want.start, want.end, want.multiplier));
+
+    // The first append cuts the torn tail off, so the new record does
+    // not sit behind a bad line: a reload keeps every record.
+    j2.append(makeRecord(2));
+    RunJournal j3(path, makeKey());
+    ASSERT_FALSE(j3.load(/*must_exist=*/true));
+    EXPECT_EQ(j3.size(), 3u);
+    EXPECT_EQ(j3.droppedRecords(), 0u);
+    EXPECT_EQ(j3.snapshot(), j2.snapshot());
+}
+
+TEST(Journal, AppendKeepsTheFileInode)
+{
+    const std::string path = journalPath("inode");
+    auto inode = [&] {
+        struct stat st{};
+        EXPECT_EQ(::stat(path.c_str(), &st), 0);
+        return st.st_ino;
+    };
+    RunJournal j(path, makeKey());
+    j.append(makeRecord(0));
+    const ino_t first = inode();
+    j.append(makeRecord(1));
+    EXPECT_EQ(inode(), first);
+
+    RunJournal resumed(path, makeKey());
+    ASSERT_FALSE(resumed.load(/*must_exist=*/true));
+    resumed.append(makeRecord(2));
+    EXPECT_EQ(inode(), first);
+    RunJournal reloaded(path, makeKey());
+    ASSERT_FALSE(reloaded.load(/*must_exist=*/true));
+    EXPECT_EQ(reloaded.size(), 3u);
+}
+
+TEST(Journal, FreshRunReplacesAnOldOrForeignFile)
+{
+    // A run that does not resume never loads its journal, so its
+    // first append starts a fresh file over whatever was there.
+    const std::string path = journalPath("fresh");
+    {
+        RunKey other = makeKey();
+        other.seed = 2;
+        RunJournal old(path, other);
+        old.append(makeRecord(0));
+        old.append(makeRecord(1));
+    }
+    RunJournal(path, makeKey()).append(makeRecord(5));
+    RunJournal j(path, makeKey());
+    ASSERT_FALSE(j.load(/*must_exist=*/true));
+    ASSERT_EQ(j.size(), 1u);
+    EXPECT_EQ(j.snapshot()[0], makeRecord(5));
+    EXPECT_EQ(j.droppedRecords(), 0u);
+
+    spit(path, "not a journal\nat all");
+    RunJournal(path, makeKey()).append(makeRecord(3));
+    ASSERT_FALSE(j.load(/*must_exist=*/true));
+    ASSERT_EQ(j.size(), 1u);
+    EXPECT_EQ(j.snapshot()[0], makeRecord(3));
+    EXPECT_EQ(j.droppedRecords(), 0u);
 }
 
 TEST(Journal, CorruptRecordInvalidatesItsSuffix)

@@ -15,8 +15,10 @@
 #include <unistd.h>
 #include <utime.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -193,6 +195,29 @@ TEST(Fingerprint, CanonicalTextAndSanitization)
     EXPECT_EQ(FingerprintBuilder("stage-v1").text(), "stage-v1;");
 }
 
+std::string
+slurpFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** Lines of a CRC-line file, each checked. */
+size_t
+validLines(const std::string &path)
+{
+    std::istringstream is(slurpFile(path));
+    std::string line;
+    size_t n = 0;
+    while (std::getline(is, line)) {
+        EXPECT_TRUE(checkCrcLine(line)) << path << ": " << line;
+        ++n;
+    }
+    return n;
+}
+
 // ------------------------------------------------------------- store
 
 TEST(ArtifactStore, RoundtripAndPersistence)
@@ -322,6 +347,78 @@ TEST(ArtifactStore, CorruptionEvictsEveryBindingOfTheHash)
     EXPECT_TRUE(store.entries().empty());
 }
 
+TEST(ArtifactStore, PublishAppendsToTheManifestInPlace)
+{
+    std::string dir = freshStoreDir("append");
+    const std::string manifest = dir + "/manifest";
+    ArtifactStore store(dir);
+    store.publish("record", "k1", "one");
+    struct stat before{}, after{};
+    ASSERT_EQ(::stat(manifest.c_str(), &before), 0);
+    store.publish("record", "k2", "two");
+    ASSERT_EQ(::stat(manifest.c_str(), &after), 0);
+    EXPECT_EQ(after.st_ino, before.st_ino);
+    EXPECT_GT(after.st_size, before.st_size);
+    EXPECT_EQ(validLines(manifest), 3u); // magic + 2 entries
+}
+
+TEST(ArtifactStore, TornManifestTailIsCutOnPublish)
+{
+    std::string dir = freshStoreDir("torn_manifest");
+    const std::string manifest = dir + "/manifest";
+    {
+        ArtifactStore store(dir);
+        store.publish("record", "k1", "one");
+        store.publish("record", "k2", "two");
+        store.publish("record", "k3", "three");
+    }
+    // A publish cut short by a crash: the last entry line is torn.
+    const std::string bytes = slurpFile(manifest);
+    {
+        std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+        out << bytes.substr(0, bytes.size() - 10);
+    }
+    ArtifactStore store(dir);
+    EXPECT_EQ(store.entries().size(), 2u);
+    EXPECT_FALSE(store.hashFor("record", "k3"));
+
+    // The publish cuts the tail before appending, so its entry is not
+    // stranded behind the torn line and the file is whole again.
+    store.publish("record", "k4", "four");
+    EXPECT_EQ(ArtifactStore(dir).entries().size(), 3u);
+    EXPECT_EQ(validLines(manifest), 4u);
+}
+
+TEST(ArtifactStore, ManifestLastLineWinsAndGcAndEvictionCompact)
+{
+    std::string dir = freshStoreDir("last_wins");
+    const std::string manifest = dir + "/manifest";
+    ArtifactStore store(dir);
+    store.publish("cluster", "k", "first");
+    const std::string h2 = store.publish("cluster", "k", "second");
+    const std::string h3 = store.publish("cluster", "other", "third");
+    // Rebinding "k" appended a line; a reload resolves to the last.
+    EXPECT_EQ(validLines(manifest), 4u);
+    EXPECT_EQ(ArtifactStore(dir).hashFor("cluster", "k"), h2);
+    EXPECT_EQ(store.entries().size(), 2u);
+
+    // gc collects the orphaned first object and compacts the file.
+    EXPECT_EQ(store.gc(UINT64_MAX).removedObjects, 1u);
+    EXPECT_EQ(validLines(manifest), 3u);
+    EXPECT_EQ(store.hashFor("cluster", "k"), h2);
+
+    // Evicting a corrupt object rewrites the file without its line.
+    {
+        std::fstream f(dir + "/objects/" + h3,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(-1, std::ios::end);
+        f.put('?');
+    }
+    EXPECT_FALSE(store.lookup("cluster", "other"));
+    EXPECT_EQ(validLines(manifest), 2u);
+    EXPECT_EQ(ArtifactStore(dir).hashFor("cluster", "k"), h2);
+}
+
 TEST(ArtifactStore, GcEvictsLeastRecentlyUsedFirst)
 {
     std::string dir = freshStoreDir("gc");
@@ -430,10 +527,6 @@ TEST(StageKeys, UarchPartitionCoversEveryResultAffectingField)
         {"jobs", [](SimConfig &c) { c.jobs = 16; }},
         {"obs.trace", [](SimConfig &c) { c.obs.trace = true; }},
         {"obs.metrics", [](SimConfig &c) { c.obs.metrics = true; }},
-        {"analysis.lint",
-         [](SimConfig &c) { c.analysis.lint = true; }},
-        {"analysis.raceCheck",
-         [](SimConfig &c) { c.analysis.raceCheck = true; }},
         {"regionRetries", [](SimConfig &c) { c.regionRetries = 3; }},
         {"watchdogFactor", [](SimConfig &c) { c.watchdogFactor = 8; }},
         {"faults",
@@ -530,8 +623,6 @@ TEST(StageKeys, InvalidationTable)
     {
         LoopPointOptions m = o;
         m.jobs = 32;
-        m.analysis.lint = true;
-        m.analysis.raceCheck = true;
         EXPECT_EQ(StageCache::recordKey("app.test", m), rec);
         EXPECT_EQ(StageCache::profileKey("HASH_R", m), prof);
         EXPECT_EQ(StageCache::clusterKey("HASH_P", m), clus);

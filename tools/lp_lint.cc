@@ -300,9 +300,8 @@ checkOne(const std::string &program, const CliOptions &cli,
     ctx.audit.expectedThreads = threads;
     ctx.audit.storeDir = cli.storeDir;
     // The journal key of a default-configuration run_looppoint run of
-    // this program (the analysis flags are deliberately not part of
-    // the key, so a lint invocation can validate a pipeline run's
-    // journal).
+    // this program, so a lint invocation can validate a pipeline run's
+    // journal.
     RunKey journal_key;
     if (!cli.journalPath.empty()) {
         journal_key = makeRunKey(

@@ -51,12 +51,7 @@ struct CliOptions
     bool inorder = false;
     bool constrained = false;
     bool fullSim = true;
-    bool lint = false;
-    bool raceCheck = false;
-    bool lockCheck = false;
     bool audit = false;
-    /** Per-pass cap on reported findings (0 = pass default). */
-    uint32_t maxFindings = 0;
     /** Write analysis findings as SARIF 2.1.0 to this path. */
     std::string sarifPath;
     uint32_t regionRetries = 0;
@@ -93,20 +88,14 @@ usage()
         "      --inorder        simulate an in-order core\n"
         "      --constrained    constrained (replay-ordered) regions\n"
         "      --no-fullsim     skip the full-application simulation\n"
-        "      --lint           run the ProgramLint static verifier\n"
-        "                       over the program and its DCFG\n"
-        "      --race-check     replay with the happens-before race\n"
-        "                       detector attached\n"
-        "      --lock-check     replay with the lockset (Eraser-style)\n"
-        "                       and lock-order deadlock detectors\n"
-        "                       attached\n"
         "      --audit          after the run, statically cross-check\n"
         "                       the pipeline artifacts (markers vs.\n"
         "                       DCFG, cluster-weight closure, journal\n"
         "                       and store integrity) without\n"
-        "                       re-simulating\n"
-        "      --max-findings=N cap each analysis pass at N reported\n"
-        "                       findings (default: pass-specific, 32)\n"
+        "                       re-simulating. The program\n"
+        "                       verifiers (lint, race, lockset) are\n"
+        "                       lp_lint's: lp_lint -p PROG\n"
+        "                       --race-check --lock-check\n"
         "      --sarif=PATH     also write the analysis findings as\n"
         "                       SARIF 2.1.0 to PATH\n"
         "      --force          start a new end-to-end run (accepted\n"
@@ -234,18 +223,8 @@ parseCli(int argc, char **argv)
             opts.constrained = true;
         } else if (arg == "--no-fullsim") {
             opts.fullSim = false;
-        } else if (arg == "--lint") {
-            opts.lint = true;
-        } else if (arg == "--race-check") {
-            opts.raceCheck = true;
-        } else if (arg == "--lock-check") {
-            opts.lockCheck = true;
         } else if (arg == "--audit") {
             opts.audit = true;
-        } else if (parseArg(argc, argv, i, "", "--max-findings",
-                            &value)) {
-            opts.maxFindings =
-                static_cast<uint32_t>(std::stoul(value));
         } else if (parseArg(argc, argv, i, "", "--sarif", &value)) {
             opts.sarifPath = value;
         } else if (parseArg(argc, argv, i, "", "--region-retries",
@@ -341,11 +320,6 @@ runOne(const std::string &program, const CliOptions &cli)
         applyUarchPreset(cfg.sim, cli.uarchPreset);
     if (cli.inorder)
         cfg.sim.coreType = CoreType::InOrder;
-    cfg.sim.analysis.lint = cli.lint;
-    cfg.sim.analysis.raceCheck = cli.raceCheck;
-    cfg.sim.analysis.lockCheck = cli.lockCheck;
-    cfg.sim.analysis.audit = cli.audit;
-    cfg.sim.analysis.maxFindings = cli.maxFindings;
     cfg.sim.regionRetries = cli.regionRetries;
     cfg.sim.faults = FaultPlan::parse(cli.faultSpec);
     cfg.sim.obs.trace = !cli.tracePath.empty();
@@ -432,8 +406,7 @@ runOne(const std::string &program, const CliOptions &cli)
     if (!cli.sarifPath.empty())
         g_sarifDiags.insert(g_sarifDiags.end(), diags.begin(),
                             diags.end());
-    if (cli.lint || cli.raceCheck || cli.lockCheck || cli.audit ||
-        !diags.empty()) {
+    if (cli.audit || !diags.empty()) {
         printDiagnosticsText(std::cout, diags);
         size_t errors = 0;
         for (const auto &d : diags)
