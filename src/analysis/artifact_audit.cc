@@ -1,17 +1,13 @@
 #include "analysis/artifact_audit.hh"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "core/region_checkpoint.hh"
 #include "core/region_run.hh"
 #include "store/artifact_store.hh"
 #include "util/logging.hh"
@@ -248,47 +244,6 @@ auditPinballFile(const std::string &path, DiagnosticSink &sink)
                              pb.error().describe().c_str()));
 }
 
-void
-auditRegionPinballs(const AuditContext &ctx, DiagnosticSink &sink)
-{
-    const auto rps = exportRegionPinballs(*ctx.app, ctx.input,
-                                          *ctx.opts, *ctx.result);
-    const LoopPointResult &r = *ctx.result;
-    for (size_t i = 0; i < rps.size(); ++i) {
-        const std::string loc = strFormat("region pinball %zu", i);
-        std::ostringstream os;
-        rps[i].save(os);
-        std::istringstream is(os.str());
-        auto reloaded = RegionPinball::tryLoad(is);
-        if (!reloaded.ok()) {
-            sink.error(kPass, loc,
-                       strFormat("checkpoint frame does not parse: "
-                                 "%s",
-                                 reloaded.error().describe().c_str()));
-            continue;
-        }
-        if (!(reloaded.value() == rps[i]))
-            sink.error(kPass, loc,
-                       "checkpoint frame does not round-trip "
-                       "bit-identically");
-        if (ctx.pinball &&
-            rps[i].config.numThreads !=
-                ctx.pinball->config.numThreads)
-            sink.error(kPass, loc,
-                       strFormat("thread roster %u does not match "
-                                 "the recording's %u",
-                                 rps[i].config.numThreads,
-                                 ctx.pinball->config.numThreads));
-        if (i < r.regions.size() &&
-            (!(rps[i].start == r.regions[i].start) ||
-             !(rps[i].end == r.regions[i].end) ||
-             rps[i].multiplier != r.regions[i].multiplier))
-            sink.error(kPass, loc,
-                       "region identity (markers, multiplier) "
-                       "differs from the analysis result");
-    }
-}
-
 // ------------------------------------------------------------- journal
 
 void
@@ -357,25 +312,13 @@ void
 auditWarmHeader(const ArtifactStore::Entry &e, const std::string &payload,
                 const std::string &loc, DiagnosticSink &sink)
 {
-    constexpr size_t kOffset = WarmSnapshot::kImageOffset;
-    unsigned region = 0, constrained = 0;
-    uint64_t pc = 0, count = 0;
-    size_t image = 0;
-    int used = 0;
-    std::string header = payload.substr(0, kOffset - 1);
-    const bool ok =
-        payload.size() >= kOffset && payload[kOffset - 1] == '\n' &&
-        std::sscanf(header.c_str(),
-                    "looppoint-warm-v1 region=%u start=%" SCNu64
-                    ":%" SCNu64 " image=%zu constrained=%u%n",
-                    &region, &pc, &count, &image, &constrained,
-                    &used) == 5 &&
-        header.find_first_not_of(' ', used) == std::string::npos &&
-        e.key.ends_with(strFormat(";constrained=%u;region=%u;",
-                                  constrained, region)) &&
-        image <= payload.size() - kOffset;
-    if (ok)
+    const auto h = parseWarmHeader(payload);
+    if (h && e.key.ends_with(strFormat(";constrained=%u;region=%u;",
+                                       h->constrained ? 1u : 0u,
+                                       h->region)))
         return;
+    std::string header =
+        payload.substr(0, WarmSnapshot::kImageOffset - 1);
     header.erase(header.find_last_not_of(' ') + 1);
     sink.error(kPass, loc,
                strFormat("warm checkpoint %s: header '%s' does not "
@@ -490,10 +433,6 @@ runArtifactAudit(const AuditContext &ctx, DiagnosticSink &sink)
     }
     if (!ctx.pinballPath.empty()) {
         auditPinballFile(ctx.pinballPath, sink);
-        ++checks;
-    }
-    if (ctx.app && ctx.opts && ctx.result) {
-        auditRegionPinballs(ctx, sink);
         ++checks;
     }
     if (!ctx.journalPath.empty() && ctx.journalKey) {

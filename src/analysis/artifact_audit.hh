@@ -16,9 +16,6 @@
  *    consistent;
  *  - pinball: the recording round-trips through its serialization and
  *    its thread roster matches the requested configuration;
- *  - region pinballs: every exported per-region checkpoint parses
- *    back bit-identically and carries the recording's thread roster
- *    and its region's identity;
  *  - journal: the run journal loads under its expected key, every
  *    record references an existing region and matches its identity;
  *  - store: every manifest entry hash-verifies, the stage-key chains
@@ -42,7 +39,6 @@
 #include "core/run_journal.hh"
 #include "dcfg/dcfg.hh"
 #include "pinball/pinball.hh"
-#include "workload/descriptor.hh"
 
 namespace looppoint {
 
@@ -55,10 +51,6 @@ struct AuditContext
     const Pinball *pinball = nullptr;
     /** Completed analysis (slices, clustering, regions). */
     const LoopPointResult *result = nullptr;
-    /** Workload identity, for region-pinball export checks. */
-    const AppDescriptor *app = nullptr;
-    InputClass input = InputClass::Train;
-    const LoopPointOptions *opts = nullptr;
     /** Threads the run was configured for (0 = don't check). */
     uint32_t expectedThreads = 0;
     /** On-disk pinball artifact to parse-check ("" = skip). */

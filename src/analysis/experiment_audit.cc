@@ -42,9 +42,6 @@ auditExperiment(const ExperimentConfig &cfg, ExperimentResult &res)
     actx.dcfg = &dcfg;
     actx.pinball = &res.analysis.pinball;
     actx.result = &res.analysis;
-    actx.app = &app;
-    actx.input = cfg.input;
-    actx.opts = &opts;
     actx.expectedThreads = threads;
     actx.storeDir = cfg.storeDir;
     RunKey journal_key;

@@ -33,6 +33,31 @@ warmHeader(const RegionWorkItem &item, size_t image_bytes)
 
 } // namespace
 
+std::optional<WarmHeader>
+parseWarmHeader(const std::string &payload)
+{
+    if (payload.size() < kWarmHeaderBytes ||
+        payload[kWarmHeaderBytes - 1] != '\n')
+        return std::nullopt;
+    const std::string line = payload.substr(0, kWarmHeaderBytes - 1);
+    WarmHeader h;
+    uint64_t pc = 0;
+    unsigned constrained = 0;
+    int used = 0;
+    if (std::sscanf(line.c_str(),
+                    "looppoint-warm-v1 region=%" SCNu32 " start=%" SCNu64
+                    ":%" SCNu64 " image=%zu constrained=%u%n",
+                    &h.region, &pc, &h.start.count, &h.imageBytes,
+                    &constrained, &used) != 5 ||
+        line.find_first_not_of(' ', used) != std::string::npos ||
+        constrained > 1 ||
+        h.imageBytes > payload.size() - kWarmHeaderBytes)
+        return std::nullopt;
+    h.start.pc = pc;
+    h.constrained = constrained != 0;
+    return h;
+}
+
 std::string
 WarmSnapshot::encode(const MulticoreSim &sim, const ReplayArbiter &arbiter,
                      const RegionWorkItem &item, bool caches)

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "isa/program.hh"
@@ -99,6 +100,23 @@ struct WarmSnapshot
             const SimConfig &sim_cfg, const SyncLog &log,
             std::string &why);
 };
+
+/** The fields of a warm checkpoint payload's header line. */
+struct WarmHeader
+{
+    uint32_t region = 0;
+    Marker start;
+    size_t imageBytes = 0;
+    bool constrained = false;
+};
+
+/**
+ * Parse the `looppoint-warm-v1` header of a checkpoint payload (the
+ * format WarmSnapshot::encode writes). Null unless the line is
+ * well-formed, padded to kImageOffset, and its image fits in the
+ * payload.
+ */
+std::optional<WarmHeader> parseWarmHeader(const std::string &payload);
 
 /** Everything needed to simulate one region from its warm state. */
 struct RegionWorkItem

@@ -164,7 +164,9 @@ class ExecutionEngine
      * (including the body-walk stacks, encoded as item paths), RNG
      * states, synchronization state, and global counters — so a
      * mid-execution checkpoint can be restored in O(state) without
-     * replaying the prefix: the ELFie analog (paper Section II).
+     * replaying the prefix: the functional part of a warm region
+     * checkpoint (core/region_run.hh), the ELFie analog (paper
+     * Section II).
      * The Program itself is not stored; the loader must supply the
      * identical program.
      */

@@ -1,7 +1,7 @@
 /**
  * @file
  * ExecutionEngine state serialization (see engine.hh::save/load): the
- * substrate for ELFie-style executable region checkpoints. Frames of
+ * functional state of a warm region checkpoint. Frames of
  * the body-walk stack reference BodyItems by pointer at runtime; on
  * disk they are encoded as child-index paths from the kernel body and
  * re-resolved against the (identical) program on load.

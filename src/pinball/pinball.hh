@@ -137,18 +137,6 @@ void replayPinball(const Program &prog, const Pinball &pinball,
                    uint64_t quantum_instrs = 1000,
                    ExecListener *listener = nullptr);
 
-/**
- * A region checkpoint: a snapshot of the execution engine mid-run plus
- * the global instruction position it was captured at. Copy-construct
- * cost is proportional to live state, not history.
- */
-struct Checkpoint
-{
-    ExecutionEngine engine;
-    uint64_t globalIcount = 0;
-    uint64_t globalFilteredIcount = 0;
-};
-
 } // namespace looppoint
 
 #endif // LOOPPOINT_PINBALL_PINBALL_HH

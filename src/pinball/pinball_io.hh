@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared serialization plumbing for checkpoint artifacts (pinballs and
- * region pinballs): the integrity-checked framing — magic line, format
- * version, payload length, CRC32 trailer — plus the order-table codec
- * both artifact types embed.
+ * Shared serialization plumbing for framed artifacts (pinballs and
+ * store objects): the integrity-checked framing — magic line, format
+ * version, payload length, CRC32 trailer — plus the pinball's
+ * order-table codec.
  *
  * Framing (version >= 2):
  *

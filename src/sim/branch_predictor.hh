@@ -14,6 +14,7 @@
 #define LOOPPOINT_SIM_BRANCH_PREDICTOR_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "isa/program.hh"
@@ -83,7 +84,13 @@ class PentiumMBranchPredictor
         uint32_t currentIter = 0; ///< iterations seen this visit
         uint8_t confidence = 0;
         bool valid = false;
+        /** Explicit padding, so exportState() copies no indeterminate
+         * bytes into a checkpoint image. */
+        uint8_t pad[2]{};
     };
+    static_assert(std::has_unique_object_representations_v<LoopEntry>,
+                  "LoopEntry is exported with memcpy: no implicit "
+                  "padding");
 
     std::vector<uint8_t> bimodal;
     std::vector<uint8_t> global;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -173,6 +174,9 @@ StageCache::loadSlices(const std::string &key)
     if (!(is >> tag >> n >> tag2 >> threads) || tag != "slices" ||
         tag2 != "threads")
         return std::nullopt;
+    // As in loadCluster: no count may exceed the payload it sizes.
+    if (n > hit->payload.size() || threads > hit->payload.size())
+        return std::nullopt;
     std::vector<SliceRecord> slices;
     slices.reserve(n);
     char colon = 0;
@@ -255,6 +259,12 @@ StageCache::loadCluster(const std::string &key)
         return std::nullopt;
     if (!(is >> t1 >> n_regions) || t1 != "regions")
         return std::nullopt;
+    // The store is shared (a copied directory is another user's
+    // input): every counted element takes at least one payload byte,
+    // so no count may exceed the payload before it sizes a vector.
+    const size_t bytes = hit->payload.size();
+    if (n_slices > bytes || n_bic > bytes || n_regions > bytes)
+        return std::nullopt;
     if (!(is >> tag) || tag != "assignment")
         return std::nullopt;
     art.assignment.resize(n_slices);
@@ -284,6 +294,13 @@ StageCache::loadCluster(const std::string &key)
             return std::nullopt;
         r.start.pc = start_pc;
         r.end.pc = end_pc;
+        // A NaN or negative multiplier poisons every Eq. 1
+        // extrapolation, and a marker with a pc but no count is
+        // unreachable by construction.
+        if (!std::isfinite(r.multiplier) || r.multiplier < 0.0 ||
+            (start_pc != 0 && r.start.count == 0) ||
+            (end_pc != 0 && r.end.count == 0))
+            return std::nullopt;
         art.regions.push_back(r);
     }
     return ClusterHit{std::move(art), std::move(hit->hash)};

@@ -1,7 +1,7 @@
 /**
  * @file
  * Structured load outcomes for checkpoint artifacts. Loaders that
- * consume bytes from outside the process (pinballs, region pinballs,
+ * consume bytes from outside the process (pinballs, store objects,
  * run journals) return a LoadResult instead of calling fatal(): a
  * distribution-scale deployment (paper Section II — checkpoints are
  * shared among many users and hosts) must treat malformed artifacts as

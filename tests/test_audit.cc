@@ -2,10 +2,9 @@
  * @file
  * ArtifactAudit tests: a clean end-to-end pipeline run must audit with
  * zero findings, and every artifact fault class — tampered markers,
- * broken Eq. 2 weight closure, corrupt pinball and region-pinball
- * frames, journal mismatches, and store hash/stage-chain damage — must
- * be flagged with the exact diagnostic, all without re-running
- * simulation.
+ * broken Eq. 2 weight closure, corrupt pinball frames, journal
+ * mismatches, and store hash/stage-chain damage — must be flagged with
+ * the exact diagnostic, all without re-running simulation.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "analysis/registry.hh"
 #include "core/experiment.hh"
 #include "core/looppoint.hh"
-#include "core/region_checkpoint.hh"
 #include "core/region_run.hh"
 #include "core/run_journal.hh"
 #include "dcfg/dcfg.hh"
@@ -100,9 +98,6 @@ baseContext(const PipelineFixture &f)
     ctx.dcfg = &f.dcfg;
     ctx.pinball = &f.result.pinball;
     ctx.result = &f.result;
-    ctx.app = &f.app;
-    ctx.input = InputClass::Test;
-    ctx.opts = &f.opts;
     ctx.expectedThreads = f.opts.numThreads;
     return ctx;
 }
@@ -138,7 +133,6 @@ TEST(ArtifactAudit, FlagsMarkerOutsideDcfgProfile)
     tampered.regions[0].start.pc += 2; // no longer a loop-header pc
     AuditContext ctx = baseContext(f);
     ctx.result = &tampered;
-    ctx.app = nullptr; // isolate the marker check from region export
     DiagnosticSink sink;
     runArtifactAudit(ctx, sink);
     EXPECT_TRUE(hasDiag(sink.diagnostics(), Severity::Error,
@@ -170,7 +164,6 @@ TEST(ArtifactAudit, FlagsMarkerCountBeyondProfile)
     ASSERT_TRUE(tampered_any);
     AuditContext ctx = baseContext(f);
     ctx.result = &tampered;
-    ctx.app = nullptr;
     DiagnosticSink sink;
     runArtifactAudit(ctx, sink);
     EXPECT_TRUE(hasDiag(sink.diagnostics(), Severity::Error,
@@ -185,7 +178,6 @@ TEST(ArtifactAudit, FlagsBrokenWeightClosure)
     tampered.regions[0].multiplier *= 1.5; // Eq. 2 no longer closes
     AuditContext ctx = baseContext(f);
     ctx.result = &tampered;
-    ctx.app = nullptr;
     DiagnosticSink sink;
     runArtifactAudit(ctx, sink);
     EXPECT_TRUE(hasDiag(sink.diagnostics(), Severity::Error,
@@ -203,7 +195,6 @@ TEST(ArtifactAudit, FlagsDanglingRegionReferences)
         static_cast<uint32_t>(tampered.slices.size() + 7);
     AuditContext ctx = baseContext(f);
     ctx.result = &tampered;
-    ctx.app = nullptr;
     DiagnosticSink sink;
     runArtifactAudit(ctx, sink);
     EXPECT_TRUE(hasDiag(sink.diagnostics(), Severity::Error,
@@ -215,7 +206,6 @@ TEST(ArtifactAudit, FlagsThreadRosterMismatch)
     const PipelineFixture &f = fixture();
     AuditContext ctx = baseContext(f);
     ctx.result = nullptr;
-    ctx.app = nullptr;
     ctx.expectedThreads = f.opts.numThreads + 2;
     DiagnosticSink sink;
     runArtifactAudit(ctx, sink);
@@ -456,7 +446,6 @@ TEST(ArtifactAudit, RegistryRunsAuditBehindItsPassName)
     AnalysisContext ctx;
     ctx.lint.prog = &f.prog;
     ctx.audit = baseContext(f);
-    ctx.audit.app = nullptr; // keep the registry run cheap
     DiagnosticSink sink;
     size_t errs = runAnalyses(ctx, sink, {"audit"});
     EXPECT_EQ(errs, 0u);

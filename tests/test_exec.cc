@@ -14,6 +14,7 @@
 #include "exec/engine.hh"
 #include "isa/program_builder.hh"
 #include "util/logging.hh"
+#include "workload/descriptor.hh"
 
 namespace looppoint {
 namespace {
@@ -431,6 +432,50 @@ TEST(ExecEngine, CheckpointCopyResumesIdentically)
 
     EXPECT_EQ(c1.streams, c2.streams);
     EXPECT_EQ(e.globalIcount(), snapshot.globalIcount());
+}
+
+TEST(EngineState, RoundTripMidExecution)
+{
+    // Engine save/load at an arbitrary mid-execution point, including
+    // a deep body-walk stack.
+    const AppDescriptor &app = findApp("644.nab_s.1");
+    Program prog = generateProgram(app, InputClass::Test);
+    ExecConfig cfg;
+    cfg.numThreads = app.effectiveThreads(4);
+    cfg.seed = 42;
+    ExecutionEngine eng(prog, cfg);
+    RoundRobinDriver d(eng, 700);
+    d.run(nullptr, [&] { return eng.globalIcount() > 123'456; });
+
+    std::stringstream ss;
+    eng.save(ss);
+    ExecutionEngine loaded = ExecutionEngine::load(ss, prog);
+    EXPECT_EQ(loaded.globalIcount(), eng.globalIcount());
+    EXPECT_EQ(loaded.globalFilteredIcount(),
+              eng.globalFilteredIcount());
+
+    // Both continue identically.
+    StreamCollector c1(cfg.numThreads, true), c2(cfg.numThreads, true);
+    RoundRobinDriver d1(eng, 700);
+    d1.run(&c1);
+    RoundRobinDriver d2(loaded, 700);
+    d2.run(&c2);
+    EXPECT_EQ(c1.streams, c2.streams);
+}
+
+TEST(EngineState, LoadRejectsWrongProgram)
+{
+    Program prog =
+        generateProgram(findApp("628.pop2_s.1"), InputClass::Test);
+    ExecConfig cfg;
+    cfg.numThreads = 2;
+    ExecutionEngine eng(prog, cfg);
+    std::stringstream ss;
+    eng.save(ss);
+
+    Program other =
+        generateProgram(findApp("619.lbm_s.1"), InputClass::Test);
+    EXPECT_THROW(ExecutionEngine::load(ss, other), FatalError);
 }
 
 } // namespace

@@ -11,11 +11,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <string>
 
-#include "core/region_checkpoint.hh"
 #include "isa/program_builder.hh"
 #include "pinball/pinball.hh"
 #include "pinball/pinball_io.hh"
@@ -188,24 +186,6 @@ makePinball()
     return recordPinball(p, cfg, 200);
 }
 
-RegionPinball
-makeRegionPinball()
-{
-    RegionPinball rp;
-    rp.app = "demo-matrix";
-    rp.input = InputClass::Test;
-    rp.config.numThreads = 4;
-    rp.config.waitPolicy = WaitPolicy::Passive;
-    rp.config.seed = 21;
-    Pinball pb = makePinball();
-    rp.log = pb.log;
-    rp.start = Marker{0x400100, 17};
-    rp.end = Marker{0x400200, 23};
-    rp.multiplier = 3.25;
-    rp.filteredIcount = 12'345;
-    return rp;
-}
-
 std::string
 serialize(const Pinball &pb)
 {
@@ -214,26 +194,11 @@ serialize(const Pinball &pb)
     return os.str();
 }
 
-std::string
-serialize(const RegionPinball &rp)
-{
-    std::ostringstream os;
-    rp.save(os);
-    return os.str();
-}
-
 LoadResult<Pinball>
 loadPinball(const std::string &bytes)
 {
     std::istringstream is(bytes);
     return Pinball::tryLoad(is);
-}
-
-LoadResult<RegionPinball>
-loadRegion(const std::string &bytes)
-{
-    std::istringstream is(bytes);
-    return RegionPinball::tryLoad(is);
 }
 
 /** The payload bytes between the "length N\n" header and the
@@ -274,7 +239,6 @@ replaced(const std::string &text, const std::string &from,
 }
 
 constexpr const char *kPinMagic = "looppoint-pinball-v";
-constexpr const char *kRegionMagic = "looppoint-region-pinball-v";
 
 // ------------------------------------------- framing corruption classes
 
@@ -284,14 +248,6 @@ TEST(ArtifactIntegrity, PinballRoundTrips)
     auto result = loadPinball(serialize(pb));
     ASSERT_TRUE(result.ok()) << result.error().describe();
     EXPECT_EQ(result.value(), pb);
-}
-
-TEST(ArtifactIntegrity, RegionPinballRoundTrips)
-{
-    RegionPinball rp = makeRegionPinball();
-    auto result = loadRegion(serialize(rp));
-    ASSERT_TRUE(result.ok()) << result.error().describe();
-    EXPECT_EQ(result.value(), rp);
 }
 
 TEST(ArtifactIntegrity, CorruptMagicIsBadMagic)
@@ -324,12 +280,12 @@ TEST(ArtifactIntegrity, VersionFieldMagicDisagreementIsParse)
 
 TEST(ArtifactIntegrity, FlippedPayloadByteIsBadChecksum)
 {
-    std::string bytes = serialize(makeRegionPinball());
+    std::string bytes = serialize(makePinball());
     const std::string payload = extractPayload(bytes);
     size_t payload_at = bytes.find(payload);
     ASSERT_NE(payload_at, std::string::npos);
     bytes[payload_at + payload.size() / 2] ^= 0x01;
-    auto result = loadRegion(bytes);
+    auto result = loadPinball(bytes);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().kind, LoadErrorKind::BadChecksum);
 }
@@ -349,8 +305,8 @@ TEST(ArtifactIntegrity, TamperedChecksumDigitIsBadChecksum)
 
 TEST(ArtifactIntegrity, TruncatedPayloadIsTruncated)
 {
-    std::string bytes = serialize(makeRegionPinball());
-    auto result = loadRegion(bytes.substr(0, bytes.size() / 2));
+    std::string bytes = serialize(makePinball());
+    auto result = loadPinball(bytes.substr(0, bytes.size() / 2));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().kind, LoadErrorKind::Truncated);
 }
@@ -378,47 +334,13 @@ TEST(ArtifactIntegrity, LegacyApiThrowsFatalErrorOnCorruption)
     std::istringstream is(bytes);
     EXPECT_THROW(Pinball::load(is), FatalError);
 
-    std::string rbytes = serialize(makeRegionPinball());
-    rbytes[rbytes.size() / 2] ^= 0xFF;
-    std::istringstream ris(rbytes);
-    EXPECT_THROW(RegionPinball::load(ris), FatalError);
+    std::string truncated = serialize(makePinball());
+    truncated.resize(truncated.size() / 2);
+    std::istringstream tis(truncated);
+    EXPECT_THROW(Pinball::load(tis), FatalError);
 }
 
 // -------------------------------------------------- hostile payloads
-
-TEST(HostileInput, RegionMultiplierNegativeIsValidation)
-{
-    RegionPinball rp = makeRegionPinball();
-    rp.multiplier = -2.5;
-    auto result = loadRegion(serialize(rp));
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().kind, LoadErrorKind::Validation);
-    EXPECT_NE(result.error().message.find("negative"),
-              std::string::npos);
-}
-
-TEST(HostileInput, RegionMultiplierNaNIsRejected)
-{
-    RegionPinball rp = makeRegionPinball();
-    rp.multiplier = std::nan("");
-    auto result = loadRegion(serialize(rp));
-    ASSERT_FALSE(result.ok());
-    // Stream extraction may refuse "nan" (Parse) or hand it through to
-    // the isfinite() check (Validation); either way it cannot load.
-    EXPECT_TRUE(result.error().kind == LoadErrorKind::Parse ||
-                result.error().kind == LoadErrorKind::Validation);
-}
-
-TEST(HostileInput, RegionMarkerWithZeroCountIsValidation)
-{
-    RegionPinball rp = makeRegionPinball();
-    rp.end = Marker{0x400200, 0};
-    auto result = loadRegion(serialize(rp));
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().kind, LoadErrorKind::Validation);
-    EXPECT_NE(result.error().message.find("zero count"),
-              std::string::npos);
-}
 
 TEST(HostileInput, ThreadCountTableMismatchIsValidation)
 {
@@ -519,15 +441,6 @@ TEST(HostileInput, OversizedIcountTableClaimIsValidation)
     EXPECT_NE(result.error().message.find("claims"), std::string::npos);
 }
 
-TEST(HostileInput, UnknownRegionInputClassIsParse)
-{
-    std::string payload = extractPayload(serialize(makeRegionPinball()));
-    payload = replaced(payload, "input test", "input bogus");
-    auto result = loadRegion(reframe(kRegionMagic, payload));
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().kind, LoadErrorKind::Parse);
-}
-
 // ------------------------------------------------- legacy v1 fallback
 
 /** A v1 artifact is the v1 magic line plus the bare payload — no
@@ -550,16 +463,6 @@ TEST(LegacyFormat, PinballV1StillLoads)
     auto result = loadPinball(v1);
     ASSERT_TRUE(result.ok()) << result.error().describe();
     EXPECT_EQ(result.value(), pb);
-}
-
-TEST(LegacyFormat, RegionPinballV1StillLoads)
-{
-    RegionPinball rp = makeRegionPinball();
-    std::string v1 = asLegacyV1(kRegionMagic,
-                                extractPayload(serialize(rp)));
-    auto result = loadRegion(v1);
-    ASSERT_TRUE(result.ok()) << result.error().describe();
-    EXPECT_EQ(result.value(), rp);
 }
 
 // ------------------------------------------------ exhaustive no-fatal
@@ -603,12 +506,6 @@ TEST(NoFatalGuard, PinballSurvivesEveryFlipAndTruncation)
 {
     Pinball pb = makePinball();
     exhaustiveMutationGuard(pb, serialize(pb), loadPinball);
-}
-
-TEST(NoFatalGuard, RegionPinballSurvivesEveryFlipAndTruncation)
-{
-    RegionPinball rp = makeRegionPinball();
-    exhaustiveMutationGuard(rp, serialize(rp), loadRegion);
 }
 
 } // namespace

@@ -157,13 +157,16 @@ TEST(Pinball, CheckpointStructHoldsEngineSnapshot)
     RoundRobinDriver d(e, 100);
     d.run(nullptr, [&] { return e.globalIcount() > 2000; });
 
-    Checkpoint ckpt{e, e.globalIcount(), e.globalFilteredIcount()};
-    EXPECT_EQ(ckpt.globalIcount, ckpt.engine.globalIcount());
+    // A mid-run checkpoint is a plain copy of the engine: it starts at
+    // the source's position and finishes the program on its own.
+    ExecutionEngine ckpt(e);
+    EXPECT_EQ(ckpt.globalIcount(), e.globalIcount());
+    EXPECT_EQ(ckpt.globalFilteredIcount(), e.globalFilteredIcount());
 
-    // Resuming the checkpoint finishes the program.
-    RoundRobinDriver d2(ckpt.engine, 100);
+    RoundRobinDriver d2(ckpt, 100);
     d2.run();
-    EXPECT_TRUE(ckpt.engine.allFinished());
+    EXPECT_TRUE(ckpt.allFinished());
+    EXPECT_FALSE(e.allFinished()) << "the copy shares no state";
 }
 
 } // namespace

@@ -138,6 +138,31 @@ TEST(BranchPredictor, RandomBranchesMispredict)
     EXPECT_GT(bp.stats().missRate(), 0.35);
 }
 
+TEST(BranchPredictor, ExportedImageHasNoIndeterminateBytes)
+{
+    // Each predictor's tables are allocated from freed heap memory
+    // filled with a different byte, and exported over a buffer
+    // pre-filled with yet another: identical training must still give
+    // identical images, byte for byte (a warm checkpoint's image is
+    // content-addressed in the store).
+    auto trained = [](unsigned char heap_fill) {
+        std::vector<unsigned char>(64 << 10, heap_fill).clear();
+        PentiumMBranchPredictor bp;
+        Rng rng(11);
+        for (int i = 0; i < 5000; ++i)
+            bp.predictAndTrain(0x400000 + 4 * (i % 97),
+                               rng.nextBool(0.7));
+        return bp;
+    };
+    const PentiumMBranchPredictor a = trained(0xa5);
+    const PentiumMBranchPredictor b = trained(0x5a);
+    std::vector<unsigned char> image_a(a.stateBytes(), 0x00);
+    std::vector<unsigned char> image_b(b.stateBytes(), 0xff);
+    a.exportState(image_a.data());
+    b.exportState(image_b.data());
+    EXPECT_EQ(image_a, image_b);
+}
+
 Program
 tinyProgram(uint64_t iters = 128, uint64_t steps = 2)
 {

@@ -17,12 +17,16 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/looppoint.hh"
 #include "core/run_journal.hh"
 #include "store/artifact_store.hh"
 #include "store/stage_cache.hh"
@@ -794,6 +798,174 @@ TEST(StorePipeline, HostKnobsShareStoreEntries)
     ExperimentResult warm = runExperiment(cfg);
     EXPECT_TRUE(warm.simStageHit);
     EXPECT_EQ(warm.storeStats.misses, 0u);
+}
+
+TEST(StorePipeline, CopiedStoreServesAnotherPipeline)
+{
+    // Sharing region checkpoints is copying the store directory: a
+    // pipeline over the copy, with the same workload and options, is
+    // served every analysis stage and every warm checkpoint.
+    const std::string dir = freshStoreDir("pipeline_share_src");
+    const std::string copy = freshStoreDir("pipeline_share_dst");
+    runExperiment(storeExpConfig(dir));
+    std::filesystem::copy(dir, copy,
+                          std::filesystem::copy_options::recursive);
+
+    ExperimentConfig cfg = storeExpConfig(copy);
+    applyUarchPreset(cfg.sim, "small-rob");
+    ExperimentResult shared = runExperiment(cfg);
+    EXPECT_TRUE(shared.analysis.stageHashes.recordHit);
+    EXPECT_TRUE(shared.analysis.stageHashes.profileHit);
+    EXPECT_TRUE(shared.analysis.stageHashes.clusterHit);
+    EXPECT_TRUE(shared.warmStageHit);
+    EXPECT_EQ(shared.warmHits, shared.analysis.regions.size());
+    EXPECT_EQ(shared.warmPublished, 0u);
+
+    cfg.storeDir = dir;
+    ExperimentResult local = runExperiment(cfg);
+    EXPECT_EQ(shared.regionMetrics, local.regionMetrics);
+}
+
+// ------------------------------------ hostile objects in a shared store
+
+/**
+ * Publish a tampered copy of a clean run's `profile` or `cluster`
+ * object under its real key: the bytes hash-verify, so only the
+ * loader's checks can catch it. The next analysis must treat it as a
+ * miss, recompute that stage and reproduce the clean run's regions.
+ */
+void
+expectTamperedObjectRecomputed(
+    const std::string &name, const std::string &stage,
+    const std::function<bool(std::string &payload)> &tamper)
+{
+    const std::string dir = freshStoreDir(name);
+    const Program prog =
+        generateProgram(findApp("628.pop2_s.1"), InputClass::Test);
+    LoopPointOptions opts;
+    opts.numThreads = 4;
+    opts.sliceSizePerThread = 25'000;
+    auto analyze = [&] {
+        ArtifactStore store(dir);
+        StageCache cache(store);
+        LoopPointPipeline pipe(prog, opts);
+        pipe.setStageCache(&cache);
+        return pipe.analyze();
+    };
+    const LoopPointResult clean = analyze();
+    const bool profile = stage == "profile";
+    {
+        ArtifactStore store(dir);
+        const std::string key =
+            profile
+                ? StageCache::profileKey(clean.stageHashes.record, opts)
+                : StageCache::clusterKey(clean.stageHashes.profile,
+                                         opts);
+        auto hit = store.lookup(stage, key);
+        ASSERT_TRUE(hit);
+        ASSERT_TRUE(tamper(hit->payload)) << "nothing to tamper with";
+        store.publish(stage, key, hit->payload);
+    }
+
+    LoopPointResult again;
+    ASSERT_NO_THROW(again = analyze());
+    EXPECT_EQ(again.stageHashes.profileHit, !profile);
+    EXPECT_EQ(again.stageHashes.clusterHit, profile);
+    EXPECT_EQ(again.stageHashes.profile, clean.stageHashes.profile);
+    EXPECT_EQ(again.stageHashes.cluster, clean.stageHashes.cluster);
+    ASSERT_EQ(again.regions.size(), clean.regions.size());
+    for (size_t i = 0; i < clean.regions.size(); ++i) {
+        EXPECT_EQ(again.regions[i].start, clean.regions[i].start);
+        EXPECT_EQ(again.regions[i].end, clean.regions[i].end);
+        EXPECT_EQ(again.regions[i].multiplier,
+                  clean.regions[i].multiplier);
+    }
+}
+
+/** Apply `edit` to the first `region` line of a cluster payload it
+ * accepts (returns true for). */
+bool
+editRegionLine(std::string &text,
+               const std::function<bool(std::string &line)> &edit)
+{
+    for (size_t at = text.find("\nregion "); at != std::string::npos;
+         at = text.find("\nregion ", at + 1)) {
+        const size_t eol = text.find('\n', at + 1);
+        std::string line = text.substr(at + 1, eol - at - 1);
+        if (edit(line)) {
+            text.replace(at + 1, eol - at - 1, line);
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Tamper with the first region's multiplier. */
+std::function<bool(std::string &)>
+multiplierSetTo(const std::string &value)
+{
+    return [value](std::string &text) {
+        return editRegionLine(text, [&](std::string &line) {
+            const size_t at = line.find(" mult=") + 6;
+            line.replace(at, std::string::npos, value);
+            return true;
+        });
+    };
+}
+
+TEST(HostileInput, RegionMultiplierNegativeIsValidation)
+{
+    expectTamperedObjectRecomputed("hostile_mult_neg", "cluster",
+                                   multiplierSetTo("-2.5"));
+}
+
+TEST(HostileInput, RegionMultiplierNaNIsRejected)
+{
+    for (const char *bad : {"nan", "inf"})
+        expectTamperedObjectRecomputed(
+            std::string("hostile_mult_") + bad, "cluster",
+            multiplierSetTo(bad));
+}
+
+TEST(HostileInput, RegionMarkerWithZeroCountIsValidation)
+{
+    // An end marker with a pc (not the program-end sentinel) but a
+    // zero count.
+    expectTamperedObjectRecomputed(
+        "hostile_zero_count", "cluster", [](std::string &text) {
+            return editRegionLine(text, [](std::string &line) {
+                const size_t at = line.find(" end=") + 5;
+                const size_t colon = line.find(':', at);
+                if (line.compare(at, colon - at, "0") == 0)
+                    return false;
+                line.replace(colon + 1,
+                             line.find(' ', colon) - colon - 1, "0");
+                return true;
+            });
+        });
+}
+
+TEST(HostileInput, OversizedStoreCountsAreMisses)
+{
+    // Element counts far beyond what the payload could hold must not
+    // size an allocation (std::bad_alloc used to escape analyze()).
+    const std::string huge = "999999999999999";
+    expectTamperedObjectRecomputed(
+        "hostile_slice_count", "profile", [&](std::string &text) {
+            text.replace(0, text.find(" threads"), "slices " + huge);
+            return true;
+        });
+    for (const char *field : {"slices", "bic", "regions"})
+        expectTamperedObjectRecomputed(
+            std::string("hostile_cluster_") + field, "cluster",
+            [&](std::string &text) {
+                const size_t at =
+                    text.find(std::string(" ") + field + " ") +
+                    std::strlen(field) + 2;
+                text.replace(at, text.find_first_of(" \n", at) - at,
+                             huge);
+                return true;
+            });
 }
 
 } // namespace

@@ -150,24 +150,6 @@ parseArg(int argc, char **argv, int &i, const char *short_name,
     return false;
 }
 
-InputClass
-resolveInput(const std::string &name)
-{
-    if (name == "test")
-        return InputClass::Test;
-    if (name == "train")
-        return InputClass::Train;
-    if (name == "ref")
-        return InputClass::Ref;
-    if (name == "A")
-        return InputClass::NpbA;
-    if (name == "C")
-        return InputClass::NpbC;
-    if (name == "D")
-        return InputClass::NpbD;
-    fatal("unknown input class '%s'", name.c_str());
-}
-
 CliOptions
 parseCli(int argc, char **argv)
 {
@@ -278,7 +260,8 @@ checkOne(const std::string &program, const CliOptions &cli,
     const std::string app_name = resolveArtifactProgram(program);
     const AppDescriptor &app = findApp(app_name);
     const uint32_t threads = app.effectiveThreads(cli.ncores);
-    Program prog = generateProgram(app, resolveInput(cli.inputClass));
+    const InputClass input = resolveInputClass(cli.inputClass);
+    Program prog = generateProgram(app, input);
 
     ExecConfig cfg;
     cfg.numThreads = threads;
@@ -305,9 +288,8 @@ checkOne(const std::string &program, const CliOptions &cli,
     RunKey journal_key;
     if (!cli.journalPath.empty()) {
         journal_key = makeRunKey(
-            app_name,
-            std::string(inputClassName(resolveInput(cli.inputClass))),
-            threads, cfg.waitPolicy, LoopPointOptions{}.seed,
+            app_name, std::string(inputClassName(input)), threads,
+            cfg.waitPolicy, LoopPointOptions{}.seed,
             /*constrained=*/false, SimConfig{});
         ctx.audit.journalPath = cli.journalPath;
         ctx.audit.journalKey = &journal_key;
