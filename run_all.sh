@@ -34,7 +34,8 @@
 # With --jobs-smoke lbm train's results at -j 1, -j 3 and -j 4
 # (baseline and prefetch) are diffed bit-exact across host worker and
 # warming partition counts, and the partition count each run reports
-# is checked.
+# is checked; a cold roms train at -j 2 and -j 4 (pipelined analysis)
+# is diffed against -j 1 (inline analysis).
 #
 # With --store-smoke the artifact store is exercised end to end: a
 # cold run populates the store, a small-rob run must be served from its
@@ -163,7 +164,7 @@ PYEOF
 fi
 
 if [ "$1" = "--jobs-smoke" ]; then
-    echo "== jobs smoke: lbm train bit-exact across -j and partitions =="
+    echo "== jobs smoke: lbm and roms train bit-exact across -j, partitions and analysis pipelining =="
     cmake -B build -S . || exit 1
     cmake --build build -j --target run_looppoint || exit 1
     lp=build/tools/run_looppoint
@@ -188,6 +189,22 @@ if [ "$1" = "--jobs-smoke" ]; then
                     echo "jobs-smoke FAIL: lbm $uarch -j $j differs from -j 1"; exit 1
                 fi
             done
+        done
+        # Pipelined analysis: a cold analysis at -j > 1 records on a
+        # helper thread and feeds the DCFG builder and the slice
+        # profiler through a block pipe; roms train's slices, regions
+        # and every simulated number must equal the inline -j 1 run's.
+        roms="-p spec-roms-1 -i train -n 4 --no-fullsim"
+        for j in 1 2 4; do
+            $lp $roms -j $j > "$out.roms.j$j.txt"
+            rc=$?
+            [ $rc -eq 0 ] || { echo "jobs-smoke FAIL: roms -j $j exited $rc (want 0)"; exit 1; }
+        done
+        for j in 2 4; do
+            if ! diff <(grep -vE "$filter" "$out.roms.j1.txt") \
+                      <(grep -vE "$filter" "$out.roms.j$j.txt"); then
+                echo "jobs-smoke FAIL: roms -j $j differs from -j 1"; exit 1
+            fi
         done
         grep -q '4 jobs, 4 warm partition(s)' "$out.lbm.baseline.j4.txt" || {
             echo "jobs-smoke FAIL: lbm baseline -j 4 did not warm in 4 partitions"; exit 1; }

@@ -18,6 +18,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "dcfg/dcfg.hh"
+#include "exec/block_pipe.hh"
 #include "exec/driver.hh"
 #include "profile/slicer.hh"
 #include "sim/warm_partition.hh"
@@ -221,9 +222,28 @@ LoopPointPipeline::analyze()
             DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
             SliceProfiler profiler(*prog, predicted, slice_global,
                                    cfg.numThreads, opts.filterSpin);
-            ListenerPair listeners(dcfg_builder, profiler);
-            out.pinball = recordPinball(*prog, cfg, opts.flowQuantum,
-                                        &listeners);
+            auto record = [&](ExecListener &listener) {
+                out.pinball = recordPinball(*prog, cfg, opts.flowQuantum,
+                                            &listener);
+            };
+            if (ThreadPool::resolveWorkers(opts.jobs) > 1) {
+                // Pipelined: the recording runs on a helper thread and
+                // only queues its block events; the DCFG builder drains
+                // them on a second helper and the profiler here. Each
+                // sees the inline event sequence, so the results are
+                // identical. The profiler stays on this thread so its
+                // per-slice maps land in this thread's malloc arena.
+                const BlockPipeStats stats =
+                    runBlockPipe(record, dcfg_builder, profiler);
+                span.arg("listener_threads", 2)
+                    .arg("record_wait_s", stats.producerWaitSeconds)
+                    .arg("dcfg_idle_s", stats.helperIdleSeconds)
+                    .arg("profile_idle_s", stats.callerIdleSeconds);
+            } else {
+                ListenerPair listeners(dcfg_builder, profiler);
+                record(listeners);
+                span.arg("listener_threads", 0);
+            }
             dcfg = dcfg_builder.build();
             if (!predicted.empty() &&
                 dcfg->mainImageLoopHeaders() == predicted) {
@@ -533,10 +553,40 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                       partitions == 1 ? CacheBacking::Owned
                                       : CacheBacking::Deferred);
 
+    // Journal records go out in program order (`order`), so a run at
+    // any -j writes the bytes a -j 1 run writes: a region that
+    // completes before a predecessor is held until every predecessor
+    // has settled — appended, dropped, or taken from the journal. A
+    // killed phase loses what it holds; a resume re-simulates those
+    // regions, bit-identically.
+    std::mutex journal_mtx;
+    std::vector<size_t> journal_pos(lp.regions.size());
+    for (size_t p = 0; p < order.size(); ++p)
+        journal_pos[order[p]] = p;
+    std::vector<uint8_t> journal_settled(order.size(), 0);
+    std::vector<std::optional<RunJournal::Record>> journal_held(
+        order.size());
+    size_t journal_next = 0;
+    auto settle = [&](size_t idx, std::optional<RunJournal::Record> rec) {
+        if (!journal)
+            return;
+        std::lock_guard<std::mutex> lock(journal_mtx);
+        const size_t p = journal_pos[idx];
+        journal_held[p] = std::move(rec);
+        journal_settled[p] = 1;
+        for (; journal_next < order.size() && journal_settled[journal_next];
+             ++journal_next) {
+            if (auto &held = journal_held[journal_next]) {
+                journal->append(*held);
+                held.reset();
+            }
+        }
+    };
+
     // Every region reports here, possibly from several pool worker
     // threads at once: everything touched is either index-addressed
     // (the out arrays), atomic (counters), or internally locked (sink,
-    // journal).
+    // journal order).
     const uint32_t max_attempts = 1 + sim_cfg.regionRetries;
     auto on_completion = [&](const RegionCompletion &c) {
         const size_t idx = c.item.index;
@@ -565,17 +615,16 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                              "recovered on attempt " +
                                  std::to_string(c.result.attempts) +
                                  " of " + std::to_string(max_attempts));
-            if (journal) {
-                RunJournal::Record rec;
-                rec.regionIndex = static_cast<uint32_t>(idx);
-                rec.start = c.item.start;
-                rec.end = c.item.end;
-                rec.multiplier = c.item.multiplier;
-                rec.attempts = c.result.attempts;
-                rec.metrics = m;
-                journal->append(rec);
-            }
+            RunJournal::Record rec;
+            rec.regionIndex = static_cast<uint32_t>(idx);
+            rec.start = c.item.start;
+            rec.end = c.item.end;
+            rec.multiplier = c.item.multiplier;
+            rec.attempts = c.result.attempts;
+            rec.metrics = m;
+            settle(idx, std::move(rec));
         } else {
+            settle(idx, std::nullopt);
             sink.error("fault-tolerance",
                        "region " + std::to_string(idx),
                        "dropped after " +
@@ -705,6 +754,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                                  region.multiplier);
         if (!hit)
             return false;
+        settle(idx, std::nullopt);
         out.regionMetrics[idx] = hit->metrics;
         out.regionOutcomes[idx].ok = true;
         out.regionOutcomes[idx].fromJournal = true;
@@ -745,6 +795,11 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         item.constrained = constrained;
         return item;
     };
+
+    // Which side of a partitioned warming pass stalled: the producer
+    // waiting for a partition's free chunk, or the partitions (summed)
+    // waiting for accesses.
+    double warm_producer_wait = 0.0, warm_partition_idle = 0.0;
 
     // The executor is destroyed before `out`, the sink and the lambdas
     // above on unwind, draining whatever is in flight.
@@ -841,6 +896,8 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             auto t_drain = clock::now();
             warmer->finish();
             out.checkpointWallSeconds += seconds_since(t_drain);
+            warm_producer_wait = warmer->producerWaitSeconds();
+            warm_partition_idle = warmer->partitionIdleSeconds();
         }
         out.warmPartitions = partitions;
     }
@@ -875,7 +932,9 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         .arg("phase_wall_seconds", out.phaseWallSeconds)
         .arg("warm_hits", out.warmHits)
         .arg("warm_published", out.warmPublished)
-        .arg("warm_partitions", out.warmPartitions);
+        .arg("warm_partitions", out.warmPartitions)
+        .arg("warm_producer_wait_s", warm_producer_wait)
+        .arg("warm_partition_idle_s", warm_partition_idle);
     // Close now, not at frame exit: the span duration must agree with
     // phaseWallSeconds (lp_report --check enforces 1%).
     phase_span.finish();

@@ -52,6 +52,12 @@ DcfgBuilder::onBlock(uint32_t tid, BlockId block,
                      const ExecutionEngine &engine)
 {
     (void)engine;
+    onBlock(tid, block);
+}
+
+void
+DcfgBuilder::onBlock(uint32_t tid, BlockId block)
+{
     ++execCounts[block];
     BlockId prev = lastBlock[tid];
     if (prev != kInvalidBlock)

@@ -126,6 +126,10 @@ class DcfgBuilder : public ExecListener
   public:
     DcfgBuilder(const Program &prog, uint32_t num_threads);
 
+    /** Thread `tid` executed `block`; needs no engine, so it can be
+     * fed from a BlockPipe (exec/block_pipe.hh). */
+    void onBlock(uint32_t tid, BlockId block);
+
     void onBlock(uint32_t tid, BlockId block,
                  const ExecutionEngine &engine) override;
 

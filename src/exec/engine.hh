@@ -156,9 +156,6 @@ class ExecutionEngine
      */
     void setArbiter(SyncArbiter *a) { arbiter = a; }
 
-    /** Toggle address generation (e.g. off while fast-forwarding). */
-    void setGenAddresses(bool on) { cfg.genAddresses = on; }
-
     /**
      * Serialize the complete execution state — thread cursors
      * (including the body-walk stacks, encoded as item paths), RNG

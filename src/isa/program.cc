@@ -98,7 +98,7 @@ Program::estimateWorkInstrs(uint32_t num_threads) const
 void
 Program::finalizeDerived()
 {
-    // Per-block flat arrays and memory-op tables.
+    // Per-block flat arrays, memory-op and branch tables.
     instrCounts.resize(blocks.size());
     mainImageFlags.resize(blocks.size());
     for (size_t b = 0; b < blocks.size(); ++b) {
@@ -106,8 +106,11 @@ Program::finalizeDerived()
         instrCounts[b] = static_cast<uint32_t>(bb.instrs.size());
         mainImageFlags[b] = bb.image == ImageId::Main ? 1 : 0;
         bb.memOps.clear();
+        bb.branches.clear();
         for (size_t i = 0; i < bb.instrs.size(); ++i) {
             const InstrDesc &ins = bb.instrs[i];
+            if (ins.op == OpClass::Branch)
+                bb.branches.push_back(static_cast<uint16_t>(i));
             if (!isMemOp(ins.op))
                 continue;
             BlockMemOp op;

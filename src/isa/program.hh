@@ -77,6 +77,9 @@ struct BasicBlock
     std::vector<InstrDesc> instrs;
     /** Derived: the memory ops of `instrs`, in instruction order. */
     std::vector<BlockMemOp> memOps;
+    /** Derived: indices of the Branch instructions of `instrs`, in
+     * instruction order. */
+    std::vector<uint16_t> branches;
 
     size_t numInstrs() const { return instrs.size(); }
     /** True when the final instruction is a control transfer. */
@@ -283,10 +286,11 @@ class Program
     }
 
     /**
-     * Build the derived views: per-block memory-op tables, per-kernel
-     * stream plans, and the flat instruction-count / main-image
-     * arrays. ProgramBuilder::build() calls this; a hand-assembled
-     * Program must call it before execution (validate() checks).
+     * Build the derived views: per-block memory-op and branch tables,
+     * per-kernel stream plans, and the flat instruction-count /
+     * main-image arrays. ProgramBuilder::build() calls this; a
+     * hand-assembled Program must call it before execution (validate()
+     * checks).
      */
     void finalizeDerived();
 

@@ -71,6 +71,12 @@ SliceProfiler::onBlock(uint32_t tid, BlockId block,
                        const ExecutionEngine &engine)
 {
     (void)engine;
+    onBlock(tid, block);
+}
+
+void
+SliceProfiler::onBlock(uint32_t tid, BlockId block)
+{
     // No per-block bounds asserts here: BlockIds are dense and tid
     // ranges are validated once at construction / program load.
     const uint32_t instrs = prog->instrCounts[block];

@@ -39,6 +39,10 @@ class SliceProfiler : public ExecListener
                   uint64_t slice_size_global, uint32_t num_threads,
                   bool filter_sync = true);
 
+    /** Thread `tid` executed `block`; needs no engine, so it can be
+     * fed from a BlockPipe (exec/block_pipe.hh). */
+    void onBlock(uint32_t tid, BlockId block);
+
     void onBlock(uint32_t tid, BlockId block,
                  const ExecutionEngine &engine) override;
 

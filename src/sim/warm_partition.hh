@@ -9,8 +9,9 @@
  * exportOwnedSets), so the stream splits into independent partitions.
  * The producer — the thread stepping the engine — trains the branch
  * predictors in place and bins each fetch and data access into its
- * partition's bounded chunk queue; one worker thread per partition
- * applies its accesses, in stream order, to a private hierarchy.
+ * partition's ChunkRing (util/chunk_ring.hh); one worker thread per
+ * partition applies its accesses, in stream order, to a private
+ * hierarchy.
  *
  * At a region start the producer encodes the checkpoint payload
  * without the cache image and calls checkpoint(): a boundary marker
@@ -27,7 +28,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,6 +36,7 @@
 
 #include "sim/cache.hh"
 #include "sim/config.hh"
+#include "util/chunk_ring.hh"
 
 namespace looppoint {
 
@@ -125,6 +126,14 @@ class PartitionedWarmer
      */
     void finish();
 
+    /** Seconds the producer waited for a partition's free chunk
+     * (after finish()). */
+    double producerWaitSeconds() const;
+
+    /** Seconds the partition workers, summed, waited for accesses
+     * (after finish()). */
+    double partitionIdleSeconds() const;
+
   private:
     enum class Kind : uint32_t { Fetch, Read, Write };
 
@@ -145,11 +154,9 @@ class PartitionedWarmer
         uint32_t n = 0;
         /** Copy the owned sets into this checkpoint after `recs`. */
         std::shared_ptr<WarmCheckpoint> boundary;
-        /** The worker stops after this chunk. */
-        bool last = false;
     };
 
-    /** One partition: its chunk queue and its worker's hierarchy. */
+    /** One partition: its chunk ring and its worker's hierarchy. */
     struct Lane
     {
         Lane(const SimConfig &cfg, uint32_t num_cores)
@@ -157,14 +164,11 @@ class PartitionedWarmer
         {
         }
 
-        std::mutex mtx;
-        std::condition_variable filled; ///< worker waits: `full` empty
-        std::condition_variable freed;  ///< producer waits: `spare` empty
-        std::deque<Chunk *> full;
-        std::vector<Chunk *> spare;
-        std::vector<std::unique_ptr<Chunk>> chunks;
+        /** The producer runs at most kChunksPerLane chunks ahead of
+         * the worker instead of buffering the run. */
+        ChunkRing<Chunk> ring{kChunksPerLane, 1};
         /** The chunk the producer appends to. */
-        Chunk *filling = nullptr;
+        Chunk *filling = &ring.first();
         CacheHierarchy hierarchy;
         std::thread worker;
     };
@@ -176,12 +180,11 @@ class PartitionedWarmer
         Chunk &c = *lane.filling;
         c.recs[c.n++] = {addr, core, kind};
         if (c.n == kChunkRecords)
-            ship(lane, nullptr, false);
+            ship(lane, nullptr);
     }
 
-    /** Queue the lane's filling chunk; take a spare unless `last`. */
-    void ship(Lane &lane, std::shared_ptr<WarmCheckpoint> boundary,
-              bool last);
+    /** Queue the lane's filling chunk and start the next one. */
+    void ship(Lane &lane, std::shared_ptr<WarmCheckpoint> boundary);
     /** Worker body of partition `p`. */
     void run(uint32_t p);
 

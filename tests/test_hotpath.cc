@@ -6,8 +6,9 @@
  * accumulation, devirtualized region stop conditions) is checked
  * bit-identical against its reference implementation — exact equality
  * on every counter and double, never EXPECT_NEAR. Also covers the
- * evicted-line optional at address 0 and a save/load round trip taken
- * while a thread is blocked mid-wait.
+ * evicted-line optional at address 0, a save/load round trip taken
+ * while a thread is blocked mid-wait, and the memory-ref-driven warm
+ * loop against the instruction walk it replaced.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "profile/slicer.hh"
 #include "sim/cache.hh"
 #include "sim/config.hh"
+#include "sim/core_model.hh"
 #include "sim/multicore.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -980,6 +982,187 @@ TEST(HotpathCheckpoint, SaveLoadWhileBlockedMidWait)
     }
     for (BlockId b = 0; b < p.numBlocks(); ++b)
         EXPECT_EQ(e.blockExecCount(b), restored.blockExecCount(b)) << b;
+}
+
+
+// ---------------------------------------------------------------------
+// The warm loop: CoreModel::warmBlockVia is driven by the engine's
+// memory refs and the block's branch list. The instruction walk it
+// replaced is the oracle: same cache image, same predictor image.
+// ---------------------------------------------------------------------
+
+/**
+ * The original warm loop: walk every instruction; a memory op issues
+ * the next ref if it belongs to that instruction, with the op's
+ * direction; a branch trains the predictor at its own pc.
+ */
+void
+instructionWalkWarm(CacheHierarchy &mem, PentiumMBranchPredictor &bp,
+                    uint32_t core, const BasicBlock &bb,
+                    const std::vector<MemRef> &refs, bool branch_taken)
+{
+    mem.fetch(core, bb.pc);
+    size_t ref_cursor = 0;
+    for (size_t i = 0; i < bb.instrs.size(); ++i) {
+        const InstrDesc &d = bb.instrs[i];
+        if (isMemOp(d.op)) {
+            if (ref_cursor < refs.size() &&
+                refs[ref_cursor].instrIndex == i) {
+                mem.access(core, refs[ref_cursor].addr, isMemWrite(d.op));
+                ++ref_cursor;
+            }
+        } else if (d.op == OpClass::Branch) {
+            bp.predictAndTrain(bb.pc + 4 * static_cast<Addr>(i),
+                               branch_taken);
+        }
+    }
+}
+
+/** Two warm states fed the same blocks: CoreModel's and the oracle's. */
+struct WarmPair
+{
+    WarmPair(const SimConfig &cfg_, uint32_t cores)
+        : cfg(cfg_), fast(cfg_, cores), oracle(cfg_, cores),
+          oracleBp(cores)
+    {
+        models.reserve(cores);
+        for (uint32_t c = 0; c < cores; ++c)
+            models.emplace_back(cfg, c, fast);
+    }
+
+    WarmPair(const WarmPair &) = delete;
+    WarmPair &operator=(const WarmPair &) = delete;
+
+    void
+    warm(uint32_t core, const BasicBlock &bb,
+         const std::vector<MemRef> &refs, bool taken)
+    {
+        models[core].warmBlock(bb, refs, taken);
+        instructionWalkWarm(oracle, oracleBp[core], core, bb, refs, taken);
+    }
+
+    static std::vector<unsigned char>
+    image(const CacheHierarchy &h)
+    {
+        std::vector<unsigned char> bytes(h.stateBytes());
+        h.exportState(bytes.data());
+        return bytes;
+    }
+
+    static std::vector<unsigned char>
+    image(const PentiumMBranchPredictor &bp)
+    {
+        std::vector<unsigned char> bytes(bp.stateBytes());
+        bp.exportState(bytes.data());
+        return bytes;
+    }
+
+    void
+    expectEqual() const
+    {
+        EXPECT_TRUE(image(fast) == image(oracle)) << "cache image";
+        for (uint32_t c = 0; c < models.size(); ++c) {
+            EXPECT_TRUE(image(models[c].predictor()) == image(oracleBp[c]))
+                << "predictor image of core " << c;
+            EXPECT_EQ(models[c].branchStats().branches,
+                      oracleBp[c].stats().branches);
+            EXPECT_EQ(models[c].branchStats().mispredicts,
+                      oracleBp[c].stats().mispredicts);
+            EXPECT_EQ(fast.l1dStats(c).accesses,
+                      oracle.l1dStats(c).accesses);
+            EXPECT_EQ(fast.l1dStats(c).misses, oracle.l1dStats(c).misses);
+            EXPECT_EQ(fast.l2Stats(c).misses, oracle.l2Stats(c).misses);
+        }
+        EXPECT_EQ(fast.l3Stats().misses, oracle.l3Stats().misses);
+    }
+
+    SimConfig cfg;
+    CacheHierarchy fast;
+    CacheHierarchy oracle;
+    std::vector<PentiumMBranchPredictor> oracleBp;
+    std::vector<CoreModel> models; ///< bound to `fast`
+};
+
+/** Warms a WarmPair from every block of an execution. */
+class WarmPairListener : public ExecListener
+{
+  public:
+    explicit WarmPairListener(WarmPair &pair) : w(pair) {}
+
+    void
+    onBlock(uint32_t tid, BlockId block,
+            const ExecutionEngine &engine) override
+    {
+        w.warm(tid, engine.program().blocks[block], engine.memRefs(tid),
+               engine.branchTaken(tid));
+        ++blocks;
+    }
+
+    uint64_t blocks = 0;
+
+  private:
+    WarmPair &w;
+};
+
+TEST(WarmBlock, RefWalkEqualsInstructionWalk)
+{
+    // Small caches so evictions and back-invalidations are frequent.
+    SimConfig cfg;
+    cfg.l1i = CacheConfig{1024, 2, 64, 1};
+    cfg.l1d = CacheConfig{1024, 2, 64, 3};
+    cfg.l2 = CacheConfig{4096, 4, 64, 9};
+    cfg.l3 = CacheConfig{16384, 8, 64, 34};
+    for (const auto *suite : {&spec2017Apps(), &npbApps(), &pthreadApps()})
+        for (const AppDescriptor &app : *suite) {
+            const Program p = generateProgram(app, InputClass::Test);
+            SCOPED_TRACE(p.name);
+            ExecConfig exec{.numThreads = app.effectiveThreads(4),
+                            .waitPolicy = WaitPolicy::Active,
+                            .genAddresses = true};
+            WarmPair pair(cfg, exec.numThreads);
+            WarmPairListener listener(pair);
+            ExecutionEngine e(p, exec);
+            RoundRobinDriver d(e, 1000);
+            d.run(&listener);
+            ASSERT_GT(listener.blocks, 0u);
+            pair.expectEqual();
+        }
+}
+
+TEST(WarmBlock, MidBlockBranchesTrainAtTheirOwnPcs)
+{
+    // A hand-built block with branches in the middle and at the end,
+    // and memory ops on both sides of them.
+    Program p;
+    BasicBlock bb;
+    bb.id = 0;
+    bb.pc = 0x401000;
+    for (OpClass op :
+         {OpClass::IntAlu, OpClass::Load, OpClass::Branch, OpClass::Store,
+          OpClass::Load, OpClass::Branch, OpClass::AtomicRmw,
+          OpClass::IntAlu, OpClass::Branch})
+        bb.instrs.push_back(InstrDesc{.op = op});
+    p.blocks.push_back(bb);
+    p.finalizeDerived();
+    const BasicBlock &block = p.blocks[0];
+    ASSERT_EQ(block.branches, (std::vector<uint16_t>{2, 5, 8}));
+    ASSERT_EQ(block.memOps.size(), 4u);
+
+    SimConfig cfg;
+    cfg.l1d = CacheConfig{1024, 2, 64, 3};
+    cfg.l2 = CacheConfig{2048, 2, 64, 9};
+    cfg.l3 = CacheConfig{4096, 4, 64, 34};
+    WarmPair pair(cfg, 2);
+    Rng rng(7);
+    std::vector<MemRef> refs;
+    for (int step = 0; step < 20'000; ++step) {
+        refs.clear();
+        for (const BlockMemOp &op : block.memOps)
+            refs.push_back({0x10000000 + 8 * rng.nextBounded(4096),
+                            op.index, op.isWrite});
+        pair.warm(step % 2, block, refs, rng.nextBool(0.7));
+    }
+    pair.expectEqual();
 }
 
 } // namespace

@@ -7,6 +7,8 @@
  * divergence, graceful degradation with renormalized Eq. 2 weights),
  * and the headline crash-resume property: a run killed mid-phase and
  * resumed from its journal is bit-identical to an uninterrupted one.
+ * Journals are written in program order, so their bytes do not depend
+ * on the jobs count.
  */
 
 #include <gtest/gtest.h>
@@ -612,6 +614,37 @@ TEST(FaultPipeline, JournalFromDifferentMicroarchIsNotReused)
     auto ckpt = runCheckpointed(sim, &journal);
     EXPECT_EQ(ckpt.journalHits, 0u);
     EXPECT_EQ(journal.size(), analyzed().lp.regions.size());
+}
+
+TEST(FaultPipeline, JournalBytesAreJobsInvariant)
+{
+    // roms train at 4 threads has a dozen regions, so a -j 4 phase
+    // completes them out of program order; the journal must not show
+    // it.
+    const AppDescriptor &app = findApp("654.roms_s.1");
+    const Program prog = generateProgram(app, InputClass::Train);
+    LoopPointOptions opts;
+    opts.numThreads = app.effectiveThreads(4);
+    opts.sliceSizePerThread = 25'000;
+    LoopPointPipeline pipe(prog, opts);
+    const LoopPointResult lp = pipe.analyze();
+    ASSERT_GE(lp.regions.size(), 8u);
+    auto journal_bytes = [&](uint32_t jobs, const std::string &name) {
+        const std::string path = journalPath(name);
+        {
+            RunJournal journal(path, makeKey());
+            SimConfig sim;
+            sim.jobs = jobs;
+            auto ckpt = pipe.simulateRegionsCheckpointed(
+                lp, sim, /*constrained=*/false, &journal);
+            EXPECT_EQ(journal.size(), lp.regions.size());
+            EXPECT_EQ(ckpt.coverage, 1.0);
+        }
+        return slurp(path);
+    };
+    const std::string serial = journal_bytes(1, "order_j1");
+    EXPECT_EQ(journal_bytes(4, "order_j4a"), serial);
+    EXPECT_EQ(journal_bytes(4, "order_j4b"), serial);
 }
 
 } // namespace

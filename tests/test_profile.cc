@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <thread>
 
 #include "core/looppoint.hh"
 #include "dcfg/dcfg.hh"
+#include "exec/block_pipe.hh"
 #include "exec/driver.hh"
 #include "exec/engine.hh"
 #include "isa/program_builder.hh"
@@ -436,6 +440,288 @@ TEST(MarkerPrediction, StorePinballReplaysToTheSameAnalysis)
               std::string::npos);
     expectAnalysisIdentical(served_lp,
                             LoopPointPipeline(p, opts).analyze());
+}
+
+// ---------------------------------------------------------------------
+// Pipelined analysis: with jobs > 1 a cold analyze() records on a
+// helper thread and feeds its block events through a BlockPipe to the
+// DCFG builder (second helper) and the slice profiler (this thread).
+// Its outputs must equal the inline (jobs == 1) analysis bit for bit.
+// ---------------------------------------------------------------------
+
+/** analyze() at `jobs` over a fresh store, so every stage hash is
+ * computed from this run's own artifacts. */
+LoopPointResult
+analyzeAtJobs(const Program &p, LoopPointOptions opts, uint32_t jobs,
+              const std::string &tag)
+{
+    opts.jobs = jobs;
+    const std::string dir = testing::TempDir() + "lp_pipe_" + tag + "_j" +
+                            std::to_string(jobs);
+    EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+    ArtifactStore store(dir);
+    StageCache cache(store);
+    LoopPointPipeline pipe(p, opts);
+    pipe.setStageCache(&cache);
+    return pipe.analyze();
+}
+
+/** analyze() at jobs 1, 2 and 4 agree on slices (map order too),
+ * markers, regions, the BIC curve and the stage hashes. */
+void
+expectJobsInvariant(const Program &p, const LoopPointOptions &opts)
+{
+    SCOPED_TRACE(p.name);
+    const LoopPointResult serial = analyzeAtJobs(p, opts, 1, p.name);
+    ASSERT_FALSE(serial.stageHashes.record.empty());
+    for (uint32_t jobs : {2u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        const LoopPointResult piped = analyzeAtJobs(p, opts, jobs, p.name);
+        expectAnalysisIdentical(serial, piped);
+        EXPECT_EQ(serial.pinball, piped.pinball);
+        EXPECT_EQ(serial.stageHashes.record, piped.stageHashes.record);
+        EXPECT_EQ(serial.stageHashes.profile, piped.stageHashes.profile);
+        EXPECT_EQ(serial.stageHashes.cluster, piped.stageHashes.cluster);
+    }
+}
+
+void
+expectSuiteJobsInvariant(const std::vector<AppDescriptor> &apps)
+{
+    for (const AppDescriptor &app : apps) {
+        const Program p = generateProgram(app, InputClass::Train);
+        LoopPointOptions opts;
+        opts.numThreads = app.effectiveThreads(4);
+        opts.sliceSizePerThread = 25'000;
+        expectJobsInvariant(p, opts);
+    }
+}
+
+TEST(PipelinedAnalysis, Spec2017TrainMatchesInlineAtJobs2And4)
+{
+    expectSuiteJobsInvariant(spec2017Apps());
+}
+
+TEST(PipelinedAnalysis, NpbTrainMatchesInlineAtJobs2And4)
+{
+    expectSuiteJobsInvariant(npbApps());
+}
+
+TEST(PipelinedAnalysis, PthreadTrainMatchesInlineAtJobs2And4)
+{
+    expectSuiteJobsInvariant(pthreadApps());
+}
+
+TEST(PipelinedAnalysis, RomsRefMatchesInlineAtJobs2And4)
+{
+    const AppDescriptor &app = findApp("654.roms_s.1");
+    LoopPointOptions opts;
+    opts.numThreads = app.effectiveThreads(4);
+    expectJobsInvariant(generateProgram(app, InputClass::Ref), opts);
+}
+
+TEST(PipelinedAnalysis, TraceNamesTheListenerThreads)
+{
+    const Program p = generateProgram(findApp("654.roms_s.1"),
+                                      InputClass::Test);
+    LoopPointOptions opts;
+    opts.numThreads = 4;
+    opts.sliceSizePerThread = 20'000;
+    LoopPointResult lp;
+    opts.jobs = 1;
+    LoopPointPipeline serial(p, opts);
+    EXPECT_NE(tracedAnalyze(serial, lp).find("\"listener_threads\": 0"),
+              std::string::npos);
+    opts.jobs = 2;
+    LoopPointPipeline piped(p, opts);
+    const std::string trace = tracedAnalyze(piped, lp);
+    EXPECT_NE(trace.find("\"listener_threads\": 2"), std::string::npos);
+    EXPECT_NE(trace.find("\"record_wait_s\""), std::string::npos);
+    EXPECT_NE(trace.find("\"dcfg_idle_s\""), std::string::npos);
+    EXPECT_NE(trace.find("\"profile_idle_s\""), std::string::npos);
+}
+
+TEST(PipelinedAnalysis, MarkerMismatchReplaysAtAnyJobs)
+{
+    const Program p = mispredictedProgram();
+    LoopPointOptions opts;
+    opts.numThreads = 4;
+    opts.sliceSizePerThread = 2'000;
+    const LoopPointResult serial = analyzeAtJobs(p, opts, 1, "mismatch");
+    for (uint32_t jobs : {2u, 4u}) {
+        opts.jobs = jobs;
+        LoopPointPipeline pipe(p, opts);
+        LoopPointResult lp;
+        const std::string trace = tracedAnalyze(pipe, lp);
+        EXPECT_NE(trace.find("\"reason\": \"marker_mismatch\""),
+                  std::string::npos);
+        expectAnalysisIdentical(serial, lp);
+    }
+}
+
+TEST(PipelinedAnalysis, StorePinballReplaysAtAnyJobs)
+{
+    const Program p = generateProgram(findApp("654.roms_s.1"),
+                                      InputClass::Test);
+    LoopPointOptions opts;
+    opts.numThreads = 4;
+    opts.sliceSizePerThread = 20'000;
+    for (uint32_t jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        opts.jobs = jobs;
+        const std::string dir = testing::TempDir() +
+                                "lp_pipe_served_j" + std::to_string(jobs);
+        ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+        ArtifactStore store(dir);
+        StageCache cache(store);
+        LoopPointPipeline cold(p, opts);
+        cold.setStageCache(&cache);
+        const LoopPointResult cold_lp = cold.analyze();
+
+        // Another slice size: the pinball comes from the store, the
+        // slices from a replay.
+        LoopPointOptions other = opts;
+        other.sliceSizePerThread = 15'000;
+        LoopPointPipeline served(p, other);
+        served.setStageCache(&cache);
+        LoopPointResult served_lp;
+        const std::string trace = tracedAnalyze(served, served_lp);
+        EXPECT_TRUE(served_lp.stageHashes.recordHit);
+        EXPECT_EQ(served_lp.stageHashes.record, cold_lp.stageHashes.record);
+        EXPECT_NE(trace.find("\"reason\": \"store_pinball\""),
+                  std::string::npos);
+        other.jobs = 1;
+        expectAnalysisIdentical(served_lp,
+                                LoopPointPipeline(p, other).analyze());
+    }
+}
+
+/**
+ * A sink that throws FatalError at its `limit`-th event, after a pause
+ * long enough for the recording to fill the ring and wait on it: the
+ * failure must wake that wait.
+ */
+struct FailingSink
+{
+    uint64_t limit;
+    uint64_t seen = 0;
+
+    void
+    onBlock(uint32_t, BlockId)
+    {
+        if (++seen < limit)
+            return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        fatal("sink failed at event %llu",
+              static_cast<unsigned long long>(seen));
+    }
+};
+
+struct CountingSink
+{
+    uint64_t seen = 0;
+    void onBlock(uint32_t, BlockId) { ++seen; }
+};
+
+/** Record roms train — many more events than the ring holds —
+ * through a pipe with the given sinks. */
+template <typename HelperSink, typename CallerSink>
+void
+recordThroughPipe(HelperSink &helper, CallerSink &caller)
+{
+    static const Program p = generateProgram(findApp("654.roms_s.1"),
+                                             InputClass::Train);
+    ExecConfig cfg{.numThreads = 4};
+    runBlockPipe(
+        [&](ExecListener &listener) {
+            recordPinball(p, cfg, 1000, &listener);
+        },
+        helper, caller);
+}
+
+TEST(PipelinedAnalysis, HelperThreadFatalErrorReachesTheCaller)
+{
+    // The failing sink stops draining early, so the recording fills
+    // the ring and would wait forever without the abort.
+    FailingSink helper{1000};
+    CountingSink caller;
+    EXPECT_THROW(recordThroughPipe(helper, caller), FatalError);
+    EXPECT_EQ(helper.seen, 1000u);
+}
+
+TEST(PipelinedAnalysis, CallerSinkFatalErrorStopsTheHelpers)
+{
+    CountingSink helper;
+    FailingSink caller{5000};
+    EXPECT_THROW(recordThroughPipe(helper, caller), FatalError);
+    EXPECT_EQ(caller.seen, 5000u);
+}
+
+TEST(PipelinedAnalysis, RecordingFatalErrorReachesTheCaller)
+{
+    CountingSink helper, caller;
+    std::atomic<uint64_t> emitted{0};
+    EXPECT_THROW(runBlockPipe(
+                     [&](ExecListener &listener) {
+                         const Program p = makeProgram(8, 2);
+                         ExecConfig cfg{.numThreads = 2};
+                         ExecutionEngine engine(p, cfg);
+                         for (uint32_t i = 0;
+                              i < 3 * BlockPipe::kChunkEvents; ++i) {
+                             listener.onBlock(i % 2, 0, engine);
+                             emitted.fetch_add(1);
+                         }
+                         fatal("recording failed");
+                     },
+                     helper, caller),
+                 FatalError);
+    // Whatever the recording queued before failing may or may not
+    // have been delivered; nothing beyond it was.
+    EXPECT_LE(helper.seen, emitted.load());
+    EXPECT_LE(caller.seen, emitted.load());
+}
+
+TEST(PipelinedAnalysis, PipeDeliversEveryEventInOrder)
+{
+    // Both sinks see the inline listener's exact sequence, including a
+    // final partial chunk.
+    struct Recorder
+    {
+        std::vector<std::pair<uint32_t, BlockId>> events;
+        void onBlock(uint32_t tid, BlockId block)
+        {
+            events.emplace_back(tid, block);
+        }
+    };
+    const Program p = generateProgram(findApp("654.roms_s.1"),
+                                      InputClass::Test);
+    ExecConfig cfg{.numThreads = 4};
+    struct InlineRecorder : ExecListener
+    {
+        Recorder r;
+        void onBlock(uint32_t tid, BlockId block,
+                     const ExecutionEngine &) override
+        {
+            r.onBlock(tid, block);
+        }
+    } inline_rec;
+    const Pinball want = recordPinball(p, cfg, 1000, &inline_rec);
+    ASSERT_GT(inline_rec.r.events.size(), 2u * BlockPipe::kChunkEvents);
+    ASSERT_NE(inline_rec.r.events.size() % BlockPipe::kChunkEvents, 0u);
+
+    Recorder helper, caller;
+    Pinball got;
+    const BlockPipeStats stats = runBlockPipe(
+        [&](ExecListener &listener) {
+            got = recordPinball(p, cfg, 1000, &listener);
+        },
+        helper, caller);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(helper.events, inline_rec.r.events);
+    EXPECT_EQ(caller.events, inline_rec.r.events);
+    EXPECT_GE(stats.producerWaitSeconds, 0.0);
+    EXPECT_GE(stats.helperIdleSeconds, 0.0);
+    EXPECT_GE(stats.callerIdleSeconds, 0.0);
 }
 
 } // namespace

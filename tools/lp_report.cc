@@ -14,7 +14,9 @@
  * time). A region's checkpoint is ready when its warm.fastforward stop
  * ends, or, in a phase served from stored warm checkpoints, when its
  * warm.load ends. It also counts the whole-program executions the
- * analysis made (the recording plus any DCFG or profile replay).
+ * analysis made (the recording plus any DCFG or profile replay), and
+ * says which side of each serial pass stalled: the recording or its
+ * listeners, the warming producer or its partition workers.
  *
  * --check turns lp_report into a validator: the document must parse,
  * every event must carry the Chrome trace-event required fields, 'X'
@@ -369,6 +371,22 @@ reportTrace(const Options &opt)
                         static_cast<long long>(critical_region),
                         phase_ms);
 
+        // Which side of the warming pass stalled: the producer (the
+        // engine stepping thread) waiting on full partition queues, or
+        // the partition workers waiting for accesses.
+        const double partitions = arg("warm_partitions");
+        if (partitions == 1.0) {
+            std::printf("warm pass      : inline on the warming thread\n");
+        } else if (partitions > 1.0) {
+            const double wait_s = arg("warm_producer_wait_s");
+            const double idle_s = arg("warm_partition_idle_s");
+            std::printf("warm pass      : %s (producer waited %.2f s, "
+                        "partitions idle %.2f s)\n",
+                        wait_s > idle_s / partitions ? "partition-bound"
+                                                     : "producer-bound",
+                        wait_s, idle_s);
+        }
+
         // The phase span must agree with the wall time the pipeline
         // itself measured and attached as an argument.
         const double wall_arg_ms = arg("phase_wall_seconds") * 1e3;
@@ -391,11 +409,13 @@ reportTrace(const Options &opt)
     // constrained replay.
     size_t executions = 0;
     bool analyzed = false;
+    const Event *recording = nullptr;
     for (const Event &ev : spans) {
         if (ev.mirror)
             continue;
         if (ev.name == "analyze.record") {
             analyzed = true;
+            recording = &ev;
             auto it = ev.numArgs.find("cached");
             if (it == ev.numArgs.end() || it->second == 0.0)
                 ++executions;
@@ -407,6 +427,28 @@ reportTrace(const Options &opt)
     if (analyzed)
         std::printf("\nanalysis       : %zu program execution(s)\n",
                     executions);
+    // Which side of a pipelined recording stalled: the recording
+    // waiting for its slowest listener, or the listeners (the DCFG
+    // builder and the slice profiler) waiting for block events.
+    if (recording) {
+        auto arg = [&](const char *key) {
+            auto it = recording->numArgs.find(key);
+            return it == recording->numArgs.end() ? -1.0 : it->second;
+        };
+        const double wait_s = arg("record_wait_s");
+        const double dcfg_s = arg("dcfg_idle_s");
+        const double profile_s = arg("profile_idle_s");
+        if (arg("listener_threads") == 0.0)
+            std::printf("record pass    : inline (listeners on the "
+                        "recording thread)\n");
+        else if (wait_s >= 0.0)
+            std::printf("record pass    : %s (recording waited %.2f s, "
+                        "dcfg idle %.2f s, profile idle %.2f s)\n",
+                        wait_s > std::min(dcfg_s, profile_s)
+                            ? "listener-bound"
+                            : "recording-bound",
+                        wait_s, dcfg_s, profile_s);
+    }
 
     size_t journal_hits = 0;
     for (const Event &ev : instants)

@@ -78,9 +78,12 @@ usage()
         "  -j, --jobs=N         host workers for region simulation,\n"
         "                       clustering and the warming pass's\n"
         "                       cache-set partitions (inline when\n"
-        "                       the prefetcher is on); 0 or omitted\n"
-        "                       = auto-detect (hardware concurrency).\n"
-        "                       Results are identical for any N\n"
+        "                       the prefetcher is on); N > 1 also\n"
+        "                       pipelines a cold analysis (recording\n"
+        "                       and DCFG builder on helper threads);\n"
+        "                       0 or omitted = auto-detect (hardware\n"
+        "                       concurrency). Results are identical\n"
+        "                       for any N\n"
         "  -i, --input-class=C  test | train | ref | A | C | D\n"
         "                       (default: test)\n"
         "  -w, --wait-policy=P  passive | active (default: passive)\n"
