@@ -62,7 +62,8 @@ struct LoopPointOptions
     bool filterSpin = true;
     /**
      * Host worker threads for the analysis phase (feature projection
-     * and the k-means BIC sweep). 1 = serial, 0 = hardware
+     * and the k-means BIC sweep); above 1, a cold recording is also
+     * pipelined (exec/block_pipe.hh). 1 = serial, 0 = hardware
      * concurrency. Results are bit-identical for any value.
      */
     uint32_t jobs = 1;
@@ -306,10 +307,10 @@ class LoopPointPipeline
      * from its checkpoint up to sim_cfg.regionRetries times, then
      * dropped — its outcome records the failure, coverage drops below
      * 1.0, and the run completes degraded instead of dying. With
-     * `journal`, every completed region is persisted and regions
-     * already journaled by a previous (crashed) run are reused without
-     * re-simulation; resumed results are bit-identical to an
-     * uninterrupted run.
+     * `journal`, every completed region is persisted, in program
+     * order whatever the jobs count, and regions already journaled by
+     * a previous (crashed) run are reused without re-simulation;
+     * resumed results are bit-identical to an uninterrupted run.
      *
      * Warm checkpoints: with a stage cache attached (setStageCache),
      * each region's start state — replay cursors, functional state and
