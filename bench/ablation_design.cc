@@ -9,9 +9,6 @@
  *                          synchronization code from BBVs and counts
  *                          (evaluated under the active wait policy,
  *                          where it matters)
- *
- * Flags: --app=NAME (default 603.bwaves_s.1), --full (all four
- * sweeps; default runs all as well, kept for symmetry)
  */
 
 #include <cstdio>
@@ -43,8 +40,12 @@ runWith(const std::string &app, WaitPolicy policy,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const std::string app = args.get("app", "603.bwaves_s.1");
+    std::string app = "603.bwaves_s.1";
+    bench::parseBenchFlags(
+        argc, argv,
+        {bench::appFlag(app),
+         {"full", 0, "", "all four sweeps (the default; kept for symmetry)",
+          [](const std::string &) {}}});
     setQuiet(true);
 
     bench::printHeader(("Ablations of LoopPoint design choices on " +

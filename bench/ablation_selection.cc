@@ -15,8 +15,6 @@
  * On strongly periodic workloads all three do fine; the clustering
  * advantage shows on phase-heterogeneous apps (657.xz_s.2, wrf),
  * where random/stride picks mis-weight the phases.
- *
- * Flags: --app=NAME, --quick, --full
  */
 
 #include <cstdio>
@@ -81,10 +79,11 @@ errorOf(LoopPointPipeline &pipe, const LoopPointResult &lp,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool quick = args.has("quick");
-    const bool full = args.has("full");
-    const std::string only = args.get("app");
+    bool quick = false, full = false;
+    std::string only;
+    bench::parseBenchFlags(argc, argv,
+                           {bench::quickFlag(quick), bench::fullFlag(full),
+                            bench::appFlag(only)});
     setQuiet(true);
 
     bench::printHeader("Representative-selection ablation: runtime "

@@ -6,8 +6,6 @@
  * machines. One analysis per app; region + full simulation on five
  * targets: the Table I baseline, an in-order core, a quarter-size L2,
  * a slow memory, and a machine with an aggressive L2 prefetcher.
- *
- * Flags: --app=NAME, --quick
  */
 
 #include <cstdio>
@@ -63,10 +61,11 @@ makeTargets()
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool quick = args.has("quick");
-    const bool full = args.has("full");
-    const std::string only = args.get("app");
+    bool quick = false, full = false;
+    std::string only;
+    bench::parseBenchFlags(argc, argv,
+                           {bench::quickFlag(quick), bench::fullFlag(full),
+                            bench::appFlag(only)});
     setQuiet(true);
 
     auto targets = makeTargets();

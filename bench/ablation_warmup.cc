@@ -9,8 +9,8 @@
  *   limited(W) — warm only the last ~W instructions before the region;
  *   none  — cold caches and predictors at the region start.
  *
- * Flags: --app=NAME (default 619.lbm_s.1 — memory-bound, most
- * warmup-sensitive), --quick
+ * Default apps: 619.lbm_s.1 (memory-bound, the most warmup-sensitive)
+ * and 603.bwaves_s.1, plus 649.fotonik3d_s.1 without --quick.
  */
 
 #include <cstdio>
@@ -103,15 +103,17 @@ simulateWithWarmup(const Program &prog, const LoopPointOptions &opts,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    bool quick = false;
+    std::string only;
+    bench::parseBenchFlags(argc, argv,
+                           {bench::quickFlag(quick), bench::appFlag(only)});
     setQuiet(true);
     std::vector<std::string> apps;
-    std::string only = args.get("app");
     if (!only.empty()) {
         apps.push_back(only);
     } else {
         apps = {"619.lbm_s.1", "603.bwaves_s.1"};
-        if (!args.has("quick"))
+        if (!quick)
             apps.push_back("649.fotonik3d_s.1");
     }
 

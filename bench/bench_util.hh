@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared helpers for the experiment harnesses in bench/: tiny argv
- * parsing and table formatting. Each bench binary regenerates one
+ * Shared helpers for the experiment harnesses in bench/: the shared
+ * flags and table formatting. Each bench binary regenerates one
  * table or figure of the paper and prints the corresponding rows.
  */
 
@@ -11,54 +11,55 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <ctime>
 #include <string>
 #include <vector>
 
+#include "util/flags.hh"
 #include "util/logging.hh"
 
 namespace looppoint::bench {
 
-/** Minimal flag parser: --name or --name=value. */
-class Args
+/** Parse a bench's flags: --help prints them and exits 0, an unknown
+ * flag or bad value exits 2. */
+inline void
+parseBenchFlags(int argc, char **argv, std::vector<Flag> flags)
 {
-  public:
-    Args(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i)
-            args.emplace_back(argv[i]);
-    }
+    const std::string path = argv[0];
+    parseCommandLine({path.substr(path.rfind('/') + 1), "[options]",
+                      std::move(flags)},
+                     argc, argv);
+}
 
-    bool
-    has(const std::string &flag) const
-    {
-        for (const auto &a : args)
-            if (a == "--" + flag ||
-                a.rfind("--" + flag + "=", 0) == 0)
-                return true;
-        return false;
-    }
+/** The flags most benches share; each bench lists the ones it reads. */
+inline Flag
+quickFlag(bool &quick)
+{
+    return {"quick", 0, "", "small subset of applications (CI-friendly)",
+            setBool(quick)};
+}
 
-    std::string
-    get(const std::string &flag, const std::string &def = "") const
-    {
-        std::string prefix = "--" + flag + "=";
-        for (const auto &a : args)
-            if (a.rfind(prefix, 0) == 0)
-                return a.substr(prefix.size());
-        return def;
-    }
+inline Flag
+fullFlag(bool &full)
+{
+    return {"full", 0, "", "every application, not the default subset",
+            setBool(full)};
+}
 
-    uint64_t
-    getU64(const std::string &flag, uint64_t def) const
-    {
-        std::string v = get(flag);
-        return v.empty() ? def : std::stoull(v);
-    }
+inline Flag
+appFlag(std::string &app)
+{
+    return {"app", 0, "NAME", "run this application only", setString(app)};
+}
 
-  private:
-    std::vector<std::string> args;
-};
+inline Flag
+csvFlag(std::string &dir)
+{
+    return {"csv", 0, "[DIR]",
+            "also write the plotted series to DIR/<figure>.csv (default "
+            "DIR: .)",
+            [&dir](const std::string &v) { dir = v.empty() ? "." : v; }};
+}
 
 /**
  * Optional CSV emission for plotting: pass --csv (or --csv=DIR) to a
@@ -68,14 +69,12 @@ class Args
 class CsvFile
 {
   public:
-    /** @param args parsed flags; @param name file stem, e.g. "fig5" */
-    CsvFile(const Args &args, const std::string &name)
+    /** @param dir csvFlag()'s value: DIR, "." for a bare --csv, "" =
+     * disabled; @param name file stem, e.g. "fig5" */
+    CsvFile(const std::string &dir, const std::string &name)
     {
-        if (!args.has("csv"))
-            return;
-        std::string dir = args.get("csv", ".");
         if (dir.empty())
-            dir = ".";
+            return;
         path = dir + "/" + name + ".csv";
         file = std::fopen(path.c_str(), "w");
         if (!file)
@@ -110,6 +109,40 @@ class CsvFile
     std::FILE *file = nullptr;
     std::string path;
 };
+
+/**
+ * Short git SHA of the working tree, or "unknown" when git (or the
+ * .git directory) is unavailable — bench results stay comparable
+ * across checkouts without making git a hard dependency.
+ */
+inline std::string
+gitSha()
+{
+    std::FILE *p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
+    if (!p)
+        return "unknown";
+    char buf[64] = {0};
+    std::string sha;
+    if (std::fgets(buf, sizeof(buf), p)) {
+        sha = buf;
+        while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
+            sha.pop_back();
+    }
+    ::pclose(p);
+    return sha.empty() ? "unknown" : sha;
+}
+
+/** UTC wall-clock timestamp, ISO 8601, for bench provenance. */
+inline std::string
+utcTimestamp()
+{
+    std::time_t now = std::time(nullptr);
+    std::tm tm_utc{};
+    gmtime_r(&now, &tm_utc);
+    char buf[32];
+    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
+    return buf;
+}
 
 inline std::string
 fmt(double v)

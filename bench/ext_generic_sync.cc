@@ -9,8 +9,6 @@
  * pipeline, an atomics-heavy work queue with unit-size task claiming,
  * and a lock-chained table updater — under both wait policies, and
  * reports the same error/speedup columns as Fig. 5/8.
- *
- * Flags: --app=NAME
  */
 
 #include <cstdio>
@@ -26,8 +24,9 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const std::string only = args.get("app");
+    std::string only, csv_dir;
+    bench::parseBenchFlags(argc, argv,
+                           {bench::appFlag(only), bench::csvFlag(csv_dir)});
     setQuiet(true);
 
     bench::printHeader("Extension: LoopPoint on pthread-style "
@@ -38,7 +37,7 @@ main(int argc, char **argv)
                 "k");
     bench::printRule();
 
-    bench::CsvFile csv(args, "ext_generic_sync");
+    bench::CsvFile csv(csv_dir, "ext_generic_sync");
     csv.row({"application", "err_active_pct", "err_passive_pct",
              "theoretical_parallel", "actual_parallel", "k"});
 

@@ -2,8 +2,6 @@
  * @file
  * Fig. 10: actual LoopPoint speedups for the NPB analogs (class C,
  * passive wait policy) at 8 and 16 threads/cores.
- *
- * Flags: --app=NAME, --quick
  */
 
 #include <cstdio>
@@ -19,10 +17,11 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool quick = args.has("quick");
-    const bool full = args.has("full");
-    const std::string only = args.get("app");
+    bool quick = false, full = false;
+    std::string only, csv_dir;
+    bench::parseBenchFlags(argc, argv,
+                           {bench::quickFlag(quick), bench::fullFlag(full),
+                            bench::appFlag(only), bench::csvFlag(csv_dir)});
 
     setQuiet(true);
     bench::printHeader("Fig. 10: NPB (class C, passive) actual "
@@ -31,7 +30,7 @@ main(int argc, char **argv)
                 "ser (8t)", "par (8t)", "ser (16t)", "par (16t)");
     bench::printRule();
 
-    bench::CsvFile csv(args, "fig10");
+    bench::CsvFile csv(csv_dir, "fig10");
     csv.row({"application", "serial_8t", "parallel_8t", "serial_16t",
              "parallel_16t"});
 

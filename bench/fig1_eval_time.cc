@@ -69,9 +69,12 @@ humanTime(double seconds)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const double scale =
-        static_cast<double>(args.getU64("scale", 1000));
+    double scale = 1000.0;
+    bench::parseBenchFlags(
+        argc, argv,
+        {{"scale", 0, "N",
+          "paper-equivalent scale factor for the times (default: 1000)",
+          setDouble(scale)}});
     const uint64_t slice_global = 8 * 100'000; // N x sliceSizePerThread
 
     setQuiet(true);

@@ -4,8 +4,6 @@
  * per-slice basis, demonstrating homogeneous (e.g. 603.bwaves) vs.
  * non-homogeneous (657.xz_s.2) thread behavior. The per-thread
  * concatenated BBVs capture exactly this signal for clustering.
- *
- * Flags: --app=NAME (default prints bwaves and xz_s.2)
  */
 
 #include <cstdio>
@@ -62,11 +60,11 @@ printApp(const std::string &name)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    std::string only;
+    bench::parseBenchFlags(argc, argv, {bench::appFlag(only)});
     setQuiet(true);
     bench::printHeader("Fig. 3: per-slice per-thread instruction "
                        "share (train inputs)");
-    std::string only = args.get("app");
     if (!only.empty()) {
         printApp(only);
     } else {

@@ -125,9 +125,9 @@ printIpcTrace(const Program &prog, uint32_t threads,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
+    std::string name = "638.imagick_s.1";
+    bench::parseBenchFlags(argc, argv, {bench::appFlag(name)});
     setQuiet(true);
-    std::string name = args.get("app", "638.imagick_s.1");
     bench::printHeader("Fig. 4: a representative LoopPoint region "
                        "(638.imagick analog, train, 8 threads)");
 

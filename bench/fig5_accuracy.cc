@@ -4,12 +4,6 @@
  * prediction error of LoopPoint for the SPEC CPU2017 speed analogs
  * with train inputs and 8 threads, under the active and passive
  * OpenMP wait policies.
- *
- * Flags:
- *   --inorder       simulate an in-order core instead (Fig. 5b)
- *   --constrained   constrained (PinPlay-ordered) region simulation
- *   --app=NAME      run a single app
- *   --quick         first four apps only (CI-friendly)
  */
 
 #include <cstdio>
@@ -25,11 +19,17 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool inorder = args.has("inorder");
-    const bool constrained = args.has("constrained");
-    const bool quick = args.has("quick");
-    const std::string only = args.get("app");
+    bool inorder = false, constrained = false, quick = false;
+    std::string only, csv_dir;
+    bench::parseBenchFlags(
+        argc, argv,
+        {{"inorder", 0, "", "simulate an in-order core instead (Fig. 5b)",
+          setBool(inorder)},
+         {"constrained", 0, "",
+          "constrained (PinPlay-ordered) region simulation",
+          setBool(constrained)},
+         bench::quickFlag(quick), bench::appFlag(only),
+         bench::csvFlag(csv_dir)});
 
     setQuiet(true);
 
@@ -47,7 +47,7 @@ main(int argc, char **argv)
                 "k (pas)");
     bench::printRule();
 
-    bench::CsvFile csv(args, inorder ? "fig5b" : "fig5a");
+    bench::CsvFile csv(csv_dir, inorder ? "fig5b" : "fig5a");
     csv.row({"application", "threads", "err_active_pct",
              "err_passive_pct", "k_active", "k_passive"});
 

@@ -3,8 +3,6 @@
  * Fig. 6: LoopPoint runtime prediction error for the NPB analogs
  * (class C, passive wait policy) at 8 and 16 threads. Applications are
  * profiled separately per thread count, as in the paper.
- *
- * Flags: --app=NAME, --quick
  */
 
 #include <cstdio>
@@ -20,10 +18,11 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool quick = args.has("quick");
-    const bool full = args.has("full");
-    const std::string only = args.get("app");
+    bool quick = false, full = false;
+    std::string only, csv_dir;
+    bench::parseBenchFlags(argc, argv,
+                           {bench::quickFlag(quick), bench::fullFlag(full),
+                            bench::appFlag(only), bench::csvFlag(csv_dir)});
 
     setQuiet(true);
     bench::printHeader("Fig. 6: NPB (class C, passive) runtime "
@@ -32,7 +31,7 @@ main(int argc, char **argv)
                 "err% (8t)", "err% (16t)", "k(8)", "k(16)");
     bench::printRule();
 
-    bench::CsvFile csv(args, "fig6");
+    bench::CsvFile csv(csv_dir, "fig6");
     csv.row({"application", "err_8t_pct", "err_16t_pct", "k_8t",
              "k_16t"});
 

@@ -5,8 +5,6 @@
  * difference, (c) L2-MPKI absolute difference — for the SPEC CPU2017
  * train analogs at 8 threads, active and passive wait policies,
  * unconstrained simulation.
- *
- * Flags: --app=NAME, --quick
  */
 
 #include <cstdio>
@@ -22,10 +20,11 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool quick = args.has("quick");
-    const bool full = args.has("full");
-    const std::string only = args.get("app");
+    bool quick = false, full = false;
+    std::string only;
+    bench::parseBenchFlags(argc, argv,
+                           {bench::quickFlag(quick), bench::fullFlag(full),
+                            bench::appFlag(only)});
 
     setQuiet(true);
     bench::printHeader("Fig. 7: metric prediction (SPEC CPU2017 train, "

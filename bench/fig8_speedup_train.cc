@@ -9,10 +9,9 @@
  * simulator wall-clock time, with parallel variants assuming every
  * region simulates concurrently (bounded by the slowest region).
  *
- * Flags: --app=NAME, --quick, --passive, --jobs=N (host workers for
- * the checkpointed phase; default hardware concurrency). The host-par
- * column is the *measured* host-parallel self-relative speedup of the
- * checkpointed phase, not the theoretical region-count bound.
+ * The host-par column is the *measured* host-parallel self-relative
+ * speedup of the checkpointed phase, not the theoretical region-count
+ * bound.
  */
 
 #include <cstdio>
@@ -29,12 +28,19 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool quick = args.has("quick");
-    const std::string only = args.get("app");
-    const bool passive = args.has("passive");
-    const uint32_t jobs = static_cast<uint32_t>(
-        args.getU64("jobs", ThreadPool::defaultWorkers()));
+    bool quick = false, passive = false;
+    std::string only, csv_dir;
+    uint32_t jobs = ThreadPool::defaultWorkers();
+    bench::parseBenchFlags(
+        argc, argv,
+        {bench::quickFlag(quick), bench::appFlag(only),
+         {"passive", 0, "", "passive wait policy instead of active",
+          setBool(passive)},
+         {"jobs", 0, "N",
+          "host workers for the checkpointed phase (default: hardware "
+          "concurrency)",
+          setUnsigned(jobs, 0, ThreadPool::kMaxJobs)},
+         bench::csvFlag(csv_dir)});
 
     setQuiet(true);
     bench::printHeader(
@@ -45,7 +51,7 @@ main(int argc, char **argv)
                 "act-par", "host-par", "k");
     bench::printRule();
 
-    bench::CsvFile csv(args, "fig8");
+    bench::CsvFile csv(csv_dir, "fig8");
     csv.row({"application", "theoretical_serial", "actual_serial",
              "theoretical_parallel", "actual_parallel",
              "host_parallel_measured", "jobs", "k"});

@@ -10,11 +10,9 @@
  * BarrierPoint collapses on barrier-poor applications (638.imagick,
  * 657.xz) whose inter-barrier regions are as large as the program.
  *
- * Flags: --app=NAME, --quick, --train (use train instead of ref),
- * --jobs=N (host workers for the clustering sweep; default hardware
- * concurrency). The host-par column is the measured host-parallel
- * self-relative speedup of the BIC model-selection sweep — on ref
- * inputs the analysis *is* the cost, so that sweep is the hot path.
+ * The host-par column is the measured host-parallel self-relative
+ * speedup of the BIC model-selection sweep — on ref inputs the
+ * analysis *is* the cost, so that sweep is the hot path.
  */
 
 #include <cstdio>
@@ -33,13 +31,19 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool quick = args.has("quick");
-    const std::string only = args.get("app");
-    const InputClass input =
-        args.has("train") ? InputClass::Train : InputClass::Ref;
-    const uint32_t jobs = static_cast<uint32_t>(
-        args.getU64("jobs", ThreadPool::defaultWorkers()));
+    bool quick = false, train = false;
+    std::string only, csv_dir;
+    uint32_t jobs = ThreadPool::defaultWorkers();
+    bench::parseBenchFlags(
+        argc, argv,
+        {bench::quickFlag(quick), bench::appFlag(only),
+         {"train", 0, "", "train inputs instead of ref", setBool(train)},
+         {"jobs", 0, "N",
+          "host workers for the clustering sweep (default: hardware "
+          "concurrency)",
+          setUnsigned(jobs, 0, ThreadPool::kMaxJobs)},
+         bench::csvFlag(csv_dir)});
+    const InputClass input = train ? InputClass::Train : InputClass::Ref;
 
     setQuiet(true);
     bench::printHeader(
@@ -50,7 +54,7 @@ main(int argc, char **argv)
                 "host-par", "LP-k", "BP-k");
     bench::printRule();
 
-    bench::CsvFile csv(args, "fig9");
+    bench::CsvFile csv(csv_dir, "fig9");
     csv.row({"application", "looppoint_serial", "looppoint_parallel",
              "barrierpoint_serial", "barrierpoint_parallel",
              "cluster_host_parallel", "jobs"});

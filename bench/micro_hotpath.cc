@@ -8,21 +8,14 @@
  * regress against.
  *
  * Only stable public APIs are used, so the identical source can be
- * built against an older commit to obtain a comparison baseline.
- *
- * Flags:
- *   --app=NAME      workload (default 628.pop2_s.1)
- *   --input=CLASS   test|train|ref (default test)
- *   --threads=N     simulated thread count (default 4)
- *   --reps=N        repetitions per mode; best time wins (default 3)
- *   --out=PATH      JSON output path (default BENCH_hotpath.json)
- *   --obs=on|off    arm the global tracer/metrics during measurement
- *                   (default off) so obs overhead itself can be
- *                   benchmarked; the setting is recorded in the JSON
+ * built against an older commit (one that has src/util/flags.hh) to
+ * obtain a comparison baseline. --obs=on arms the global
+ * tracer/metrics during measurement so obs overhead itself can be
+ * benchmarked; the setting is recorded in the JSON.
  */
 
 #include <cstdio>
-#include <ctime>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,50 +87,6 @@ measure(const std::string &name, uint32_t reps, const Program &prog,
     return r;
 }
 
-InputClass
-parseInput(const std::string &s)
-{
-    if (s == "train")
-        return InputClass::Train;
-    if (s == "ref")
-        return InputClass::Ref;
-    return InputClass::Test;
-}
-
-/**
- * Short git SHA of the working tree, or "unknown" when git (or the
- * .git directory) is unavailable — bench results stay comparable
- * across checkouts without making git a hard dependency.
- */
-std::string
-gitSha()
-{
-    std::FILE *p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
-    if (!p)
-        return "unknown";
-    char buf[64] = {0};
-    std::string sha;
-    if (std::fgets(buf, sizeof(buf), p)) {
-        sha = buf;
-        while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-            sha.pop_back();
-    }
-    ::pclose(p);
-    return sha.empty() ? "unknown" : sha;
-}
-
-/** UTC wall-clock timestamp, ISO 8601, for bench provenance. */
-std::string
-utcTimestamp()
-{
-    std::time_t now = std::time(nullptr);
-    std::tm tm_utc{};
-    gmtime_r(&now, &tm_utc);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-    return buf;
-}
-
 void
 writeJson(std::FILE *f, const std::string &app,
           const std::string &input, uint32_t threads, uint32_t reps,
@@ -177,21 +126,41 @@ writeJson(std::FILE *f, const std::string &app,
 int
 main(int argc, char **argv)
 {
-    Args args(argc, argv);
-    const std::string app_name = args.get("app", "628.pop2_s.1");
-    const std::string input_name = args.get("input", "test");
-    const uint32_t threads =
-        static_cast<uint32_t>(args.getU64("threads", 4));
-    const uint32_t reps = static_cast<uint32_t>(args.getU64("reps", 3));
-    const std::string out_path = args.get("out", "BENCH_hotpath.json");
-    const bool obs = args.get("obs", "off") == "on";
+    std::string app_name = "628.pop2_s.1";
+    std::string input_name = "test";
+    uint32_t threads = 4;
+    uint32_t reps = 3;
+    std::string out_path = "BENCH_hotpath.json";
+    bool obs = false;
+    parseBenchFlags(
+        argc, argv,
+        {{"app", 0, "NAME", "workload (default: 628.pop2_s.1)",
+          setString(app_name)},
+         {"input", 0, "CLASS", "input class (default: test)",
+          [&input_name](const std::string &v) {
+              resolveInputClass(v);
+              input_name = v;
+          }},
+         {"threads", 0, "N", "simulated thread count (default: 4)",
+          setUnsigned(threads)},
+         {"reps", 0, "N",
+          "repetitions per mode; best time wins (default: 3)",
+          setUnsigned(reps, 1)},
+         {"out", 0, "PATH", "JSON output path (default: BENCH_hotpath.json)",
+          setString(out_path)},
+         {"obs", 0, "on|off",
+          "arm the global tracer/metrics during measurement (default: off)",
+          setChoice(obs, [](const std::string &v) {
+              return v == "on" || v == "off" ? std::optional(v == "on")
+                                             : std::nullopt;
+          })}});
     if (obs) {
         Tracer::global().setEnabled(true);
         MetricsRegistry::global().setEnabled(true);
     }
 
     const AppDescriptor &app = findApp(app_name);
-    Program prog = generateProgram(app, parseInput(input_name));
+    Program prog = generateProgram(app, resolveInputClass(input_name));
 
     ExecConfig exec_cfg;
     exec_cfg.numThreads = app.effectiveThreads(threads);

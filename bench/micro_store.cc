@@ -23,20 +23,11 @@
  *               the core — they load baseline's stored region warm
  *               checkpoints instead of re-running the warming pass.
  *               Reports warm hits and the store bytes per warm key.
- *
- * Flags:
- *   --app=NAME      workload (default 654.roms_s.1)
- *   --input=CLASS   test|train|ref (default train)
- *   --threads=N     simulated thread count (default 4)
- *   --store=DIR     store directory (default /tmp/lp_bench_store;
- *                   wiped at startup)
- *   --out=PATH      JSON output path (default BENCH_store.json)
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -82,46 +73,6 @@ struct Scenario
     uint32_t warmStageHits = 0;
     StoreStats store;
 };
-
-InputClass
-parseInput(const std::string &s)
-{
-    if (s == "train")
-        return InputClass::Train;
-    if (s == "ref")
-        return InputClass::Ref;
-    return InputClass::Test;
-}
-
-std::string
-gitSha()
-{
-    std::FILE *p =
-        ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
-    if (!p)
-        return "unknown";
-    char buf[64] = {0};
-    std::string sha;
-    if (std::fgets(buf, sizeof(buf), p)) {
-        sha = buf;
-        while (!sha.empty() &&
-               (sha.back() == '\n' || sha.back() == '\r'))
-            sha.pop_back();
-    }
-    ::pclose(p);
-    return sha.empty() ? "unknown" : sha;
-}
-
-std::string
-utcTimestamp()
-{
-    std::time_t now = std::time(nullptr);
-    std::tm tm_utc{};
-    gmtime_r(&now, &tm_utc);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-    return buf;
-}
 
 /** Everything result-bearing in one string: region metrics, the Eq.1
  * extrapolation, and the reference run. Warm must equal cold. */
@@ -192,15 +143,28 @@ runPoint(const std::string &app, InputClass input, uint32_t threads,
 int
 main(int argc, char **argv)
 {
-    Args args(argc, argv);
-    const std::string app = args.get("app", "654.roms_s.1");
-    const std::string input_name = args.get("input", "train");
-    const uint32_t threads =
-        static_cast<uint32_t>(args.getU64("threads", 4));
-    const std::string store_dir =
-        args.get("store", "/tmp/lp_bench_store");
-    const std::string out_path = args.get("out", "BENCH_store.json");
-    const InputClass input = parseInput(input_name);
+    std::string app = "654.roms_s.1";
+    std::string input_name = "train";
+    uint32_t threads = 4;
+    std::string store_dir = "/tmp/lp_bench_store";
+    std::string out_path = "BENCH_store.json";
+    parseBenchFlags(
+        argc, argv,
+        {{"app", 0, "NAME", "workload (default: 654.roms_s.1)",
+          setString(app)},
+         {"input", 0, "CLASS", "input class (default: train)",
+          [&input_name](const std::string &v) {
+              resolveInputClass(v);
+              input_name = v;
+          }},
+         {"threads", 0, "N", "simulated thread count (default: 4)",
+          setUnsigned(threads)},
+         {"store", 0, "DIR",
+          "scratch store, emptied first (default: /tmp/lp_bench_store)",
+          setString(store_dir)},
+         {"out", 0, "PATH", "JSON output path (default: BENCH_store.json)",
+          setString(out_path)}});
+    const InputClass input = resolveInputClass(input_name);
 
     if (std::system(("rm -rf '" + store_dir + "'").c_str()) != 0)
         fatal("cannot clear store dir '%s'", store_dir.c_str());

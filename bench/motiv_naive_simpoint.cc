@@ -7,8 +7,6 @@
  * The paper reports ~25% average error (up to 68%) for the naive
  * scheme under the active wait policy vs. ~2% for LoopPoint: spinning
  * makes instruction counts an unstable measure of work.
- *
- * Flags: --app=NAME, --quick
  */
 
 #include <cstdio>
@@ -56,10 +54,11 @@ naiveError(const AppDescriptor &app, WaitPolicy policy)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv);
-    const bool quick = args.has("quick");
-    const bool full = args.has("full");
-    const std::string only = args.get("app");
+    bool quick = false, full = false;
+    std::string only;
+    bench::parseBenchFlags(argc, argv,
+                           {bench::quickFlag(quick), bench::fullFlag(full),
+                            bench::appFlag(only)});
 
     setQuiet(true);
     bench::printHeader("Motivation (Sec. II): naive MT-SimPoint vs "

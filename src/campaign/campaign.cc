@@ -101,23 +101,6 @@ makeCampaignDir(const std::string &path)
               std::strerror(errno));
 }
 
-void
-validateCampaignSpec(const CampaignSpec &spec)
-{
-    if (spec.outDir.empty())
-        fatal("--out=DIR is required");
-    if (spec.waitPolicy != "passive" && spec.waitPolicy != "active")
-        fatal("wait policy must be 'passive' or 'active'");
-    for (const auto &p : spec.apps)
-        resolveArtifactProgram(p);
-    for (const auto &ic : spec.inputs)
-        resolveInputClass(ic);
-    for (const auto &u : spec.uarchs) {
-        SimConfig scratch;
-        applyUarchPreset(scratch, u);
-    }
-}
-
 std::vector<CampaignJob>
 expandCampaignMatrix(const CampaignSpec &spec)
 {
@@ -155,7 +138,8 @@ campaignFingerprint(const CampaignSpec &spec)
     os << ";uarchs=";
     for (const auto &u : spec.uarchs)
         os << u << "|";
-    os << ";wait=" << spec.waitPolicy << ";seed=" << spec.seed
+    os << ";wait=" << waitPolicyName(spec.waitPolicy)
+       << ";seed=" << spec.seed
        << ";fullsim=" << (spec.fullSim ? 1 : 0)
        << ";audit=" << (spec.audit ? 1 : 0) << ";";
     const std::string text = os.str();
@@ -189,8 +173,7 @@ campaignJobConfig(const CampaignJob &job, const std::string &job_dir,
     cfg.app = resolveArtifactProgram(job.program);
     cfg.input = resolveInputClass(job.input);
     cfg.requestedThreads = job.threads;
-    cfg.waitPolicy = spec.waitPolicy == "active" ? WaitPolicy::Active
-                                                 : WaitPolicy::Passive;
+    cfg.waitPolicy = spec.waitPolicy;
     cfg.jobs = spec.jobs;
     cfg.simulateFull = spec.fullSim;
     cfg.loopPoint.seed = spec.seed;

@@ -45,7 +45,7 @@ struct CampaignSpec
     std::string outDir;
     std::string storeDir; ///< default: <outDir>/store
     uint32_t jobs = 1;    ///< host workers per job
-    std::string waitPolicy = "passive";
+    WaitPolicy waitPolicy = WaitPolicy::Passive;
     uint64_t seed = 42;
     bool fullSim = true;
     /** Run the post-job artifact audit and record its findings. */
@@ -73,12 +73,6 @@ struct CampaignJob
      * surface; 0 when not in backoff). */
     double backoffSeconds = 0.0;
 };
-
-/**
- * Validate every matrix axis and knob; fatal() on the first bad one —
- * a bad name anywhere is a usage error before any job runs.
- */
-void validateCampaignSpec(const CampaignSpec &spec);
 
 /** Expand the matrix in store-reuse order (see file comment). */
 std::vector<CampaignJob> expandCampaignMatrix(const CampaignSpec &spec);

@@ -24,7 +24,9 @@
 #define LOOPPOINT_ISA_PROGRAM_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "isa/instr.hh"
@@ -118,6 +120,16 @@ constexpr const char *
 waitPolicyName(WaitPolicy policy)
 {
     return policy == WaitPolicy::Active ? "active" : "passive";
+}
+
+/** The inverse of waitPolicyName(); nullopt for any other spelling. */
+constexpr std::optional<WaitPolicy>
+parseWaitPolicy(std::string_view name)
+{
+    for (WaitPolicy p : {WaitPolicy::Passive, WaitPolicy::Active})
+        if (name == waitPolicyName(p))
+            return p;
+    return std::nullopt;
 }
 
 /**

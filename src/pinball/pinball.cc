@@ -187,10 +187,8 @@ parsePinballPayload(std::istream &is, int version, Pinball &pb)
         return streamError(is, "'threads' field");
     if (!(is >> key >> value) || key != "waitpolicy")
         return streamError(is, "'waitpolicy' field");
-    if (value == "active")
-        pb.config.waitPolicy = WaitPolicy::Active;
-    else if (value == "passive")
-        pb.config.waitPolicy = WaitPolicy::Passive;
+    if (auto policy = parseWaitPolicy(value))
+        pb.config.waitPolicy = *policy;
     else
         return LoadError{LoadErrorKind::Parse,
                          "unknown wait policy '" + value + "'"};
@@ -242,10 +240,7 @@ Pinball::save(std::ostream &os) const
     std::ostringstream payload;
     payload << "program " << programName << '\n';
     payload << "threads " << config.numThreads << '\n';
-    payload << "waitpolicy "
-            << (config.waitPolicy == WaitPolicy::Active ? "active"
-                                                        : "passive")
-            << '\n';
+    payload << "waitpolicy " << waitPolicyName(config.waitPolicy) << '\n';
     payload << "seed " << config.seed << '\n';
     saveSyncTids(payload, config.numThreads);
     saveOrderTable(payload, "locks", log.lockOrder);

@@ -116,7 +116,8 @@ applyUarchPreset(SimConfig &cfg, const std::string &name)
 std::string
 uarchPresetNames()
 {
-    return "baseline,big-l2,small-rob,slow-mem,prefetch,narrow,inorder";
+    return "baseline, big-l2, small-rob, slow-mem, prefetch, narrow, "
+           "inorder";
 }
 
 } // namespace looppoint

@@ -153,7 +153,7 @@ struct SimConfig
  */
 void applyUarchPreset(SimConfig &cfg, const std::string &name);
 
-/** The preset names applyUarchPreset accepts, comma-separated. */
+/** The preset names applyUarchPreset accepts, as "a, b, ...". */
 std::string uarchPresetNames();
 
 } // namespace looppoint

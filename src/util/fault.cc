@@ -1,5 +1,6 @@
 #include "util/fault.hh"
 
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -7,37 +8,15 @@ namespace looppoint {
 
 namespace {
 
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= s.size()) {
-        size_t next = s.find(sep, pos);
-        if (next == std::string::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, next - pos));
-        pos = next + 1;
-    }
-    return out;
-}
-
 uint64_t
 parseUint(const std::string &clause, const std::string &key,
           const std::string &value)
 {
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos)
-        fatal("--inject-fault: '%s' needs a non-negative integer for "
-              "'%s', got '%s'", clause.c_str(), key.c_str(),
-              value.c_str());
     try {
-        return std::stoull(value);
-    } catch (const std::out_of_range &) {
-        fatal("--inject-fault: value '%s' for '%s' is out of range",
-              value.c_str(), key.c_str());
+        return parseUnsigned(value);
+    } catch (const UsageError &e) {
+        fatal("--inject-fault: '%s' needs a non-negative integer for "
+              "'%s': %s", clause.c_str(), key.c_str(), e.what());
     }
 }
 
@@ -53,7 +32,7 @@ parseClause(const std::string &clause)
     FaultSpec spec;
     bool have_region = false, have_byte = false, have_kind = false;
     bool have_index = false;
-    for (const std::string &kv : split(clause.substr(colon + 1), ',')) {
+    for (const std::string &kv : splitList(clause.substr(colon + 1))) {
         const size_t eq = kv.find('=');
         if (eq == std::string::npos)
             fatal("--inject-fault: '%s' in clause '%s' is not "
@@ -157,7 +136,7 @@ FaultPlan::parse(const std::string &spec)
     FaultPlan plan;
     if (spec.empty())
         return plan;
-    for (const std::string &clause : split(spec, ';')) {
+    for (const std::string &clause : splitList(spec, ';')) {
         if (clause.empty())
             fatal("--inject-fault: empty clause in '%s'", spec.c_str());
         plan.clauses.push_back(parseClause(clause));

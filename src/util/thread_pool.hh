@@ -70,6 +70,10 @@ class ThreadPool
     /** Hardware concurrency, clamped to at least 1. */
     static uint32_t defaultWorkers();
 
+    /** The largest worker count a --jobs flag accepts, so a typo
+     * cannot ask the host for billions of threads. */
+    static constexpr uint32_t kMaxJobs = 1024;
+
     /**
      * Resolve a user-facing worker-count knob (--jobs): 0 means
      * "auto-detect" and resolves to defaultWorkers()

@@ -159,8 +159,8 @@ const AppDescriptor &findApp(const std::string &name);
  */
 std::string resolveArtifactProgram(const std::string &prog);
 
-/** Parse an input-class name (test, train, ref, A, C, D); throws
- * FatalError on an unknown name. */
+/** The inverse of inputClassName() (test, train, ref, A, C, D);
+ * throws FatalError on an unknown name. */
 InputClass resolveInputClass(const std::string &name);
 
 /** Lower a descriptor to a concrete Program for an input class. */

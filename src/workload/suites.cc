@@ -725,18 +725,10 @@ resolveArtifactProgram(const std::string &prog)
 InputClass
 resolveInputClass(const std::string &name)
 {
-    if (name == "test")
-        return InputClass::Test;
-    if (name == "train")
-        return InputClass::Train;
-    if (name == "ref")
-        return InputClass::Ref;
-    if (name == "A")
-        return InputClass::NpbA;
-    if (name == "C")
-        return InputClass::NpbC;
-    if (name == "D")
-        return InputClass::NpbD;
+    for (InputClass c : {InputClass::Test, InputClass::Train, InputClass::Ref,
+                         InputClass::NpbA, InputClass::NpbC, InputClass::NpbD})
+        if (inputClassName(c) == name)
+            return c;
     fatal("unknown input class '%s'", name.c_str());
 }
 

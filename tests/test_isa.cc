@@ -27,6 +27,15 @@ makeTinyProgram()
     return b.build();
 }
 
+TEST(WaitPolicy, NameParsesBack)
+{
+    for (WaitPolicy p : {WaitPolicy::Passive, WaitPolicy::Active})
+        EXPECT_EQ(parseWaitPolicy(waitPolicyName(p)), p);
+    EXPECT_FALSE(parseWaitPolicy("Active"));
+    EXPECT_FALSE(parseWaitPolicy(""));
+    EXPECT_FALSE(parseWaitPolicy("spin"));
+}
+
 TEST(ProgramBuilder, ProducesValidProgram)
 {
     Program p = makeTinyProgram();

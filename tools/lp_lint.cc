@@ -35,6 +35,7 @@
 #include "core/run_journal.hh"
 #include "dcfg/dcfg.hh"
 #include "pinball/pinball.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "workload/descriptor.hh"
 
@@ -46,14 +47,15 @@ struct CliOptions
 {
     std::vector<std::string> programs{"demo-matrix-1"};
     uint32_t ncores = 8;
-    std::string inputClass = "test";
-    std::string waitPolicy = "passive";
+    InputClass input = InputClass::Test;
+    WaitPolicy waitPolicy = WaitPolicy::Passive;
     uint64_t quantum = 1000;
     bool lint = true;
     bool raceCheck = false;
     bool lockCheck = false;
     bool audit = false;
     bool json = false;
+    bool listPasses = false;
     uint32_t maxFindings = 0;
     std::string sarifPath;
     /** Artifact-store directory for the audit pass ("" = skip). */
@@ -65,172 +67,92 @@ struct CliOptions
     std::vector<std::string> passes;
 };
 
-void
-usage()
+CommandLine
+commandLine(CliOptions &cli)
 {
-    std::printf(
-        "usage: lp_lint [options]\n"
-        "  -p, --program=LIST   comma-separated programs, each\n"
-        "                       <suite>-<app>-<input-num>\n"
-        "                       (default: demo-matrix-1)\n"
-        "  -n, --ncores=N       number of threads (default: 8)\n"
-        "  -i, --input-class=C  test | train | ref | A | C | D\n"
-        "                       (default: test)\n"
-        "  -w, --wait-policy=P  passive | active (default: passive)\n"
-        "  -q, --quantum=N      flow-control quantum in instructions\n"
-        "                       (default: 1000)\n"
-        "      --passes=LIST    run exactly these analyses (see\n"
-        "                       --list-passes; overrides the toggles\n"
-        "                       below)\n"
-        "      --race-check     also replay with the happens-before\n"
-        "                       race detector\n"
-        "      --lock-check     also replay with the lockset and\n"
-        "                       lock-order deadlock detectors\n"
-        "      --audit          also cross-check the recording with\n"
-        "                       the artifact audit\n"
-        "      --no-lint        skip the lint passes (dynamic checks\n"
-        "                       only)\n"
-        "      --max-findings=N cap each analysis pass at N reported\n"
-        "                       findings (default: pass-specific, 32)\n"
-        "      --json           print diagnostics as a JSON array\n"
-        "      --sarif=PATH     also write the findings as SARIF\n"
-        "                       2.1.0 to PATH\n"
-        "      --store=DIR      audit pass: hash-verify and\n"
-        "                       chain-check the artifact store at DIR\n"
-        "      --journal=PATH   audit pass: validate the run journal\n"
-        "                       at PATH against this program's\n"
-        "                       default-configuration run key\n"
-        "      --baseline=PATH  drop findings whose fingerprints are\n"
-        "                       in the baseline file at PATH\n"
-        "      --write-baseline=PATH  snapshot the current warnings\n"
-        "                       and errors as a baseline at PATH and\n"
-        "                       exit 0\n"
-        "      --list-passes    print every analysis name and exit\n"
-        "  -h, --help           this message\n"
-        "\nexit codes:\n"
-        "  0  no error-severity findings\n"
-        "  1  at least one error-severity finding\n"
-        "  2  usage error (bad flag or argument)\n"
-        "  3  runtime failure (I/O error, corrupt artifact, ...)\n");
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-bool
-parseArg(int argc, char **argv, int &i, const char *short_name,
-         const char *long_name, std::string *value)
-{
-    std::string arg = argv[i];
-    std::string long_eq = std::string(long_name) + "=";
-    if (arg == short_name || arg == long_name) {
-        if (i + 1 >= argc)
-            fatal("option %s requires a value", arg.c_str());
-        *value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(long_eq, 0) == 0) {
-        *value = arg.substr(long_eq.size());
-        return true;
-    }
-    return false;
-}
-
-CliOptions
-parseCli(int argc, char **argv)
-{
-    CliOptions opts;
-    std::string value;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (arg == "--list-passes") {
-            for (const auto &name : analysisNames())
-                std::printf("%s\n", name.c_str());
-            std::exit(0);
-        } else if (parseArg(argc, argv, i, "-p", "--program", &value)) {
-            opts.programs = splitCommas(value);
-        } else if (parseArg(argc, argv, i, "-n", "--ncores", &value)) {
-            opts.ncores = static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "-i", "--input-class",
-                            &value)) {
-            opts.inputClass = value;
-        } else if (parseArg(argc, argv, i, "-w", "--wait-policy",
-                            &value)) {
-            opts.waitPolicy = value;
-        } else if (parseArg(argc, argv, i, "-q", "--quantum", &value)) {
-            opts.quantum = std::stoull(value);
-        } else if (parseArg(argc, argv, i, "", "--passes", &value)) {
-            opts.passes = splitCommas(value);
-        } else if (arg == "--race-check") {
-            opts.raceCheck = true;
-        } else if (arg == "--lock-check") {
-            opts.lockCheck = true;
-        } else if (arg == "--audit") {
-            opts.audit = true;
-        } else if (arg == "--no-lint") {
-            opts.lint = false;
-        } else if (parseArg(argc, argv, i, "", "--max-findings",
-                            &value)) {
-            opts.maxFindings =
-                static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "", "--sarif", &value)) {
-            opts.sarifPath = value;
-        } else if (parseArg(argc, argv, i, "", "--store", &value)) {
-            opts.storeDir = value;
-        } else if (parseArg(argc, argv, i, "", "--journal",
-                            &value)) {
-            opts.journalPath = value;
-        } else if (parseArg(argc, argv, i, "", "--baseline",
-                            &value)) {
-            opts.baselinePath = value;
-        } else if (parseArg(argc, argv, i, "", "--write-baseline",
-                            &value)) {
-            opts.writeBaselinePath = value;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else {
-            logError("unknown option '%s'", arg.c_str());
-            usage();
-            std::exit(2);
-        }
-    }
-    if (opts.waitPolicy != "passive" && opts.waitPolicy != "active")
-        fatal("wait policy must be 'passive' or 'active'");
-    if (opts.quantum == 0)
-        fatal("quantum must be positive");
-    if (!opts.lint && !opts.raceCheck && !opts.lockCheck &&
-        !opts.audit && opts.passes.empty())
-        fatal("--no-lint with no dynamic check or --passes leaves "
-              "nothing to do");
-    if (!opts.baselinePath.empty() &&
-        !opts.writeBaselinePath.empty())
-        fatal("--baseline and --write-baseline are exclusive");
-    {
-        const auto known = analysisNames();
-        for (const auto &p : opts.passes)
-            if (std::find(known.begin(), known.end(), p) ==
-                known.end())
-                fatal("unknown pass '%s' (see --list-passes)",
-                      p.c_str());
-    }
-    return opts;
+    std::vector<Flag> flags = {
+        {"program", 'p', "LIST",
+         "comma-separated programs, each <suite>-<app>-<input-num> "
+         "(default: demo-matrix-1)",
+         setList(cli.programs, [](const std::string &program) {
+             findApp(resolveArtifactProgram(program));
+         })},
+        {"ncores", 'n', "N", "number of threads (default: 8)",
+         setUnsigned(cli.ncores, 1)},
+        {"input-class", 'i', "C",
+         "test | train | ref | A | C | D (default: test)",
+         [&cli](const std::string &v) { cli.input = resolveInputClass(v); }},
+        {"wait-policy", 'w', "P", "passive | active (default: passive)",
+         setChoice(cli.waitPolicy, parseWaitPolicy)},
+        {"quantum", 'q', "N",
+         "flow-control quantum in instructions (default: 1000)",
+         setUnsigned(cli.quantum, 1)},
+        {"passes", 0, "LIST",
+         "run exactly these analyses (see --list-passes; overrides the "
+         "toggles below)",
+         setList(cli.passes, [](const std::string &p) {
+             const auto known = analysisNames();
+             if (std::find(known.begin(), known.end(), p) == known.end())
+                 throw UsageError("unknown pass '" + p +
+                                  "' (see --list-passes)");
+         })},
+        {"race-check", 0, "",
+         "also replay with the happens-before race detector",
+         setBool(cli.raceCheck)},
+        {"lock-check", 0, "",
+         "also replay with the lockset and lock-order deadlock detectors",
+         setBool(cli.lockCheck)},
+        {"audit", 0, "",
+         "also cross-check the recording with the artifact audit",
+         setBool(cli.audit)},
+        {"no-lint", 0, "", "skip the lint passes (dynamic checks only)",
+         setBool(cli.lint, false)},
+        {"max-findings", 0, "N",
+         "cap each analysis pass at N reported findings (default: "
+         "pass-specific, 32)",
+         setUnsigned(cli.maxFindings)},
+        {"json", 0, "", "print diagnostics as a JSON array",
+         setBool(cli.json)},
+        {"sarif", 0, "PATH",
+         "also write the findings as SARIF 2.1.0 to PATH",
+         setString(cli.sarifPath)},
+        {"store", 0, "DIR",
+         "audit pass: hash-verify and chain-check the artifact store at "
+         "DIR",
+         setString(cli.storeDir)},
+        {"journal", 0, "PATH",
+         "audit pass: validate the run journal at PATH against this "
+         "program's default-configuration run key",
+         setString(cli.journalPath)},
+        {"baseline", 0, "PATH",
+         "drop findings whose fingerprints are in the baseline file at "
+         "PATH",
+         setString(cli.baselinePath)},
+        {"write-baseline", 0, "PATH",
+         "snapshot the current warnings and errors as a baseline at "
+         "PATH and exit 0",
+         setString(cli.writeBaselinePath)},
+        {"list-passes", 0, "", "print every analysis name and exit",
+         setBool(cli.listPasses)},
+    };
+    return {"lp_lint", "[options]", std::move(flags),
+            "\nexit codes:\n"
+            "  0  no error-severity findings\n"
+            "  1  at least one error-severity finding\n"
+            "  2  usage error (bad flag or argument)\n"
+            "  3  runtime failure (I/O error, corrupt artifact, ...)\n",
+            0, [&cli] {
+                if (cli.listPasses)
+                    return;
+                if (!cli.lint && !cli.raceCheck && !cli.lockCheck &&
+                    !cli.audit && cli.passes.empty())
+                    throw UsageError("--no-lint with no dynamic check or "
+                                     "--passes leaves nothing to do");
+                if (!cli.baselinePath.empty() &&
+                    !cli.writeBaselinePath.empty())
+                    throw UsageError(
+                        "--baseline and --write-baseline are exclusive");
+            }};
 }
 
 /** The registry filter this invocation's toggles translate to. */
@@ -260,13 +182,11 @@ checkOne(const std::string &program, const CliOptions &cli,
     const std::string app_name = resolveArtifactProgram(program);
     const AppDescriptor &app = findApp(app_name);
     const uint32_t threads = app.effectiveThreads(cli.ncores);
-    const InputClass input = resolveInputClass(cli.inputClass);
-    Program prog = generateProgram(app, input);
+    Program prog = generateProgram(app, cli.input);
 
     ExecConfig cfg;
     cfg.numThreads = threads;
-    cfg.waitPolicy = cli.waitPolicy == "active" ? WaitPolicy::Active
-                                                : WaitPolicy::Passive;
+    cfg.waitPolicy = cli.waitPolicy;
     DcfgBuilder dcfg_builder(prog, threads);
     Pinball pinball =
         recordPinball(prog, cfg, cli.quantum, &dcfg_builder);
@@ -288,7 +208,7 @@ checkOne(const std::string &program, const CliOptions &cli,
     RunKey journal_key;
     if (!cli.journalPath.empty()) {
         journal_key = makeRunKey(
-            app_name, std::string(inputClassName(input)), threads,
+            app_name, std::string(inputClassName(cli.input)), threads,
             cfg.waitPolicy, LoopPointOptions{}.seed,
             /*constrained=*/false, SimConfig{});
         ctx.audit.journalPath = cli.journalPath;
@@ -305,11 +225,11 @@ main(int argc, char **argv)
     // Exit-code contract (documented in --help): 0 clean, 1 findings,
     // 2 usage, 3 runtime failure.
     CliOptions cli;
-    try {
-        cli = parseCli(argc, argv);
-    } catch (const std::exception &e) {
-        logError("lp_lint: %s", e.what());
-        return 2;
+    parseCommandLine(commandLine(cli), argc, argv);
+    if (cli.listPasses) {
+        for (const auto &name : analysisNames())
+            std::printf("%s\n", name.c_str());
+        return 0;
     }
     int rc = 0;
     DiagnosticSink sink;

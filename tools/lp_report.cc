@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "obs/json.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 
 using namespace looppoint;
@@ -56,23 +57,6 @@ struct Options
     std::string campaignDir;
     bool check = false;
 };
-
-void
-usage()
-{
-    std::printf(
-        "usage: lp_report --trace=PATH [--metrics=PATH] [--check]\n"
-        "       lp_report --campaign=DIR\n"
-        "  --trace=PATH    Chrome trace JSON from run_looppoint "
-        "--trace\n"
-        "  --metrics=PATH  metrics JSON from run_looppoint --metrics\n"
-        "  --campaign=DIR  aggregate the per-job result.json files of\n"
-        "                  an lp_campaign directory: per-job table\n"
-        "                  plus store hit-rate and deduplication\n"
-        "  --check         validate the inputs instead of summarizing\n"
-        "                  only (exit 1 on any violation)\n"
-        "  -h, --help      this message\n");
-}
 
 /** One parsed trace event, with numeric args flattened for lookup. */
 struct Event
@@ -712,32 +696,34 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            usage();
-            return 0;
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            opt.tracePath = arg.substr(8);
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            opt.metricsPath = arg.substr(10);
-        } else if (arg.rfind("--campaign=", 0) == 0) {
-            opt.campaignDir = arg.substr(11);
-        } else if (arg == "--check") {
-            opt.check = true;
-        } else {
-            logError("unknown option '%s'", arg.c_str());
-            usage();
-            return 2;
-        }
-    }
-    if (opt.tracePath.empty() && opt.metricsPath.empty() &&
-        opt.campaignDir.empty()) {
-        logError("nothing to do: give --trace, --metrics, or "
-                 "--campaign");
-        usage();
-        return 2;
-    }
+    parseCommandLine(
+        {.name = "lp_report",
+         .synopsis = "--trace=PATH [--metrics=PATH] [--check]\n"
+                     "       lp_report --campaign=DIR",
+         .flags =
+             {{"trace", 0, "PATH",
+               "Chrome trace JSON from run_looppoint --trace",
+               setString(opt.tracePath)},
+              {"metrics", 0, "PATH",
+               "metrics JSON from run_looppoint --metrics",
+               setString(opt.metricsPath)},
+              {"campaign", 0, "DIR",
+               "aggregate the per-job result.json files of an lp_campaign "
+               "directory: per-job table plus store hit-rate and "
+               "deduplication",
+               setString(opt.campaignDir)},
+              {"check", 0, "",
+               "validate the inputs instead of summarizing only (exit 1 "
+               "on any violation)",
+               setBool(opt.check)}},
+         .check =
+             [&opt] {
+                 if (opt.tracePath.empty() && opt.metricsPath.empty() &&
+                     opt.campaignDir.empty())
+                     throw UsageError("nothing to do: give --trace, "
+                                      "--metrics, or --campaign");
+             }},
+        argc, argv);
     int rc = 0;
     if (!opt.tracePath.empty())
         rc = std::max(rc, reportTrace(opt));

@@ -1,13 +1,8 @@
 /**
  * @file
  * lp_store: inspect and manage a content-addressed artifact store
- * (the directory run_looppoint --store=DIR and lp_campaign write).
- *
- *   lp_store stats  DIR              entry/object/byte totals
- *   lp_store ls     DIR              one line per manifest binding
- *   lp_store verify DIR              integrity-check every object
- *   lp_store gc     DIR --max-bytes=N [--dry-run]
- *                                    shrink to N bytes, LRU first
+ * (the directory run_looppoint --store=DIR and lp_campaign write):
+ * `lp_store stats|ls|verify|gc DIR` (see --help).
  *
  * Exit codes follow run_looppoint's contract: 0 success, 1 findings
  * (verify found corrupt objects), 2 usage, 3 runtime failure.
@@ -15,33 +10,17 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "store/artifact_store.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 
 using namespace looppoint;
 
 namespace {
-
-void
-usage()
-{
-    std::printf(
-        "usage: lp_store <command> <dir> [options]\n"
-        "  stats  DIR                 totals: entries, objects, bytes,\n"
-        "                             per-stage breakdown\n"
-        "  ls     DIR                 every manifest binding\n"
-        "                             (stage, key, hash, bytes)\n"
-        "  verify DIR                 integrity-check every object\n"
-        "                             (exit 1 if any is corrupt)\n"
-        "  gc     DIR --max-bytes=N   evict least-recently-used\n"
-        "         [--dry-run]         objects until at most N bytes\n"
-        "                             remain (orphans always go);\n"
-        "                             --dry-run only reports\n");
-}
 
 int
 cmdStats(ArtifactStore &store)
@@ -106,48 +85,49 @@ cmdGc(ArtifactStore &store, uint64_t max_bytes, bool dry_run)
 int
 main(int argc, char **argv)
 {
-    if (argc < 3) {
-        usage();
+    bool dry_run = false;
+    std::optional<uint64_t> max_bytes;
+    const auto args = parseCommandLine(
+        {.name = "lp_store",
+         .synopsis = "<command> <dir> [options]",
+         .flags = {{"max-bytes", 0, "N",
+                    "gc: evict least-recently-used objects until at most N "
+                    "bytes remain (orphans always go); required by gc",
+                    [&](const std::string &v) {
+                        max_bytes = parseUnsigned(v);
+                    }},
+                   {"dry-run", 0, "", "gc: only report what would be removed",
+                    setBool(dry_run)}},
+         .epilog =
+             "\ncommands:\n"
+             "  stats  DIR   totals: entries, objects, bytes, per-stage\n"
+             "               breakdown\n"
+             "  ls     DIR   every manifest binding (stage, key, hash, "
+             "bytes)\n"
+             "  verify DIR   integrity-check every object (exit 1 if any is\n"
+             "               corrupt)\n"
+             "  gc     DIR   shrink to --max-bytes, LRU first\n",
+         .positionals = 2},
+        argc, argv);
+    const std::string &cmd = args[0];
+    if (cmd != "stats" && cmd != "ls" && cmd != "verify" && cmd != "gc") {
+        logError("lp_store: unknown command '%s' (see --help)", cmd.c_str());
         return 2;
     }
-    std::string cmd = argv[1];
-    std::string dir = argv[2];
-
-    bool dry_run = false;
-    uint64_t max_bytes = 0;
-    bool have_max = false;
-    for (int i = 3; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--dry-run") {
-            dry_run = true;
-        } else if (arg.rfind("--max-bytes=", 0) == 0) {
-            max_bytes = std::stoull(arg.substr(strlen("--max-bytes=")));
-            have_max = true;
-        } else {
-            logError("unknown option '%s'", arg.c_str());
-            usage();
-            return 2;
-        }
+    if (cmd == "gc" && !max_bytes) {
+        logError("lp_store: gc requires --max-bytes=N");
+        return 2;
     }
 
     try {
-        ArtifactStore store(dir);
+        ArtifactStore store(args[1]);
         if (cmd == "stats")
             return cmdStats(store);
         if (cmd == "ls")
             return cmdLs(store);
         if (cmd == "verify")
             return cmdVerify(store);
-        if (cmd == "gc") {
-            if (!have_max) {
-                logError("gc requires --max-bytes=N");
-                return 2;
-            }
-            return cmdGc(store, max_bytes, dry_run);
-        }
-        logError("unknown command '%s'", cmd.c_str());
-        usage();
-        return 2;
+        return cmdGc(store, *max_bytes, dry_run);
     } catch (const FatalError &e) {
         logError("lp_store: %s", e.what());
         return 3;

@@ -1,12 +1,7 @@
 /**
  * @file
  * run-looppoint: the command-line driver, mirroring the artifact's
- * run-looppoint.py (paper appendix A.E):
- *
- *   run_looppoint -p <suite>-<application>-<input-num> [-n N]
- *                 [-i CLASS] [-w POLICY] [--force] [--native]
- *                 [--inorder] [--constrained] [--no-fullsim]
- *
+ * run-looppoint.py (paper appendix A.E); `--help` lists its flags.
  * Programs are named like the artifact (demo-matrix-1,
  * spec-bwaves-1, spec-xz-2, npb-bt-1, ...); multiple programs may be
  * given comma-separated. The tool runs profiling, region selection,
@@ -16,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -30,6 +24,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/fault.hh"
+#include "util/flags.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -40,248 +35,172 @@ namespace {
 
 struct CliOptions
 {
+    /** Every run's configuration but the application, which runOne()
+     * fills in per program. */
+    ExperimentConfig exp;
     std::vector<std::string> programs{"demo-matrix-1"};
-    uint32_t ncores = 8;
-    /** Host workers for the parallel phases; 0 = hardware concurrency
-     * (resolved at parse time so the report shows the real width). */
-    uint32_t jobs = 0;
-    std::string inputClass = "test";
-    std::string waitPolicy = "passive";
     bool native = false;
-    bool inorder = false;
-    bool constrained = false;
-    bool fullSim = true;
     bool audit = false;
     /** Write analysis findings as SARIF 2.1.0 to this path. */
     std::string sarifPath;
-    uint32_t regionRetries = 0;
-    std::string faultSpec;
-    std::string journalPath;
-    bool resume = false;
     std::string tracePath;
     std::string metricsPath;
-    /** Artifact-store directory; empty = no memoization. */
-    std::string storeDir;
     /** Named microarchitecture preset ("" = baseline). */
     std::string uarchPreset;
 };
 
-void
-usage()
-{
-    std::printf(
-        "usage: run_looppoint [options]\n"
-        "  -p, --program=LIST   comma-separated programs, each\n"
-        "                       <suite>-<app>-<input-num>\n"
-        "                       (default: demo-matrix-1)\n"
-        "  -n, --ncores=N       number of threads (default: 8)\n"
-        "  -j, --jobs=N         host workers for region simulation,\n"
-        "                       clustering and the warming pass's\n"
-        "                       cache-set partitions (inline when\n"
-        "                       the prefetcher is on); N > 1 also\n"
-        "                       pipelines a cold analysis (recording\n"
-        "                       and DCFG builder on helper threads);\n"
-        "                       0 or omitted = auto-detect (hardware\n"
-        "                       concurrency). Results are identical\n"
-        "                       for any N\n"
-        "  -i, --input-class=C  test | train | ref | A | C | D\n"
-        "                       (default: test)\n"
-        "  -w, --wait-policy=P  passive | active (default: passive)\n"
-        "      --native         run the application functionally only\n"
-        "      --inorder        simulate an in-order core\n"
-        "      --constrained    constrained (replay-ordered) regions\n"
-        "      --no-fullsim     skip the full-application simulation\n"
-        "      --audit          after the run, statically cross-check\n"
-        "                       the pipeline artifacts (markers vs.\n"
-        "                       DCFG, cluster-weight closure, journal\n"
-        "                       and store integrity) without\n"
-        "                       re-simulating. The program\n"
-        "                       verifiers (lint, race, lockset) are\n"
-        "                       lp_lint's: lp_lint -p PROG\n"
-        "                       --race-check --lock-check\n"
-        "      --sarif=PATH     also write the analysis findings as\n"
-        "                       SARIF 2.1.0 to PATH\n"
-        "      --force          start a new end-to-end run (accepted\n"
-        "                       for artifact compatibility; runs are\n"
-        "                       always fresh here)\n"
-        "      --region-retries=N  re-attempt a failed region from its\n"
-        "                       checkpoint up to N times before\n"
-        "                       dropping it (default: 0)\n"
-        "      --journal=PATH   record completed regions in a\n"
-        "                       crash-safe journal at PATH\n"
-        "      --resume=PATH    resume from the journal at PATH:\n"
-        "                       already-completed regions are reused,\n"
-        "                       results are bit-identical to an\n"
-        "                       uninterrupted run\n"
-        "      --inject-fault=SPEC  deterministic fault injection, e.g.\n"
-        "                       sim:region=3,kind=throw|diverge|kill\n"
-        "                       [,times=M]; clauses separated by ';'\n"
-        "      --trace=PATH     write a Chrome/Perfetto trace of the\n"
-        "                       whole pipeline to PATH (open it in\n"
-        "                       ui.perfetto.dev or chrome://tracing;\n"
-        "                       inspect it with lp_report)\n"
-        "      --metrics=PATH   write the metrics registry to PATH\n"
-        "                       (*.txt = text, otherwise JSON)\n"
-        "      --store=DIR      content-addressed artifact store at\n"
-        "                       DIR: recording, profiling, clustering,\n"
-        "                       region simulation and the full sim are\n"
-        "                       served from the store when their stage\n"
-        "                       keys hit (bit-identical) and published\n"
-        "                       back when recomputed. Safe to share\n"
-        "                       between concurrent runs. Manage with\n"
-        "                       lp_store; sweep with lp_campaign\n"
-        "      --uarch=PRESET   named microarchitecture preset\n"
-        "                       (baseline, big-l2, small-rob,\n"
-        "                       slow-mem, prefetch, narrow, inorder);\n"
-        "                       changing it re-keys only the\n"
-        "                       simulation stages of the store\n"
-        "  -h, --help           this message\n"
-        "\nexit codes:\n"
-        "  0  success, full coverage\n"
-        "  1  completed degraded (regions dropped, coverage < 1.0) or\n"
-        "     analysis findings with error severity\n"
-        "  2  usage error (bad flag or argument)\n"
-        "  4  interrupted: SIGTERM/SIGINT (or an injected\n"
-        "     kind=interrupt fault) parked the run at the next region\n"
-        "     boundary; completed regions are already journaled, so a\n"
-        "     rerun with --resume continues bit-identically. A third\n"
-        "     signal skips the graceful stop and dies immediately\n"
-        "  3  runtime failure: I/O error, corrupt artifact or journal,\n"
-        "     or (injected) crash. A crash mid-simulation (real, or\n"
-        "     an injected kind=kill) ends the run; completed regions\n"
-        "     are already journaled, so --resume (or lp_campaign's\n"
-        "     automatic retry) continues it bit-identically. The\n"
-        "     journal identity excludes host-side knobs, so the\n"
-        "     resumed run may use a different --jobs\n"
-        "\nexamples (artifact appendix):\n"
-        "  ./run_looppoint -p demo-matrix-1 -n 8 --force\n"
-        "  ./run_looppoint -p demo-matrix-2,demo-matrix-3 -w active "
-        "-i test --force\n"
-        "  ./run_looppoint -p spec-imagick-1 -i train -n 8\n");
-}
+const char *const kEpilog =
+    "\nexit codes:\n"
+    "  0  success, full coverage\n"
+    "  1  completed degraded (regions dropped, coverage < 1.0) or\n"
+    "     analysis findings with error severity\n"
+    "  2  usage error (bad flag or argument)\n"
+    "  4  interrupted: SIGTERM/SIGINT (or an injected\n"
+    "     kind=interrupt fault) parked the run at the next region\n"
+    "     boundary; completed regions are already journaled, so a\n"
+    "     rerun with --resume continues bit-identically. A third\n"
+    "     signal skips the graceful stop and dies immediately\n"
+    "  3  runtime failure: I/O error, corrupt artifact or journal,\n"
+    "     or (injected) crash. A crash mid-simulation (real, or\n"
+    "     an injected kind=kill) ends the run; completed regions\n"
+    "     are already journaled, so --resume (or lp_campaign's\n"
+    "     automatic retry) continues it bit-identically. The\n"
+    "     journal identity excludes host-side knobs, so the\n"
+    "     resumed run may use a different --jobs\n"
+    "\nexamples (artifact appendix):\n"
+    "  ./run_looppoint -p demo-matrix-1 -n 8 --force\n"
+    "  ./run_looppoint -p demo-matrix-2,demo-matrix-3 -w active "
+    "-i test --force\n"
+    "  ./run_looppoint -p spec-imagick-1 -i train -n 8\n";
 
-std::vector<std::string>
-splitCommas(const std::string &s)
+CommandLine
+commandLine(CliOptions &cli)
 {
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-bool
-parseArg(int argc, char **argv, int &i, const char *short_name,
-         const char *long_name, std::string *value)
-{
-    std::string arg = argv[i];
-    std::string long_eq = std::string(long_name) + "=";
-    if (arg == short_name || arg == long_name) {
-        if (i + 1 >= argc)
-            fatal("option %s requires a value", arg.c_str());
-        *value = argv[++i];
-        return true;
-    }
-    if (arg.rfind(long_eq, 0) == 0) {
-        *value = arg.substr(long_eq.size());
-        return true;
-    }
-    return false;
-}
-
-CliOptions
-parseCli(int argc, char **argv)
-{
-    CliOptions opts;
-    std::string value;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            usage();
-            std::exit(0);
-        } else if (parseArg(argc, argv, i, "-p", "--program", &value)) {
-            opts.programs = splitCommas(value);
-        } else if (parseArg(argc, argv, i, "-n", "--ncores", &value)) {
-            opts.ncores = static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "-j", "--jobs", &value)) {
-            opts.jobs = static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "-i", "--input-class",
-                            &value)) {
-            opts.inputClass = value;
-        } else if (parseArg(argc, argv, i, "-w", "--wait-policy",
-                            &value)) {
-            opts.waitPolicy = value;
-        } else if (arg == "--native") {
-            opts.native = true;
-        } else if (arg == "--inorder") {
-            opts.inorder = true;
-        } else if (arg == "--constrained") {
-            opts.constrained = true;
-        } else if (arg == "--no-fullsim") {
-            opts.fullSim = false;
-        } else if (arg == "--audit") {
-            opts.audit = true;
-        } else if (parseArg(argc, argv, i, "", "--sarif", &value)) {
-            opts.sarifPath = value;
-        } else if (parseArg(argc, argv, i, "", "--region-retries",
-                            &value)) {
-            opts.regionRetries =
-                static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "", "--journal", &value)) {
-            opts.journalPath = value;
-        } else if (parseArg(argc, argv, i, "", "--resume", &value)) {
-            opts.journalPath = value;
-            opts.resume = true;
-        } else if (parseArg(argc, argv, i, "", "--inject-fault",
-                            &value)) {
-            opts.faultSpec = value;
-        } else if (parseArg(argc, argv, i, "", "--trace", &value)) {
-            opts.tracePath = value;
-        } else if (parseArg(argc, argv, i, "", "--metrics", &value)) {
-            opts.metricsPath = value;
-        } else if (parseArg(argc, argv, i, "", "--store", &value)) {
-            opts.storeDir = value;
-        } else if (parseArg(argc, argv, i, "", "--uarch", &value)) {
-            opts.uarchPreset = value;
-        } else if (arg == "--force" || arg == "--reuse-profile" ||
-                   arg == "--reuse-fullsim") {
-            // Artifact compatibility: runs are always fresh.
-        } else {
-            logError("unknown option '%s'", arg.c_str());
-            usage();
-            std::exit(2);
-        }
-    }
-    if (opts.waitPolicy != "passive" && opts.waitPolicy != "active")
-        fatal("wait policy must be 'passive' or 'active'");
-    // Validate the fault spec and uarch preset up front: a malformed
-    // one is a usage error (exit 2), not a runtime failure.
-    FaultPlan::parse(opts.faultSpec);
-    if (!opts.uarchPreset.empty()) {
-        SimConfig scratch;
-        applyUarchPreset(scratch, opts.uarchPreset);
-    }
-    opts.jobs = ThreadPool::resolveWorkers(opts.jobs);
-    return opts;
+    // The driver's defaults where ExperimentConfig's differ: test
+    // input, and jobs auto-detected (resolved in the check below).
+    ExperimentConfig &exp = cli.exp;
+    exp.input = InputClass::Test;
+    exp.jobs = 0;
+    // For the flags run-looppoint.py takes that have no effect here.
+    const FlagSetter noop = [](const std::string &) {};
+    std::vector<Flag> flags = {
+        {"program", 'p', "LIST",
+         "comma-separated programs, each <suite>-<app>-<input-num> "
+         "(default: demo-matrix-1)",
+         setList(cli.programs, [](const std::string &program) {
+             findApp(resolveArtifactProgram(program));
+         })},
+        {"ncores", 'n', "N", "number of threads (default: 8)",
+         setUnsigned(exp.requestedThreads, 1)},
+        {"jobs", 'j', "N",
+         "host workers for region simulation, clustering and the "
+         "warming pass's cache-set partitions (inline when the "
+         "prefetcher is on); N > 1 also pipelines a cold analysis "
+         "(recording and DCFG builder on helper threads); 0 or "
+         "omitted = auto-detect (hardware concurrency). Results are "
+         "identical for any N",
+         setUnsigned(exp.jobs, 0, ThreadPool::kMaxJobs)},
+        {"input-class", 'i', "C",
+         "test | train | ref | A | C | D (default: test)",
+         [&exp](const std::string &v) { exp.input = resolveInputClass(v); }},
+        {"wait-policy", 'w', "P", "passive | active (default: passive)",
+         setChoice(exp.waitPolicy, parseWaitPolicy)},
+        {"native", 0, "", "run the application functionally only",
+         setBool(cli.native)},
+        {"inorder", 0, "", "simulate an in-order core",
+         [&exp](const std::string &) {
+             exp.sim.coreType = CoreType::InOrder;
+         }},
+        {"constrained", 0, "", "constrained (replay-ordered) regions",
+         setBool(exp.constrainedRegions)},
+        {"no-fullsim", 0, "", "skip the full-application simulation",
+         setBool(exp.simulateFull, false)},
+        {"audit", 0, "",
+         "after the run, statically cross-check the pipeline artifacts "
+         "(markers vs. DCFG, cluster-weight closure, journal and store "
+         "integrity) without re-simulating. The program verifiers "
+         "(lint, race, lockset) are lp_lint's: lp_lint -p PROG "
+         "--race-check --lock-check",
+         setBool(cli.audit)},
+        {"sarif", 0, "PATH",
+         "also write the analysis findings as SARIF 2.1.0 to PATH",
+         setString(cli.sarifPath)},
+        {"force", 0, "",
+         "start a new end-to-end run (accepted for artifact "
+         "compatibility; runs are always fresh here)",
+         noop},
+        {"reuse-profile", 0, "",
+         "accepted for artifact compatibility; no effect", noop},
+        {"reuse-fullsim", 0, "",
+         "accepted for artifact compatibility; no effect", noop},
+        {"region-retries", 0, "N",
+         "re-attempt a failed region from its checkpoint up to N times "
+         "before dropping it (default: 0)",
+         setUnsigned(exp.sim.regionRetries)},
+        {"journal", 0, "PATH",
+         "record completed regions in a crash-safe journal at PATH",
+         setString(exp.journalPath)},
+        {"resume", 0, "PATH",
+         "resume from the journal at PATH: already-completed regions "
+         "are reused, results are bit-identical to an uninterrupted run",
+         [&exp](const std::string &v) {
+             exp.journalPath = v;
+             exp.resume = true;
+         }},
+        {"inject-fault", 0, "SPEC",
+         "deterministic fault injection, e.g. "
+         "sim:region=3,kind=throw|diverge|kill[,times=M]; clauses "
+         "separated by ';'",
+         [&exp](const std::string &v) {
+             exp.sim.faults = FaultPlan::parse(v);
+         }},
+        {"trace", 0, "PATH",
+         "write a Chrome/Perfetto trace of the whole pipeline to PATH "
+         "(open it in ui.perfetto.dev or chrome://tracing; inspect it "
+         "with lp_report)",
+         setString(cli.tracePath)},
+        {"metrics", 0, "PATH",
+         "write the metrics registry to PATH (*.txt = text, otherwise "
+         "JSON)",
+         setString(cli.metricsPath)},
+        {"store", 0, "DIR",
+         "content-addressed artifact store at DIR: recording, "
+         "profiling, clustering, region simulation and the full sim "
+         "are served from the store when their stage keys hit "
+         "(bit-identical) and published back when recomputed. Safe to "
+         "share between concurrent runs. Manage with lp_store; sweep "
+         "with lp_campaign",
+         setString(exp.storeDir)},
+        {"uarch", 0, "PRESET",
+         "named microarchitecture preset (" + uarchPresetNames() +
+             "); changing it re-keys only the simulation stages of the "
+             "store",
+         setString(cli.uarchPreset)},
+    };
+    return {"run_looppoint", "[options]", std::move(flags), kEpilog, 0,
+            [&cli, &exp] {
+                if (!cli.uarchPreset.empty())
+                    applyUarchPreset(exp.sim, cli.uarchPreset);
+                exp.sim.obs.trace = !cli.tracePath.empty();
+                exp.sim.obs.metrics = !cli.metricsPath.empty();
+                // Test-class runs are small; shrink slices so
+                // clustering has enough intervals to work with (paper
+                // Sec. III-B).
+                if (exp.input == InputClass::Test)
+                    exp.loopPoint.sliceSizePerThread = 25'000;
+                exp.jobs = ThreadPool::resolveWorkers(exp.jobs);
+            }};
 }
 
 int
 runNative(const std::string &app_name, const CliOptions &cli)
 {
     const AppDescriptor &app = findApp(app_name);
-    uint32_t threads = app.effectiveThreads(cli.ncores);
-    Program prog = generateProgram(app, resolveInputClass(cli.inputClass));
+    uint32_t threads = app.effectiveThreads(cli.exp.requestedThreads);
+    Program prog = generateProgram(app, cli.exp.input);
     ExecConfig cfg;
     cfg.numThreads = threads;
-    cfg.waitPolicy = cli.waitPolicy == "active" ? WaitPolicy::Active
-                                                : WaitPolicy::Passive;
+    cfg.waitPolicy = cli.exp.waitPolicy;
     ExecutionEngine engine(prog, cfg);
     RoundRobinDriver driver(engine, 1000);
     driver.run();
@@ -305,36 +224,14 @@ runOne(const std::string &program, const CliOptions &cli)
     std::printf("==== %s (%s, input %s, %u cores, %s wait, %u jobs) "
                 "====\n",
                 program.c_str(), app_name.c_str(),
-                cli.inputClass.c_str(), cli.ncores,
-                cli.waitPolicy.c_str(), cli.jobs);
+                std::string(inputClassName(cli.exp.input)).c_str(),
+                cli.exp.requestedThreads,
+                waitPolicyName(cli.exp.waitPolicy), cli.exp.jobs);
     if (cli.native)
         return runNative(app_name, cli);
 
-    ExperimentConfig cfg;
+    ExperimentConfig cfg = cli.exp;
     cfg.app = app_name;
-    cfg.input = resolveInputClass(cli.inputClass);
-    cfg.requestedThreads = cli.ncores;
-    cfg.jobs = cli.jobs;
-    cfg.waitPolicy = cli.waitPolicy == "active" ? WaitPolicy::Active
-                                                : WaitPolicy::Passive;
-    cfg.constrainedRegions = cli.constrained;
-    cfg.simulateFull = cli.fullSim;
-    if (!cli.uarchPreset.empty())
-        applyUarchPreset(cfg.sim, cli.uarchPreset);
-    if (cli.inorder)
-        cfg.sim.coreType = CoreType::InOrder;
-    cfg.sim.regionRetries = cli.regionRetries;
-    cfg.sim.faults = FaultPlan::parse(cli.faultSpec);
-    cfg.sim.obs.trace = !cli.tracePath.empty();
-    cfg.sim.obs.metrics = !cli.metricsPath.empty();
-    cfg.journalPath = cli.journalPath;
-    cfg.resume = cli.resume;
-    cfg.storeDir = cli.storeDir;
-    // Test-class runs are small; shrink slices so clustering has
-    // enough intervals to work with (paper Sec. III-B).
-    if (cfg.input == InputClass::Test)
-        cfg.loopPoint.sliceSizePerThread = 25'000;
-
     ExperimentResult r = runExperiment(cfg);
     if (cli.audit)
         auditExperiment(cfg, r);
@@ -490,12 +387,7 @@ main(int argc, char **argv)
     // degraded/findings, 2 usage, 3 runtime failure, 4 interrupted at
     // a region boundary (resume-able).
     CliOptions cli;
-    try {
-        cli = parseCli(argc, argv);
-    } catch (const std::exception &e) {
-        logError("run_looppoint: %s", e.what());
-        return 2;
-    }
+    parseCommandLine(commandLine(cli), argc, argv);
     installInterruptHandlers();
     int rc = 0;
     try {
