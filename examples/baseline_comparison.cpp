@@ -4,15 +4,20 @@
  * implements — LoopPoint, BarrierPoint, and naive multi-threaded
  * SimPoint — plus the time-based-sampling baseline on one workload,
  * under the active wait policy where the differences matter most.
+ *
+ * Usage: baseline_comparison [app-name]   (default 644.nab_s.1)
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "baselines/barrierpoint.hh"
 #include "baselines/naive_simpoint.hh"
 #include "baselines/time_sampling.hh"
 #include "core/experiment.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -21,8 +26,22 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    std::string name = argc > 1 ? argv[1] : "644.nab_s.1";
-    const AppDescriptor &app = findApp(name);
+    // No flags but -h, so every argument is positional: take the one
+    // given, if any, and reject a second.
+    const CommandLine cl{"baseline_comparison", "[app-name]", {},
+                         "\ndefault: 644.nab_s.1\n",
+                         std::min<size_t>(argc - 1, 1)};
+    const std::vector<std::string> args =
+        parseCommandLine(cl, argc, argv);
+    const std::string name = args.empty() ? "644.nab_s.1" : args[0];
+    const AppDescriptor *found = nullptr;
+    try {
+        found = &findApp(name);
+    } catch (const std::exception &e) {
+        logError("baseline_comparison: %s (see --help)", e.what());
+        return 2;
+    }
+    const AppDescriptor &app = *found;
     const uint32_t threads = app.effectiveThreads(8);
     Program prog = generateProgram(app, InputClass::Train);
     SimConfig sim_cfg;

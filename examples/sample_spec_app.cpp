@@ -5,17 +5,20 @@
  * loops, the slice profile, the clustering, the selected looppoints,
  * and the final prediction vs. the full-simulation ground truth.
  *
- * Usage: sample_spec_app [app-name] [threads]
+ * Usage: sample_spec_app [app-name [threads]]
  *   e.g. sample_spec_app 638.imagick_s.1 8
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "core/looppoint.hh"
 #include "dcfg/dcfg.hh"
 #include "exec/driver.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "workload/descriptor.hh"
 
@@ -24,11 +27,28 @@ using namespace looppoint;
 int
 main(int argc, char **argv)
 {
-    std::string name = argc > 1 ? argv[1] : "628.pop2_s.1";
-    uint32_t requested =
-        argc > 2 ? static_cast<uint32_t>(std::atoi(argv[2])) : 8;
+    // No flags but -h, so every argument is positional: take as many
+    // as were given, and reject a third.
+    const CommandLine cl{"sample_spec_app", "[app-name [threads]]", {},
+                         "\ndefaults: 628.pop2_s.1 with 8 threads, e.g.\n"
+                         "  sample_spec_app 638.imagick_s.1 8\n",
+                         std::min<size_t>(argc - 1, 2)};
+    const std::vector<std::string> args =
+        parseCommandLine(cl, argc, argv);
+    const std::string name = args.empty() ? "628.pop2_s.1" : args[0];
+    const AppDescriptor *found = nullptr;
+    uint32_t requested = 8;
+    try {
+        found = &findApp(name);
+        if (args.size() > 1)
+            requested = static_cast<uint32_t>(parseUnsigned(
+                args[1], 1, std::numeric_limits<uint32_t>::max()));
+    } catch (const std::exception &e) {
+        logError("sample_spec_app: %s (see --help)", e.what());
+        return 2;
+    }
 
-    const AppDescriptor &app = findApp(name);
+    const AppDescriptor &app = *found;
     const uint32_t threads = app.effectiveThreads(requested);
     Program prog = generateProgram(app, InputClass::Train);
 

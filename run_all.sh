@@ -11,8 +11,9 @@
 # With --ubsan the tier-1 suite is built and run under
 # UndefinedBehaviorSanitizer (-DLOOPPOINT_SANITIZE=undefined,
 # -fno-sanitize-recover so any finding is a hard failure) in
-# build-ubsan/, then the lint + race-check analyses are exercised
-# end-to-end on the demo workload.
+# build-ubsan/ (which includes the race and lockset oracle tests),
+# then lp_lint's lint passes are exercised end-to-end on the demo
+# workload.
 #
 # With --tidy the clang-tidy checks from .clang-tidy are run over
 # src/ and tools/ using the compile_commands.json of a fresh
@@ -54,11 +55,11 @@
 # byte-identical to an uninterrupted reference run; a watermark-GC
 # pass over the shared store must fire without evicting live objects.
 #
-# With --analysis-smoke the analysis suite is exercised end to end:
-# the full pass set (lint + race + lockset/deadlock + audit) runs over
-# every bundled workload and must report zero warning/error findings,
-# then a store + journal fixture is deliberately corrupted and the
-# audit must flag exactly the injected defects.
+# With --analysis-smoke the verifiers are exercised end to end: lint +
+# audit run over every bundled workload and must report zero
+# warning/error findings, then a store + journal fixture is
+# deliberately corrupted and the audit must flag exactly the injected
+# defects. (The race and lockset oracles run in the ctest suite.)
 #
 # With --e2e-smoke every BENCHMARK.json workload runs once through
 # e2ebench/run.py with --seconds 0: untraced at workload seeds 42 and
@@ -510,7 +511,7 @@ PYEOF
 fi
 
 if [ "$1" = "--analysis-smoke" ]; then
-    echo "== analysis smoke: full pass set over every bundled workload =="
+    echo "== analysis smoke: lint + audit over every bundled workload =="
     cmake -B build -S . || exit 1
     cmake --build build -j --target lp_lint run_looppoint || exit 1
     progs="demo-matrix-1"
@@ -522,7 +523,7 @@ if [ "$1" = "--analysis-smoke" ]; then
     progs="$progs,spec-imagick-1,spec-nab-1,spec-nab-2"
     progs="$progs,spec-fotonik3d-1,spec-roms-1,spec-xz-1,spec-xz-2"
     out=$(mktemp /tmp/analysis_smoke.XXXXXX.txt)
-    build/tools/lp_lint -p "$progs" -n 8         --race-check --lock-check --audit | tee "$out" || {
+    build/tools/lp_lint -p "$progs" -n 8 --audit | tee "$out" || {
         echo "analysis-smoke FAIL: lp_lint reported errors"
         exit 1
     }
@@ -548,7 +549,7 @@ with open(obj, "r+b") as f:
     f.write(bytes([b[0] ^ 0xFF]))
 PYEOF
     sed -i 's/seed=42/seed=41/' "$dir/journal"
-    build/tools/lp_lint -p demo-matrix-1 -n 4 --passes=audit         --store="$dir/store" --journal="$dir/journal"         > "$dir/bad.txt"
+    build/tools/lp_lint -p demo-matrix-1 -n 4 --no-lint --audit         --store="$dir/store" --journal="$dir/journal"         > "$dir/bad.txt"
     rc=$?
     [ $rc -eq 1 ] || {
         echo "analysis-smoke FAIL: corrupted fixtures exited $rc (want 1)"
@@ -580,8 +581,8 @@ if [ "$1" = "--ubsan" ]; then
     cmake --build build-ubsan -j || exit 1
     ctest --test-dir build-ubsan --output-on-failure 2>&1 \
         | tee ubsan_output.txt || exit 1
-    echo "== lint + race check under UBSan =="
-    build-ubsan/tools/lp_lint -p demo-matrix-1 --race-check || exit 1
+    echo "== lint under UBSan =="
+    build-ubsan/tools/lp_lint -p demo-matrix-1 || exit 1
     echo "ubsan OK"
     exit 0
 fi

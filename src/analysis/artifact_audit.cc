@@ -8,6 +8,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "analysis/program_lint.hh"
 #include "core/region_run.hh"
 #include "store/artifact_store.hh"
 #include "util/logging.hh"
@@ -414,6 +415,15 @@ auditStore(const AuditContext &ctx, DiagnosticSink &sink)
 size_t
 runArtifactAudit(const AuditContext &ctx, DiagnosticSink &sink)
 {
+    // The marker checks index the block table, so they need a
+    // structurally sound program; the structure pass is the gate.
+    DiagnosticSink structure;
+    if (ctx.prog &&
+        ProgramLint().run({.prog = ctx.prog}, structure, {"structure"})) {
+        sink.info(kPass, "", "structural errors found; audit skipped");
+        return 0;
+    }
+
     const size_t before =
         sink.errors() + sink.count(Severity::Warning);
     size_t checks = 0;

@@ -25,8 +25,9 @@
  *
  * Sub-checks run only when their inputs are present in the
  * AuditContext, so the same analysis serves lp_lint (program +
- * pinball only) and run_looppoint --audit (everything). All findings
- * use pass name "audit".
+ * pinball only) and run_looppoint --audit (everything). A program
+ * that fails ProgramLint's structure pass is not audited at all. All
+ * findings use pass name "audit".
  */
 
 #ifndef LOOPPOINT_ANALYSIS_ARTIFACT_AUDIT_HH
@@ -63,8 +64,10 @@ struct AuditContext
 };
 
 /**
- * Run every sub-check whose inputs are present. Returns the number of
- * warning/error findings emitted (info lines excluded).
+ * Run every sub-check whose inputs are present, unless `ctx.prog`
+ * fails the structure pass (then only an info line is emitted).
+ * Returns the number of warning/error findings emitted (info lines
+ * excluded).
  */
 size_t runArtifactAudit(const AuditContext &ctx, DiagnosticSink &sink);
 

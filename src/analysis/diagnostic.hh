@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared diagnostic representation for the static/dynamic guest
- * analyses (ProgramLint, RaceDetector). Every check reports through a
- * DiagnosticSink so callers get structured, machine-readable findings
- * instead of scattered asserts; emitters render the collected list as
- * human-readable text or as a JSON array.
+ * Shared diagnostic representation for the guest-program lint
+ * (ProgramLint), the artifact audit and degraded pipeline runs. Every
+ * check reports through a DiagnosticSink so callers get structured,
+ * machine-readable findings instead of scattered asserts; emitters
+ * render the collected list as human-readable text or as a JSON array.
  */
 
 #ifndef LOOPPOINT_ANALYSIS_DIAGNOSTIC_HH
@@ -34,7 +34,7 @@ std::string_view severityName(Severity s);
 struct Diagnostic
 {
     Severity severity = Severity::Info;
-    /** Pass that produced it ("structure", "race", ...). */
+    /** Pass that produced it ("structure", "audit", ...). */
     std::string pass;
     /** Where: "kernel 'k0'", "block 12 (pc 0x...)", ... */
     std::string location;
@@ -42,9 +42,9 @@ struct Diagnostic
 };
 
 /**
- * Collects diagnostics from any number of passes. Thread-safe: the
- * race detector reports from inside the replay loop while lint passes
- * may run elsewhere.
+ * Collects diagnostics from any number of passes. Thread-safe, so
+ * any thread may report into one sink (the checkpointed phase reports
+ * its region faults through one).
  */
 class DiagnosticSink
 {

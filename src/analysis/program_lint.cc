@@ -864,12 +864,6 @@ ProgramLint::ProgramLint()
     passList.push_back(std::make_unique<MarkerStabilityPass>());
 }
 
-void
-ProgramLint::addPass(std::unique_ptr<LintPass> pass)
-{
-    passList.push_back(std::move(pass));
-}
-
 size_t
 ProgramLint::run(const LintContext &ctx, DiagnosticSink &sink,
                  const std::vector<std::string> &only) const
@@ -895,16 +889,6 @@ ProgramLint::run(const LintContext &ctx, DiagnosticSink &sink,
         }
     }
     return sink.errors() - errs_before;
-}
-
-std::vector<std::string>
-lintPassNames()
-{
-    ProgramLint lint;
-    std::vector<std::string> names;
-    for (const auto &pass : lint.passes())
-        names.emplace_back(pass->name());
-    return names;
 }
 
 } // namespace looppoint

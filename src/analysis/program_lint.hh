@@ -71,7 +71,6 @@ class ProgramLint
     /** Registers the built-in passes in dependency order. */
     ProgramLint();
 
-    void addPass(std::unique_ptr<LintPass> pass);
     const std::vector<std::unique_ptr<LintPass>> &passes() const
     {
         return passList;
@@ -89,9 +88,6 @@ class ProgramLint
   private:
     std::vector<std::unique_ptr<LintPass>> passList;
 };
-
-/** Names of the built-in passes, in run order. */
-std::vector<std::string> lintPassNames();
 
 /**
  * Core of the loops pass, exposed so tests can feed handcrafted loop

@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Exit-code contract of the command-line tools, all parsed by
-# src/util/flags: --help exits 0, a malformed command line exits 2.
-# Also checks that README's flag tables list every flag --help lists.
+# Exit-code contract of the command-line tools and of the examples
+# that take arguments, all parsed by src/util/flags: --help exits 0, a
+# malformed command line exits 2. Also checks that README's flag
+# tables list every flag --help lists.
 #
-#   tests/cli_test.sh RUN_LOOPPOINT LP_LINT LP_CAMPAIGN LP_REPORT LP_STORE README
+#   tests/cli_test.sh RUN_LOOPPOINT LP_LINT LP_CAMPAIGN LP_REPORT LP_STORE \
+#       SAMPLE_SPEC_APP BASELINE_COMPARISON README
 #
 # No invocation here starts a simulation with a bad thread count: bad
 # numbers are unit-tested on the parser alone (tests/test_util.cc).
 set -u
-[ $# -eq 6 ] || { echo "usage: $0 RUN_LOOPPOINT LP_LINT LP_CAMPAIGN LP_REPORT LP_STORE README"; exit 2; }
-run_looppoint=$1 lp_lint=$2 lp_campaign=$3 lp_report=$4 lp_store=$5 readme=$6
+[ $# -eq 8 ] || { echo "usage: $0 RUN_LOOPPOINT LP_LINT LP_CAMPAIGN LP_REPORT LP_STORE SAMPLE_SPEC_APP BASELINE_COMPARISON README"; exit 2; }
+run_looppoint=$1 lp_lint=$2 lp_campaign=$3 lp_report=$4 lp_store=$5
+sample_spec_app=$6 baseline_comparison=$7 readme=$8
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 failures=0
@@ -27,7 +30,8 @@ expect() {
     fi
 }
 
-for tool in "$run_looppoint" "$lp_lint" "$lp_campaign" "$lp_report" "$lp_store"; do
+for tool in "$run_looppoint" "$lp_lint" "$lp_campaign" "$lp_report" "$lp_store" \
+        "$sample_spec_app" "$baseline_comparison"; do
     expect 0 "$tool" --help
     expect 0 "$tool" -h
     expect 2 "$tool" --no-such-flag
@@ -44,7 +48,7 @@ expect 2 "$lp_lint" -n 0
 expect 2 "$lp_campaign" --out="$tmp/camp" --threads=4,0
 expect 2 "$lp_lint" -i bogus
 expect 2 "$lp_lint" -p npb-bogus-1
-expect 2 "$lp_lint" --passes=bogus
+expect 2 "$lp_lint" --race-check
 expect 2 "$lp_lint" --no-lint
 expect 2 "$lp_campaign"
 expect 2 "$lp_campaign" --out="$tmp/camp" --apps=npb-bogus-1
@@ -55,6 +59,13 @@ expect 2 "$lp_store" frobnicate "$tmp/store"
 expect 2 "$lp_store" gc "$tmp/store"
 expect 2 "$lp_store" stats "$tmp/store" --max-bytes=abc
 [ -e "$tmp/store" ] && { echo "FAIL: a usage error created the store"; failures=$((failures + 1)); }
+expect 2 "$sample_spec_app" 628.pop2_s.1 abc
+expect 2 "$sample_spec_app" 628.pop2_s.1 8x
+expect 2 "$sample_spec_app" 628.pop2_s.1 0
+expect 2 "$sample_spec_app" bogus.app
+expect 2 "$sample_spec_app" 628.pop2_s.1 8 extra
+expect 2 "$baseline_comparison" bogus.app
+expect 2 "$baseline_comparison" 644.nab_s.1 extra
 
 # The space form of a value works for every flag.
 expect 0 "$run_looppoint" -p demo-matrix-1 -n 2 -j 1 --no-fullsim --trace "$tmp/t.json"

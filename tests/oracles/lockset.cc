@@ -1,4 +1,4 @@
-#include "analysis/lockset.hh"
+#include "oracles/lockset.hh"
 
 #include <algorithm>
 #include <deque>

@@ -31,10 +31,14 @@
  * Reports carry both involved sites. Lockset findings follow the race
  * detector's convention (write/write = error, read-involved =
  * warning); unsuppressed lock-order cycles are errors.
+ *
+ * A test oracle of the workload generator, built only into lp_tests:
+ * tests/test_analysis.cc requires a clean lock discipline over every
+ * bundled program.
  */
 
-#ifndef LOOPPOINT_ANALYSIS_LOCKSET_HH
-#define LOOPPOINT_ANALYSIS_LOCKSET_HH
+#ifndef LOOPPOINT_TESTS_ORACLES_LOCKSET_HH
+#define LOOPPOINT_TESTS_ORACLES_LOCKSET_HH
 
 #include <cstdint>
 #include <map>
@@ -177,4 +181,4 @@ LockDisciplineStats checkGuestLockDiscipline(
 
 } // namespace looppoint
 
-#endif // LOOPPOINT_ANALYSIS_LOCKSET_HH
+#endif // LOOPPOINT_TESTS_ORACLES_LOCKSET_HH

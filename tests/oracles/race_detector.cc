@@ -1,4 +1,4 @@
-#include "analysis/race_detector.hh"
+#include "oracles/race_detector.hh"
 
 #include <algorithm>
 

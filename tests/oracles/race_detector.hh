@@ -26,10 +26,14 @@
  *    artifacts, not program-semantic sharing;
  *  - blocks containing an AtomicRmw instruction (atomic updates and
  *    reduction tails): modeled as hardware-serialized.
+ *
+ * A test oracle of the workload generator, built only into lp_tests:
+ * tests/test_analysis.cc requires zero races over every bundled
+ * program.
  */
 
-#ifndef LOOPPOINT_ANALYSIS_RACE_DETECTOR_HH
-#define LOOPPOINT_ANALYSIS_RACE_DETECTOR_HH
+#ifndef LOOPPOINT_TESTS_ORACLES_RACE_DETECTOR_HH
+#define LOOPPOINT_TESTS_ORACLES_RACE_DETECTOR_HH
 
 #include <cstdint>
 #include <set>
@@ -172,4 +176,4 @@ RaceCheckStats checkGuestRaces(
 
 } // namespace looppoint
 
-#endif // LOOPPOINT_ANALYSIS_RACE_DETECTOR_HH
+#endif // LOOPPOINT_TESTS_ORACLES_RACE_DETECTOR_HH

@@ -2,31 +2,27 @@
  * @file
  * Tests for the guest-program analyses: ProgramLint (one seeded defect
  * per lint defect class, asserting the exact diagnostic), the
- * happens-before RaceDetector (an injected guest race it must flag, a
- * negative control, and zero false positives over every bundled
- * workload suite), the Eraser-style lockset and lock-order deadlock
- * passes (each catching an injected defect the happens-before checker
- * provably misses), the analysis registry, the SARIF and baseline
- * emitters, and the pipeline wiring.
+ * happens-before RaceDetector oracle (an injected guest race it must
+ * flag, a negative control, and zero false positives over every
+ * bundled workload suite at 4 and 8 threads), the Eraser-style lockset
+ * and lock-order deadlock oracle (each catching an injected defect the
+ * happens-before checker provably misses), the diagnostic emitters and
+ * canonical order, and the pipeline wiring.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
-#include "analysis/baseline.hh"
-#include "analysis/lockset.hh"
 #include "analysis/program_lint.hh"
-#include "analysis/race_detector.hh"
-#include "analysis/registry.hh"
-#include "analysis/sarif.hh"
 #include "core/looppoint.hh"
 #include "dcfg/dcfg.hh"
 #include "isa/addr_space.hh"
 #include "isa/program_builder.hh"
 #include "obs/json.hh"
+#include "oracles/lockset.hh"
+#include "oracles/race_detector.hh"
 #include "pinball/pinball.hh"
 #include "util/logging.hh"
 #include "workload/descriptor.hh"
@@ -102,10 +98,11 @@ TEST(ProgramLint, CleanProgramHasNoFindings)
 
 TEST(ProgramLint, PassNamesAreExposedInRunOrder)
 {
-    std::vector<std::string> names = lintPassNames();
-    ASSERT_EQ(names.size(), 7u);
-    EXPECT_EQ(names.front(), "structure");
-    EXPECT_EQ(names.back(), "marker-stability");
+    ProgramLint lint;
+    const auto &passes = lint.passes();
+    ASSERT_EQ(passes.size(), 7u);
+    EXPECT_EQ(passes.front()->name(), "structure");
+    EXPECT_EQ(passes.back()->name(), "marker-stability");
 }
 
 TEST(ProgramLint, StructureCatchesNonDenseBlockIds)
@@ -462,35 +459,42 @@ TEST(RaceDetector, CorruptPinballReportsDivergence)
                         "replay diverged"));
 }
 
+/** Lint plus the race and lock oracles over every app at 4 and 8
+ * requested threads; each must be free of warnings and errors. */
 void
 expectSuiteClean(const std::vector<AppDescriptor> &apps)
 {
-    for (const auto &app : apps) {
-        Program p = generateProgram(app, InputClass::Test);
-        ExecConfig cfg;
-        cfg.numThreads = app.effectiveThreads(4);
-        Pinball pb = recordPinball(p, cfg, 1000);
-        DcfgBuilder builder(p, cfg.numThreads);
-        replayPinball(p, pb, 1000, &builder);
-        Dcfg dcfg = builder.build();
+    for (const uint32_t requested : {4u, 8u}) {
+        for (const auto &app : apps) {
+            const std::string what =
+                app.name + " at " + std::to_string(requested);
+            Program p = generateProgram(app, InputClass::Test);
+            ExecConfig cfg;
+            cfg.numThreads = app.effectiveThreads(requested);
+            Pinball pb = recordPinball(p, cfg, 1000);
+            DcfgBuilder builder(p, cfg.numThreads);
+            replayPinball(p, pb, 1000, &builder);
+            Dcfg dcfg = builder.build();
 
-        DiagnosticSink sink;
-        LintContext ctx;
-        ctx.prog = &p;
-        ctx.dcfg = &dcfg;
-        ctx.pinball = &pb;
-        ProgramLint().run(ctx, sink);
-        RaceCheckStats st = checkGuestRaces(p, pb, sink);
-        EXPECT_EQ(st.races, 0u) << app.name;
-        LockDisciplineStats ld = checkGuestLockDiscipline(p, pb, sink);
-        EXPECT_EQ(ld.locksetViolations, 0u) << app.name;
-        EXPECT_EQ(ld.deadlockCycles, 0u) << app.name;
-        EXPECT_EQ(countSeverity(sink.diagnostics(), Severity::Error),
-                  0u)
-            << app.name;
-        EXPECT_EQ(countSeverity(sink.diagnostics(), Severity::Warning),
-                  0u)
-            << app.name;
+            DiagnosticSink sink;
+            LintContext ctx;
+            ctx.prog = &p;
+            ctx.dcfg = &dcfg;
+            ctx.pinball = &pb;
+            ProgramLint().run(ctx, sink);
+            RaceCheckStats st = checkGuestRaces(p, pb, sink);
+            EXPECT_EQ(st.races, 0u) << what;
+            LockDisciplineStats ld =
+                checkGuestLockDiscipline(p, pb, sink);
+            EXPECT_EQ(ld.locksetViolations, 0u) << what;
+            EXPECT_EQ(ld.deadlockCycles, 0u) << what;
+            EXPECT_EQ(countSeverity(sink.diagnostics(), Severity::Error),
+                      0u)
+                << what;
+            EXPECT_EQ(
+                countSeverity(sink.diagnostics(), Severity::Warning), 0u)
+                << what;
+        }
     }
 }
 
@@ -783,86 +787,30 @@ TEST(Diagnostics, JsonEmitterHandlesControlAndNonUtf8Bytes)
     EXPECT_TRUE(parseJson(out, &err)) << err;
 }
 
-// --------------------------------------------------------------------
-// Registry, SARIF, baselines
-// --------------------------------------------------------------------
-
-TEST(Registry, NamesExposeEveryAnalysis)
-{
-    std::vector<std::string> names = analysisNames();
-    std::vector<std::string> lint = lintPassNames();
-    ASSERT_EQ(names.size(), lint.size() + 4);
-    for (size_t i = 0; i < lint.size(); ++i)
-        EXPECT_EQ(names[i], lint[i]);
-    EXPECT_EQ(names[lint.size()], "race");
-    EXPECT_EQ(names[lint.size() + 1], "lockset");
-    EXPECT_EQ(names[lint.size() + 2], "deadlock");
-    EXPECT_EQ(names.back(), "audit");
-}
-
-TEST(Registry, PassFilterSelectsAnalyses)
-{
-    Program p = makeSplitLockProgram(/*split=*/true);
-    ExecConfig cfg{.numThreads = 4};
-    Pinball pb = recordPinball(p, cfg, /*quantum=*/10);
-
-    AnalysisContext ctx;
-    ctx.lint.prog = &p;
-    ctx.lint.pinball = &pb;
-
-    DiagnosticSink only_lockset;
-    runAnalyses(ctx, only_lockset, {"lockset"});
-    EXPECT_TRUE(hasDiag(only_lockset.diagnostics(), Severity::Error,
-                        "lockset", "inconsistent lock discipline") ||
-                hasDiag(only_lockset.diagnostics(), Severity::Warning,
-                        "lockset", "inconsistent lock discipline"));
-    for (const auto &d : only_lockset.diagnostics())
-        EXPECT_EQ(d.pass, "lockset") << d.message;
-
-    // The race pass alone is clean on this program (the barrier orders
-    // the phases), so the filtered run reports no findings.
-    DiagnosticSink only_race;
-    size_t errs = runAnalyses(ctx, only_race, {"race"});
-    EXPECT_EQ(errs, 0u);
-    for (const auto &d : only_race.diagnostics())
-        EXPECT_EQ(d.pass, "race") << d.message;
-}
-
-TEST(Registry, StructuralErrorsGateDynamicAnalyses)
+TEST(Diagnostics, CanonicalOrderIsIndependentOfReportOrder)
 {
     Program p = makeSplitLockProgram(/*split=*/true);
     ExecConfig cfg{.numThreads = 4};
     Pinball pb = recordPinball(p, cfg, 1000);
-    p.blocks[1].id = 5; // corrupt after recording
+    LintContext ctx;
+    ctx.prog = &p;
+    ctx.pinball = &pb;
 
-    AnalysisContext ctx;
-    ctx.lint.prog = &p;
-    ctx.lint.pinball = &pb;
-    DiagnosticSink sink;
-    runAnalyses(ctx, sink, {"lockset"});
-    // The structure gate ran in a scratch sink, found the corruption,
-    // and the dynamic pass never replayed the broken program.
-    for (const auto &d : sink.diagnostics())
-        EXPECT_NE(d.pass, "lockset") << d.message;
-}
-
-TEST(Registry, OutputIsCanonicallySortedAndDeterministic)
-{
-    Program p = makeSplitLockProgram(/*split=*/true);
-    ExecConfig cfg{.numThreads = 4};
-    Pinball pb = recordPinball(p, cfg, 1000);
-
-    AnalysisContext ctx;
-    ctx.lint.prog = &p;
-    ctx.lint.pinball = &pb;
-
-    auto run = [&]() {
+    // The same findings, reported in two different pass orders.
+    auto run = [&](bool lint_first) {
         DiagnosticSink sink;
-        runAnalyses(ctx, sink);
-        return sink.take();
+        if (lint_first)
+            ProgramLint().run(ctx, sink);
+        checkGuestLockDiscipline(p, pb, sink);
+        checkGuestRaces(p, pb, sink);
+        if (!lint_first)
+            ProgramLint().run(ctx, sink);
+        std::vector<Diagnostic> diags = sink.take();
+        sortDiagnosticsCanonical(diags);
+        return diags;
     };
-    std::vector<Diagnostic> a = run();
-    std::vector<Diagnostic> b = run();
+    std::vector<Diagnostic> a = run(true);
+    std::vector<Diagnostic> b = run(false);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_FALSE(a.empty());
     for (size_t i = 0; i < a.size(); ++i) {
@@ -871,153 +819,14 @@ TEST(Registry, OutputIsCanonicallySortedAndDeterministic)
         EXPECT_EQ(a[i].location, b[i].location);
         EXPECT_EQ(a[i].message, b[i].message);
     }
-    // Canonical order: sorting again must be the identity.
+    // Canonical order: by pass first, and sorting again is the
+    // identity.
+    for (size_t i = 1; i < a.size(); ++i)
+        EXPECT_LE(a[i - 1].pass, a[i].pass) << i;
     std::vector<Diagnostic> sorted = a;
     sortDiagnosticsCanonical(sorted);
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i].message, sorted[i].message) << i;
-}
-
-/** The fixed finding list behind the SARIF golden-file test. */
-std::vector<Diagnostic>
-sarifSampleDiags()
-{
-    std::vector<Diagnostic> diags{
-        {Severity::Error, "deadlock", "lock-order graph",
-         "potential deadlock: lock-order cycle lock 0 -> lock 1 -> "
-         "lock 0"},
-        {Severity::Warning, "lockset", "block 7 (pc 0x401000) instr 2",
-         "inconsistent lock discipline on address 0x80000000000"},
-        {Severity::Info, "race", "",
-         "checked 100 shared accesses: 0 distinct race(s)"},
-    };
-    sortDiagnosticsCanonical(diags);
-    return diags;
-}
-
-TEST(Sarif, OutputIsValidJsonWithExpectedStructure)
-{
-    std::ostringstream os;
-    printDiagnosticsSarif(os, sarifSampleDiags());
-    const std::string out = os.str();
-    std::string err;
-    ASSERT_TRUE(parseJson(out, &err)) << err;
-    EXPECT_NE(out.find("\"version\": \"2.1.0\""), std::string::npos);
-    EXPECT_NE(out.find("\"name\": \"looppoint-analysis\""),
-              std::string::npos);
-    EXPECT_NE(out.find("\"ruleId\": \"deadlock\""), std::string::npos);
-    EXPECT_NE(out.find("\"level\": \"note\""), std::string::npos);
-    EXPECT_NE(out.find("\"fullyQualifiedName\": \"lock-order graph\""),
-              std::string::npos);
-}
-
-TEST(Sarif, MatchesCommittedGolden)
-{
-    std::ostringstream os;
-    printDiagnosticsSarif(os, sarifSampleDiags());
-    const std::string golden_path =
-        std::string(LOOPPOINT_TEST_DATA_DIR) + "/analysis_golden.sarif";
-    std::ifstream golden(golden_path);
-    ASSERT_TRUE(golden) << "missing golden file " << golden_path;
-    std::stringstream want;
-    want << golden.rdbuf();
-    EXPECT_EQ(os.str(), want.str())
-        << "SARIF output drifted from the committed golden; if the "
-           "change is intentional, regenerate " << golden_path;
-}
-
-TEST(Baseline, RoundTripSuppressesExactlyTheSnapshotFindings)
-{
-    std::vector<Diagnostic> diags{
-        {Severity::Error, "race", "block 3", "data race on 0x1000"},
-        {Severity::Error, "deadlock", "lock-order graph",
-         "potential deadlock"},
-        {Severity::Warning, "lockset", "block 9", "inconsistent"},
-        {Severity::Info, "race", "", "checked 42 accesses"},
-    };
-    std::ostringstream os;
-    writeBaseline(os, diags);
-    EXPECT_NE(os.str().find("looppoint-baseline-v1"),
-              std::string::npos);
-
-    std::istringstream is(os.str());
-    auto loaded = loadBaseline(is);
-    ASSERT_TRUE(loaded.ok()) << loaded.error().describe();
-    EXPECT_EQ(loaded.value().size(), 3u); // info never baselined
-
-    // Known findings are suppressed; the info line survives.
-    std::vector<Diagnostic> again = diags;
-    EXPECT_EQ(applyBaseline(again, loaded.value()), 3u);
-    ASSERT_EQ(again.size(), 1u);
-    EXPECT_EQ(again[0].severity, Severity::Info);
-
-    // A finding that changed in any visible way is new again.
-    std::vector<Diagnostic> changed = diags;
-    changed[0].message += " (moved)";
-    EXPECT_EQ(applyBaseline(changed, loaded.value()), 2u);
-    EXPECT_EQ(changed.size(), 2u);
-}
-
-TEST(Baseline, FingerprintSeparatesFields)
-{
-    // The field separator prevents adjacent fields from colliding
-    // ("ab"+"c" vs "a"+"bc").
-    Diagnostic a{Severity::Error, "ab", "c", "m"};
-    Diagnostic b{Severity::Error, "a", "bc", "m"};
-    EXPECT_NE(diagnosticFingerprint(a), diagnosticFingerprint(b));
-}
-
-TEST(Baseline, LoaderRejectsJunk)
-{
-    std::istringstream not_baseline("some other file\n");
-    auto r1 = loadBaseline(not_baseline);
-    ASSERT_FALSE(r1.ok());
-    EXPECT_EQ(r1.error().kind, LoadErrorKind::BadMagic);
-
-    std::istringstream bad_line(
-        "looppoint-baseline-v1\nfinding not-hex\n");
-    auto r2 = loadBaseline(bad_line);
-    ASSERT_FALSE(r2.ok());
-    EXPECT_EQ(r2.error().kind, LoadErrorKind::Parse);
-
-    std::istringstream with_comments(
-        "looppoint-baseline-v1\n\n# a comment\n"
-        "finding 00000000000000ff\n");
-    auto r3 = loadBaseline(with_comments);
-    ASSERT_TRUE(r3.ok());
-    EXPECT_EQ(r3.value().size(), 1u);
-    EXPECT_TRUE(r3.value().count(0xffu));
-}
-
-TEST(Diagnostics, RegistryRunsLintAndRaceOverARecording)
-{
-    // The verifiers run beside the pipeline, through the registry
-    // lp_lint drives: record demo-matrix with the DCFG builder
-    // attached, then run every lint pass and the race detector.
-    Program p = generateProgram(demoMatrixApp(), InputClass::Test);
-    ExecConfig cfg{.numThreads = 4};
-    DcfgBuilder builder(p, cfg.numThreads);
-    Pinball pb = recordPinball(p, cfg, 1000, &builder);
-    Dcfg dcfg = builder.build();
-
-    AnalysisContext ctx;
-    ctx.lint.prog = &p;
-    ctx.lint.dcfg = &dcfg;
-    ctx.lint.pinball = &pb;
-    std::vector<std::string> passes = lintPassNames();
-    passes.emplace_back("race");
-    DiagnosticSink sink;
-    EXPECT_EQ(runAnalyses(ctx, sink, passes), 0u);
-    const auto diags = sink.take();
-    EXPECT_FALSE(diags.empty());
-    EXPECT_EQ(countSeverity(diags, Severity::Error), 0u);
-    bool have_lint = false, have_race = false;
-    for (const auto &d : diags) {
-        have_lint |= d.pass == "marker-stability";
-        have_race |= d.pass == "race";
-    }
-    EXPECT_TRUE(have_lint);
-    EXPECT_TRUE(have_race);
 }
 
 TEST(Diagnostics, PipelineSkipsAnalysesByDefault)

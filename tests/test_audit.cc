@@ -17,7 +17,6 @@
 #include <string>
 
 #include "analysis/artifact_audit.hh"
-#include "analysis/registry.hh"
 #include "core/experiment.hh"
 #include "core/looppoint.hh"
 #include "core/region_run.hh"
@@ -440,21 +439,32 @@ TEST(ArtifactAudit, FlagsBadWarmCheckpointHeader)
                         "match its key (...constrained=0;region=1;)"));
 }
 
-TEST(ArtifactAudit, RegistryRunsAuditBehindItsPassName)
+TEST(ArtifactAudit, StructuralErrorsGateTheAudit)
 {
     const PipelineFixture &f = fixture();
-    AnalysisContext ctx;
-    ctx.lint.prog = &f.prog;
-    ctx.audit = baseContext(f);
-    DiagnosticSink sink;
-    size_t errs = runAnalyses(ctx, sink, {"audit"});
-    EXPECT_EQ(errs, 0u);
-    bool have_audit_info = false;
-    for (const auto &d : sink.diagnostics()) {
+    // A sound program: every sub-check runs, reporting as "audit".
+    DiagnosticSink clean;
+    EXPECT_EQ(runArtifactAudit(baseContext(f), clean), 0u);
+    ASSERT_FALSE(clean.empty());
+    for (const auto &d : clean.diagnostics())
         EXPECT_EQ(d.pass, "audit") << d.message;
-        have_audit_info |= d.severity == Severity::Info;
-    }
-    EXPECT_TRUE(have_audit_info);
+
+    // A corrupt block table fails the structure pass, so the audit,
+    // whose marker checks index that table, only reports the skip,
+    // even over a weight closure it would otherwise flag.
+    Program broken = f.prog;
+    broken.blocks[1].id = 5;
+    LoopPointResult tampered = f.result;
+    ASSERT_FALSE(tampered.regions.empty());
+    tampered.regions[0].multiplier *= 1.5;
+    AuditContext ctx = baseContext(f);
+    ctx.prog = &broken;
+    ctx.result = &tampered;
+    DiagnosticSink sink;
+    EXPECT_EQ(runArtifactAudit(ctx, sink), 0u);
+    EXPECT_EQ(sink.diagnostics().size(), 1u);
+    EXPECT_TRUE(hasDiag(sink.diagnostics(), Severity::Info,
+                        "structural errors found; audit skipped"));
 }
 
 } // namespace

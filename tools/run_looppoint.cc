@@ -18,7 +18,6 @@
 
 #include "analysis/diagnostic.hh"
 #include "analysis/experiment_audit.hh"
-#include "analysis/sarif.hh"
 #include "core/experiment.hh"
 #include "exec/driver.hh"
 #include "obs/metrics.hh"
@@ -41,8 +40,6 @@ struct CliOptions
     std::vector<std::string> programs{"demo-matrix-1"};
     bool native = false;
     bool audit = false;
-    /** Write analysis findings as SARIF 2.1.0 to this path. */
-    std::string sarifPath;
     std::string tracePath;
     std::string metricsPath;
     /** Named microarchitecture preset ("" = baseline). */
@@ -118,13 +115,9 @@ commandLine(CliOptions &cli)
         {"audit", 0, "",
          "after the run, statically cross-check the pipeline artifacts "
          "(markers vs. DCFG, cluster-weight closure, journal and store "
-         "integrity) without re-simulating. The program verifiers "
-         "(lint, race, lockset) are lp_lint's: lp_lint -p PROG "
-         "--race-check --lock-check",
+         "integrity) without re-simulating. The program lint is "
+         "lp_lint's: lp_lint -p PROG",
          setBool(cli.audit)},
-        {"sarif", 0, "PATH",
-         "also write the analysis findings as SARIF 2.1.0 to PATH",
-         setString(cli.sarifPath)},
         {"force", 0, "",
          "start a new end-to-end run (accepted for artifact "
          "compatibility; runs are always fresh here)",
@@ -214,9 +207,6 @@ runNative(const std::string &app_name, const CliOptions &cli)
     return 0;
 }
 
-/** Findings of every program this invocation ran, for --sarif. */
-std::vector<Diagnostic> g_sarifDiags;
-
 int
 runOne(const std::string &program, const CliOptions &cli)
 {
@@ -303,9 +293,6 @@ runOne(const std::string &program, const CliOptions &cli)
                 r.theoreticalParallelSpeedup);
 
     const auto &diags = r.analysis.diagnostics;
-    if (!cli.sarifPath.empty())
-        g_sarifDiags.insert(g_sarifDiags.end(), diags.begin(),
-                            diags.end());
     if (cli.audit || !diags.empty()) {
         printDiagnosticsText(std::cout, diags);
         size_t errors = 0;
@@ -360,19 +347,6 @@ writeObsOutputs(const CliOptions &cli)
             else
                 MetricsRegistry::global().printJson(os);
             std::printf("metrics        : %s\n", p.c_str());
-        }
-    }
-    if (!cli.sarifPath.empty()) {
-        std::ofstream os(cli.sarifPath);
-        if (!os) {
-            logError("cannot write SARIF to '%s'",
-                     cli.sarifPath.c_str());
-            rc = 3;
-        } else {
-            sortDiagnosticsCanonical(g_sarifDiags);
-            printDiagnosticsSarif(os, g_sarifDiags);
-            std::printf("sarif          : %s (%zu finding(s))\n",
-                        cli.sarifPath.c_str(), g_sarifDiags.size());
         }
     }
     return rc;
