@@ -90,10 +90,9 @@ main()
                 lp.slices.size(), lp.chosenK);
 
     SimConfig sim_cfg;
-    std::vector<SimMetrics> metrics;
-    for (const auto &r : lp.regions)
-        metrics.push_back(pipe.simulateRegion(lp, r, sim_cfg));
-    MetricPrediction pred = extrapolateMetrics(lp, metrics, sim_cfg);
+    auto ckpt = pipe.simulateRegionsCheckpointed(lp, sim_cfg);
+    MetricPrediction pred = extrapolateMetrics(lp, ckpt.regionMetrics,
+                                               ckpt.okMask(), sim_cfg);
     SimMetrics full = pipe.simulateFull(sim_cfg);
 
     std::printf("predicted runtime %.6f s vs measured %.6f s "

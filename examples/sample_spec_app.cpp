@@ -100,16 +100,13 @@ main(int argc, char **argv)
 
     // Step 5: simulate and extrapolate.
     SimConfig sim_cfg;
-    std::vector<SimMetrics> region_metrics;
-    for (const auto &region : lp.regions) {
-        region_metrics.push_back(
-            pipe.simulateRegion(lp, region, sim_cfg));
+    auto ckpt = pipe.simulateRegionsCheckpointed(lp, sim_cfg);
+    for (size_t i = 0; i < lp.regions.size(); ++i)
         std::printf("    region %2u: mult %7.2f  IPC %.2f\n",
-                    region.cluster, region.multiplier,
-                    region_metrics.back().ipc());
-    }
-    MetricPrediction pred =
-        extrapolateMetrics(lp, region_metrics, sim_cfg);
+                    lp.regions[i].cluster, lp.regions[i].multiplier,
+                    ckpt.regionMetrics[i].ipc());
+    MetricPrediction pred = extrapolateMetrics(
+        lp, ckpt.regionMetrics, ckpt.okMask(), sim_cfg);
     SimMetrics full = pipe.simulateFull(sim_cfg);
 
     std::printf("\n[5] prediction vs full simulation:\n");

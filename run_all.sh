@@ -4,7 +4,7 @@
 #
 # With --tsan (or LOOPPOINT_TSAN=1) the tier-1 test suite is first
 # built and run under ThreadSanitizer (-DLOOPPOINT_SANITIZE=thread in
-# build-tsan/) to validate the work-stealing thread pool and the
+# build-tsan/) to validate the thread pool and the
 # host-parallel phases; the regular suite and benches then run from
 # the unsanitized build as usual.
 #
@@ -27,10 +27,17 @@
 #
 # With --obs-smoke the observability layer is exercised end to end: a
 # short traced pipeline run emits a Chrome-trace JSON + metrics JSON
-# that lp_report --check validates, then micro_hotpath (Release,
-# build-rel/, obs disabled) is compared against the committed
-# BENCH_hotpath.json baseline to assert the disabled-obs overhead
-# stays within 2%.
+# that lp_report --check validates. Then the hot-path microbenchmark
+# is compared on this host only, never against numbers from another
+# machine: micro_hotpath of this tree (Release, build-rel/) with
+# --obs=off against --obs=on, and against a Release build of its
+# parent commit (HEAD^, or HEAD when src/ or bench/ has uncommitted
+# edits; extracted with git archive into build-parent/), in
+# alternating rounds. In every mode the median over rounds of the
+# slowdown between back-to-back runs must stay within 2%, for obs on
+# against off and for this tree against its parent. The comparison
+# is written as a SHA-tagged ledger, build-rel/obs_gate.json, the
+# format of the committed BENCH_hotpath.json.
 #
 # With --jobs-smoke lbm train's results at -j 1, -j 3 and -j 4
 # (baseline and prefetch) are diffed bit-exact across host worker and
@@ -476,6 +483,8 @@ if [ "$1" = "--obs-smoke" ]; then
     cmake --build build -j --target run_looppoint lp_report || exit 1
     trace=$(mktemp -u /tmp/obs_smoke.XXXXXX).trace.json
     metrics=${trace%.trace.json}.metrics.json
+    dir=$(mktemp -d /tmp/obs_smoke.XXXXXX)
+    trap 'rm -rf "$trace" "$metrics" "$dir"' EXIT
     build/tools/run_looppoint -p spec-roms-1 -i train --no-fullsim -j 4 \
         --trace="$trace" --metrics="$metrics" > /dev/null || exit 1
     build/tools/lp_report --trace="$trace" --metrics="$metrics" --check || {
@@ -483,29 +492,104 @@ if [ "$1" = "--obs-smoke" ]; then
         exit 1
     }
 
-    echo "== obs smoke: disabled-obs overhead vs BENCH_hotpath.json =="
+    echo "== obs smoke: micro_hotpath obs off vs on vs the parent commit, same host =="
     cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release || exit 1
-    cmake --build build-rel -j --target micro_hotpath || exit 1
-    out=$(mktemp /tmp/obs_smoke.XXXXXX.bench.json)
-    timeout 600 build-rel/bench/micro_hotpath --input=train --reps=7 \
-        --obs=off --out="$out" || exit 1
-    python3 - "$out" BENCH_hotpath.json <<'PYEOF' || exit 1
-import json, sys
-new = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
+    cmake --build build-rel -j "$(nproc)" --target micro_hotpath || exit 1
+    # The tree under test is HEAD, or HEAD plus uncommitted edits; its
+    # parent is HEAD^ or HEAD respectively.
+    base=HEAD^ change_sha=$(git rev-parse --short HEAD) || exit 1
+    git diff --quiet HEAD -- src bench || { base=HEAD; change_sha="$change_sha+dirty"; }
+    parent_sha=$(git rev-parse --short $base) || exit 1
+    if [ "$(cat build-parent/SHA 2>/dev/null)" != "$parent_sha" ]; then
+        rm -rf build-parent && mkdir -p build-parent/src || exit 1
+        git archive $base | tar -x -C build-parent/src || exit 1
+        echo "$parent_sha" > build-parent/SHA
+    fi
+    cmake -B build-parent/build -S build-parent/src \
+        -DCMAKE_BUILD_TYPE=Release || exit 1
+    cmake --build build-parent/build -j "$(nproc)" --target micro_hotpath || exit 1
+    # Alternating rounds, each side first in half of them; a round's
+    # runs are back to back, so per-round ratios cancel host drift.
+    rounds=10
+    for round in $(seq 1 $rounds); do
+        order="off on parent"
+        [ $((round % 2)) -eq 0 ] && order="parent on off"
+        for side in $order; do
+            bin=build-rel/bench/micro_hotpath obs=$side
+            [ $side = parent ] && bin=build-parent/build/bench/micro_hotpath obs=off
+            timeout 600 $bin --input=train --reps=7 --obs=$obs \
+                --out="$dir/$side.$round.json" > /dev/null || exit 1
+        done
+    done
+    python3 - "$dir" "$rounds" "$change_sha" "$parent_sha" build-rel/obs_gate.json <<'PYEOF' || exit 1
+import json, os, statistics, sys
+from datetime import datetime, timezone
+d, rounds, change_sha, parent_sha, ledger = sys.argv[1:6]
+rounds = range(1, int(rounds) + 1)
+runs = {side: [json.load(open(os.path.join(d, "%s.%d.json" % (side, r))))
+               for r in rounds]
+        for side in ("off", "on", "parent")}
+mode_names = list(runs["off"][0]["modes"])
+def seconds(side, mode):
+    return [r["modes"][mode]["seconds"] for r in runs[side]]
+def quartiles(xs):
+    q = statistics.quantiles(xs, n=4)
+    return {"median": round(statistics.median(xs), 6),
+            "q1": round(q[0], 6), "q3": round(q[2], 6)}
 worst = 0.0
-for mode, b in base["modes"].items():
-    n = new["modes"][mode]
-    overhead = n["seconds"] / b["seconds"] - 1.0
-    print("%-12s base=%.6fs new=%.6fs overhead=%+.2f%%"
-          % (mode, b["seconds"], n["seconds"], overhead * 100.0))
-    worst = max(worst, overhead)
-if worst > 0.02:
-    print("obs-smoke FAIL: disabled-obs overhead %.2f%% > 2%%"
-          % (worst * 100.0))
+slowdown = {}
+for name, num, den in (("obs_on_vs_off", "on", "off"),
+                       ("change_vs_parent", "off", "parent")):
+    slowdown[name] = {}
+    for mode in mode_names:
+        ratios = [a / b for a, b in zip(seconds(num, mode),
+                                        seconds(den, mode))]
+        q = quartiles([(x - 1.0) * 100.0 for x in ratios])
+        slowdown[name][mode] = q
+        print("%-16s %-12s median %+.2f%%  [q1 %+.2f%%, q3 %+.2f%%]"
+              % (name, mode, q["median"], q["q1"], q["q3"]))
+        worst = max(worst, q["median"])
+first = runs["off"][0]
+def modes(side):
+    out = {}
+    for m in mode_names:
+        blocks = first["modes"][m]["blocks"]
+        instrs = first["modes"][m]["instructions"]
+        secs = statistics.median(seconds(side, m))
+        out[m] = {"blocks": blocks, "instructions": instrs,
+                  "seconds": round(secs, 6),
+                  "blocks_per_sec": round(blocks / secs, 1),
+                  "instrs_per_sec": round(instrs / secs, 1)}
+    return out
+out = {
+    "benchmark": "micro_hotpath",
+    "git_sha": change_sha,
+    "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+    "host": "%d vCPU, %s" % (os.cpu_count(), next(
+        (l.split(":", 1)[1].strip() for l in open("/proc/cpuinfo")
+         if l.startswith("model name")), "unknown cpu")),
+    "app": first["app"], "input": first["input"],
+    "threads": first["threads"], "jobs": first["jobs"],
+    "reps": first["reps"], "rounds": len(rounds),
+    "method": "seconds = best of reps per run, median over rounds; "
+              "slowdown_pct = per-round ratio of back-to-back runs, "
+              "median and quartiles over rounds; rounds alternate "
+              "which side runs first",
+    "obs": "off",
+    "modes": modes("off"),
+    "obs_on": {"modes": modes("on")},
+    "parent": {"git_sha": parent_sha, "modes": modes("parent")},
+    "slowdown_pct": slowdown,
+    "bound_pct": 2.0,
+}
+with open(ledger, "w") as f:
+    json.dump(out, f, indent=2)
+    f.write("\n")
+print("ledger: " + ledger)
+if worst > 2.0:
+    print("obs-smoke FAIL: median slowdown %.2f%% > 2%%" % worst)
     sys.exit(1)
 PYEOF
-    rm -f "$trace" "$metrics" "$out"
     echo "obs-smoke OK"
     exit 0
 fi

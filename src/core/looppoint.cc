@@ -411,23 +411,6 @@ LoopPointPipeline::analyze()
 }
 
 SimMetrics
-LoopPointPipeline::simulateRegion(const LoopPointResult &lp,
-                                  const LoopPointRegion &region,
-                                  const SimConfig &sim_cfg,
-                                  bool constrained) const
-{
-    if (constrained) {
-        ReplayArbiter arbiter(lp.pinball.log);
-        MulticoreSim sim(*prog, execConfig(), sim_cfg, &arbiter);
-        return sim.runRegion(region.start.pc, region.start.count,
-                             region.end.pc, region.end.count);
-    }
-    MulticoreSim sim(*prog, execConfig(), sim_cfg);
-    return sim.runRegion(region.start.pc, region.start.count,
-                         region.end.pc, region.end.count);
-}
-
-SimMetrics
 LoopPointPipeline::simulateFull(const SimConfig &sim_cfg) const
 {
     MulticoreSim sim(*prog, execConfig(), sim_cfg);

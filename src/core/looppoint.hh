@@ -11,11 +11,9 @@
  *   LoopPointOptions opts;
  *   LoopPointPipeline pipe(program, opts);
  *   LoopPointResult lp = pipe.analyze();
- *   std::vector<SimMetrics> region_metrics;
- *   for (const auto &r : lp.regions)
- *       region_metrics.push_back(pipe.simulateRegion(lp, r, sim_cfg));
- *   MetricPrediction pred = extrapolateMetrics(lp, region_metrics,
- *                                              sim_cfg);
+ *   auto ckpt = pipe.simulateRegionsCheckpointed(lp, sim_cfg);
+ *   MetricPrediction pred = extrapolateMetrics(
+ *       lp, ckpt.regionMetrics, ckpt.okMask(), sim_cfg);
  */
 
 #ifndef LOOPPOINT_CORE_LOOPPOINT_HH
@@ -192,16 +190,6 @@ class LoopPointPipeline
 
     /** Run the full analysis: record, profile, cluster, select. */
     LoopPointResult analyze();
-
-    /**
-     * Simulate one looppoint unconstrained with warmup and return its
-     * metrics. Set `constrained` for PinPlay-style constrained replay
-     * (introduces artificial stalls; Section V-A.1).
-     */
-    SimMetrics simulateRegion(const LoopPointResult &lp,
-                              const LoopPointRegion &region,
-                              const SimConfig &sim_cfg,
-                              bool constrained = false) const;
 
     /** Detailed simulation of the entire program (ground truth). */
     SimMetrics simulateFull(const SimConfig &sim_cfg) const;

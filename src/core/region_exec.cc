@@ -1,6 +1,5 @@
 #include "core/region_exec.hh"
 
-#include <atomic>
 #include <chrono>
 #include <future>
 #include <utility>
@@ -43,25 +42,13 @@ RegionExecutor::submit(std::vector<RegionWorkItem> items,
             runOne(item, *source(item));
         return;
     }
-    // One task per item, but a task runs whichever item is next in
-    // priority order when it starts: the pool's deques pop LIFO and
-    // steal FIFO, so binding items to tasks at submit time would not
-    // keep the order.
-    struct Batch
-    {
-        std::vector<RegionWorkItem> items;
-        SnapshotSource source;
-        std::atomic<size_t> next{0};
-    };
-    auto batch = std::make_shared<Batch>();
-    batch->items = std::move(items);
-    batch->source = std::move(source);
-    for (size_t i = 0; i < batch->items.size(); ++i)
-        inflight.push_back(pool->submit([this, batch] {
-            const RegionWorkItem &item =
-                batch->items[batch->next.fetch_add(1)];
-            runOne(item, *batch->source(item));
-        }));
+    // One task per item: the pool's FIFO queue starts them in the
+    // given order.
+    for (RegionWorkItem &item : items)
+        inflight.push_back(
+            pool->submit([this, item = std::move(item), source] {
+                runOne(item, *source(item));
+            }));
 }
 
 void

@@ -10,21 +10,6 @@ namespace looppoint {
 
 namespace {
 
-/** Round-robin stripe assignment: each thread grabs a stripe on first
- * metric touch and keeps it for life. With kMetricStripes a power of
- * two well above typical pool sizes, collisions only cost a shared
- * fetch_add, never a lock. */
-std::atomic<uint32_t> nextStripe{0};
-
-uint32_t
-thisThreadStripe()
-{
-    thread_local uint32_t stripe =
-        nextStripe.fetch_add(1, std::memory_order_relaxed) %
-        kMetricStripes;
-    return stripe;
-}
-
 /** %.17g round-trips doubles; trim to a friendlier form when exact. */
 std::string
 formatDouble(double v)
@@ -39,36 +24,21 @@ formatDouble(double v)
     return buf;
 }
 
+std::vector<uint64_t>
+normalizedBounds(std::vector<uint64_t> bounds)
+{
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    return bounds;
+}
+
 } // namespace
-
-uint32_t
-Counter::stripeIndex()
-{
-    return thisThreadStripe();
-}
-
-uint64_t
-Counter::value() const
-{
-    uint64_t total = 0;
-    for (const MetricCell &cell : cells)
-        total += cell.v.load(std::memory_order_relaxed);
-    return total;
-}
 
 Histogram::Histogram(std::string name, std::vector<uint64_t> bounds,
                      const std::atomic<bool> *enabled)
-    : nm(std::move(name)), upper(std::move(bounds)), on(enabled)
-{
-    std::sort(upper.begin(), upper.end());
-    upper.erase(std::unique(upper.begin(), upper.end()), upper.end());
-    const size_t n = upper.size() + 1; // + overflow bucket
-    for (Shard &s : shards) {
-        s.buckets = std::make_unique<std::atomic<uint64_t>[]>(n);
-        for (size_t i = 0; i < n; ++i)
-            s.buckets[i].store(0, std::memory_order_relaxed);
-    }
-}
+    : nm(std::move(name)), upper(normalizedBounds(std::move(bounds))),
+      on(enabled), buckets(upper.size() + 1)
+{}
 
 void
 Histogram::observe(uint64_t sample)
@@ -79,37 +49,18 @@ Histogram::observe(uint64_t sample)
     // overflow bucket (index upper.size()) takes the rest.
     size_t idx = std::lower_bound(upper.begin(), upper.end(), sample) -
                  upper.begin();
-    Shard &s = shards[thisThreadStripe()];
-    s.buckets[idx].fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(sample, std::memory_order_relaxed);
-    s.cnt.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t
-Histogram::count() const
-{
-    uint64_t total = 0;
-    for (const Shard &s : shards)
-        total += s.cnt.load(std::memory_order_relaxed);
-    return total;
-}
-
-uint64_t
-Histogram::sum() const
-{
-    uint64_t total = 0;
-    for (const Shard &s : shards)
-        total += s.sum.load(std::memory_order_relaxed);
-    return total;
+    buckets[idx].fetch_add(1, std::memory_order_relaxed);
+    total.fetch_add(sample, std::memory_order_relaxed);
+    cnt.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<uint64_t>
 Histogram::bucketCounts() const
 {
-    std::vector<uint64_t> out(upper.size() + 1, 0);
-    for (const Shard &s : shards)
-        for (size_t i = 0; i < out.size(); ++i)
-            out[i] += s.buckets[i].load(std::memory_order_relaxed);
+    std::vector<uint64_t> out;
+    out.reserve(buckets.size());
+    for (const std::atomic<uint64_t> &b : buckets)
+        out.push_back(b.load(std::memory_order_relaxed));
     return out;
 }
 
@@ -158,17 +109,14 @@ MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> g(mtx);
     for (auto &[name, c] : counters)
-        for (MetricCell &cell : c->cells)
-            cell.v.store(0, std::memory_order_relaxed);
+        c->v.store(0, std::memory_order_relaxed);
     for (auto &[name, gv] : gauges)
         gv->val.store(0.0, std::memory_order_relaxed);
     for (auto &[name, h] : histograms) {
-        for (Histogram::Shard &s : h->shards) {
-            for (size_t i = 0; i < h->upper.size() + 1; ++i)
-                s.buckets[i].store(0, std::memory_order_relaxed);
-            s.sum.store(0, std::memory_order_relaxed);
-            s.cnt.store(0, std::memory_order_relaxed);
-        }
+        for (std::atomic<uint64_t> &b : h->buckets)
+            b.store(0, std::memory_order_relaxed);
+        h->total.store(0, std::memory_order_relaxed);
+        h->cnt.store(0, std::memory_order_relaxed);
     }
 }
 

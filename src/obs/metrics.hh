@@ -2,16 +2,16 @@
  * @file
  * Metrics registry: counters, gauges, and fixed-bucket histograms for
  * pipeline-level telemetry (region sim wall time, per-region MPKI,
- * thread-pool steal counts and idle time, BIC sweep iterations,
+ * thread-pool task counts and idle time, BIC sweep iterations,
  * artifact checksum verify/fail counts, ...).
  *
- * Hot-path contract: updates are mutex-free. A Counter/Histogram is a
- * set of cache-line-padded per-thread shards (each thread is assigned
- * a stripe once); add()/observe() is one relaxed atomic check of the
- * registry's enabled flag plus relaxed atomic adds on the caller's
- * stripe. Aggregation across shards happens only at scrape time
- * (value(), printText(), printJson()). When the registry is disabled,
- * every update is a relaxed load and a branch — nothing else.
+ * Hot-path contract: updates are mutex-free. A Counter is one relaxed
+ * atomic; a Histogram is one relaxed atomic per bucket plus its sum
+ * and count. add()/observe() is one relaxed check of the registry's
+ * enabled flag plus those adds. Updates come at region or phase
+ * granularity (tens to hundreds per run), so a shared atomic is never
+ * contended enough to matter. When the registry is disabled, every
+ * update is a relaxed load and a branch — nothing else.
  *
  * Registration (counter()/gauge()/histogram()) takes the registry
  * mutex and returns a stable reference; call sites obtain handles
@@ -36,16 +36,6 @@ namespace looppoint {
 
 class MetricsRegistry;
 
-/** Stripes shared by all sharded metrics (threads hash onto these). */
-constexpr uint32_t kMetricStripes = 16;
-
-/** One cache line of counter state, to keep shards from false
- * sharing. */
-struct alignas(64) MetricCell
-{
-    std::atomic<uint64_t> v{0};
-};
-
 /** Monotonically increasing event count. */
 class Counter
 {
@@ -55,17 +45,16 @@ class Counter
     {
         if (!on->load(std::memory_order_relaxed))
             return;
-        cells[stripeIndex()].v.fetch_add(delta,
-                                         std::memory_order_relaxed);
+        v.fetch_add(delta, std::memory_order_relaxed);
     }
 
-    /** Sum across shards (scrape-time only). */
-    uint64_t value() const;
+    uint64_t
+    value() const
+    {
+        return v.load(std::memory_order_relaxed);
+    }
 
     const std::string &name() const { return nm; }
-
-    /** The stripe the calling thread updates (exposed for tests). */
-    static uint32_t stripeIndex();
 
   private:
     friend class MetricsRegistry;
@@ -75,7 +64,7 @@ class Counter
 
     std::string nm;
     const std::atomic<bool> *on;
-    MetricCell cells[kMetricStripes];
+    std::atomic<uint64_t> v{0};
 };
 
 /** Last-write-wins instantaneous value. */
@@ -120,8 +109,18 @@ class Histogram
   public:
     void observe(uint64_t sample);
 
-    uint64_t count() const;
-    uint64_t sum() const;
+    uint64_t
+    count() const
+    {
+        return cnt.load(std::memory_order_relaxed);
+    }
+
+    uint64_t
+    sum() const
+    {
+        return total.load(std::memory_order_relaxed);
+    }
+
     /** Per-bucket counts, size bounds().size() + 1 (overflow last). */
     std::vector<uint64_t> bucketCounts() const;
     const std::vector<uint64_t> &bounds() const { return upper; }
@@ -133,17 +132,13 @@ class Histogram
     Histogram(std::string name, std::vector<uint64_t> bounds,
               const std::atomic<bool> *enabled);
 
-    struct alignas(64) Shard
-    {
-        std::unique_ptr<std::atomic<uint64_t>[]> buckets;
-        std::atomic<uint64_t> sum{0};
-        std::atomic<uint64_t> cnt{0};
-    };
-
     std::string nm;
     std::vector<uint64_t> upper;
     const std::atomic<bool> *on;
-    Shard shards[kMetricStripes];
+    /** bounds().size() + 1 buckets, overflow last. */
+    std::vector<std::atomic<uint64_t>> buckets;
+    std::atomic<uint64_t> total{0};
+    std::atomic<uint64_t> cnt{0};
 };
 
 /** See file comment. */

@@ -11,28 +11,25 @@ namespace looppoint {
 
 namespace {
 
-/** Unique id per Tracer instance, so the thread-local cache below can
- * never confuse a dead tracer with a new one at the same address. */
-std::atomic<uint64_t> nextTracerId{1};
-
-/** Per-thread cache of (tracer id -> buffer). Entries for destroyed
- * tracers are harmless: their ids are never issued again. */
-struct TlsBufEntry
+/** A process-unique serial for the calling thread. Unlike a
+ * std::thread::id, which the runtime reuses once a thread is joined,
+ * a serial is never reissued, so a new thread never inherits a dead
+ * one's track. */
+uint64_t
+callerSerial()
 {
-    uint64_t tracerId;
-    void *buf;
-};
-thread_local std::vector<TlsBufEntry> tlsBufs;
+    static std::atomic<uint64_t> nextSerial{0};
+    thread_local const uint64_t serial =
+        nextSerial.fetch_add(1, std::memory_order_relaxed);
+    return serial;
+}
 
 } // namespace
 
 Tracer::Tracer(const Clock *clock, size_t ring_capacity)
     : clk(clock ? clock : &SteadyClock::instance()),
-      ringCapacity(ring_capacity ? ring_capacity : 1),
-      tracerId(nextTracerId.fetch_add(1, std::memory_order_relaxed))
+      ringCapacity(ring_capacity ? ring_capacity : 1)
 {}
-
-Tracer::~Tracer() = default;
 
 void
 Tracer::setEnabled(bool enable)
@@ -46,32 +43,21 @@ Tracer::setClock(const Clock *clock)
     clk = clock ? clock : &SteadyClock::instance();
 }
 
-Tracer::ThreadBuf &
-Tracer::threadBuf()
+uint32_t
+Tracer::callerTrack()
 {
-    for (const TlsBufEntry &e : tlsBufs)
-        if (e.tracerId == tracerId)
-            return *static_cast<ThreadBuf *>(e.buf);
-    auto fresh = std::make_unique<ThreadBuf>();
-    ThreadBuf *buf;
-    {
-        std::lock_guard<std::mutex> g(mtx);
-        fresh->track = static_cast<uint32_t>(trackNames.size());
-        trackNames.push_back("host thread " +
-                             std::to_string(fresh->track));
-        bufs.push_back(std::move(fresh));
-        buf = bufs.back().get();
-    }
-    tlsBufs.push_back({tracerId, buf});
-    return *buf;
+    auto [it, fresh] = threadTracks.try_emplace(
+        callerSerial(), static_cast<uint32_t>(trackNames.size()));
+    if (fresh)
+        trackNames.push_back("host thread " + std::to_string(it->second));
+    return it->second;
 }
 
 void
 Tracer::nameCurrentThread(const std::string &name)
 {
-    ThreadBuf &buf = threadBuf();
     std::lock_guard<std::mutex> g(mtx);
-    trackNames[buf.track] = name;
+    trackNames[callerTrack()] = name;
 }
 
 uint32_t
@@ -90,16 +76,15 @@ Tracer::record(TraceEvent ev)
 {
     if (!enabled())
         return;
-    ThreadBuf &buf = threadBuf();
+    std::lock_guard<std::mutex> g(mtx);
     if (ev.track == TraceEvent::kCallerTrack)
-        ev.track = buf.track;
-    std::lock_guard<std::mutex> g(buf.mtx);
-    if (buf.ring.size() < ringCapacity) {
-        buf.ring.push_back(std::move(ev));
+        ev.track = callerTrack();
+    if (ring.size() < ringCapacity) {
+        ring.push_back(std::move(ev));
     } else {
-        buf.ring[buf.next] = std::move(ev);
-        buf.next = (buf.next + 1) % ringCapacity;
-        ++buf.dropped;
+        ring[next] = std::move(ev);
+        next = (next + 1) % ringCapacity;
+        ++dropped;
     }
 }
 
@@ -120,61 +105,43 @@ size_t
 Tracer::pendingEvents() const
 {
     std::lock_guard<std::mutex> g(mtx);
-    size_t n = 0;
-    for (const auto &buf : bufs) {
-        std::lock_guard<std::mutex> bg(buf->mtx);
-        n += buf->ring.size();
-    }
-    return n;
+    return ring.size();
 }
 
 size_t
 Tracer::droppedEvents() const
 {
     std::lock_guard<std::mutex> g(mtx);
-    size_t n = 0;
-    for (const auto &buf : bufs) {
-        std::lock_guard<std::mutex> bg(buf->mtx);
-        n += buf->dropped;
-    }
-    return n;
+    return dropped;
 }
 
 void
 Tracer::clear()
 {
     std::lock_guard<std::mutex> g(mtx);
-    for (const auto &buf : bufs) {
-        std::lock_guard<std::mutex> bg(buf->mtx);
-        buf->ring.clear();
-        buf->next = 0;
-        buf->dropped = 0;
-    }
+    ring.clear();
+    next = 0;
+    dropped = 0;
 }
 
 void
 Tracer::writeChromeTrace(std::ostream &os)
 {
-    // Drain every ring and snapshot the track names under the lock,
+    // Drain the ring and snapshot the track names under the lock,
     // then format outside it.
     std::vector<TraceEvent> events;
     std::vector<std::string> tracks;
-    uint64_t dropped = 0;
+    uint64_t lost = 0;
     {
         std::lock_guard<std::mutex> g(mtx);
         tracks = trackNames;
-        for (const auto &buf : bufs) {
-            std::lock_guard<std::mutex> bg(buf->mtx);
-            // Restore chronological order of a wrapped ring: the
-            // oldest surviving event sits at `next`.
-            for (size_t i = 0; i < buf->ring.size(); ++i)
-                events.push_back(std::move(
-                    buf->ring[(buf->next + i) % buf->ring.size()]));
-            dropped += buf->dropped;
-            buf->ring.clear();
-            buf->next = 0;
-            buf->dropped = 0;
-        }
+        // Restore chronological order of a wrapped ring: the oldest
+        // surviving event sits at `next`.
+        std::rotate(ring.begin(), ring.begin() + next, ring.end());
+        events.swap(ring);
+        lost = dropped;
+        next = 0;
+        dropped = 0;
     }
 
     // Chrome/Perfetto sort by ts; for equal timestamps a longer span
@@ -203,7 +170,7 @@ Tracer::writeChromeTrace(std::ostream &os)
     os << "  \"displayTimeUnit\": \"ms\",\n";
     os << "  \"otherData\": {\"tool\": \"looppoint\", "
           "\"dropped_events\": "
-       << dropped << "},\n";
+       << lost << "},\n";
     os << "  \"traceEvents\": [\n";
 
     bool first = true;

@@ -5,19 +5,20 @@
  * Every pipeline phase (record, DCFG build, slicing, projection, the
  * k-means BIC sweep, per-region warmup and detailed simulation, retry
  * attempts, journal activity) opens a ScopedSpan; on destruction the
- * span is pushed into a per-thread ring buffer. Rings are drained on
+ * span is pushed into the tracer's ring buffer. The ring is drained on
  * flush into one `{"traceEvents": [...]}` document that loads directly
  * in https://ui.perfetto.dev or chrome://tracing, with one named track
- * per host thread (pool workers register their names) plus optional
- * *virtual* tracks ("region 7") for per-simulated-region timelines.
+ * per host thread (numbered on first touch; pool workers register
+ * their names) plus optional *virtual* tracks ("region 7") for
+ * per-simulated-region timelines.
  *
  * Cost model: a disabled tracer costs one relaxed atomic load and a
  * branch per span site — no clock read, no allocation, no lock. An
- * enabled tracer takes two clock reads per span and one uncontended
- * per-thread mutex on record (the same mutex flush takes, which is
- * the only cross-thread contact). Ring capacity bounds memory; when a
- * thread overruns its ring the oldest events are overwritten and
- * counted in droppedEvents().
+ * enabled tracer takes two clock reads per span and one mutex on
+ * record, shared by every thread; a run records a few hundred events,
+ * so the lock is never contended enough to matter. Ring capacity
+ * bounds memory; once it is full the oldest events are overwritten
+ * and counted in droppedEvents().
  *
  * Timestamps come from a Clock (see clock.hh) so tests can inject a
  * FakeClock and compare traces byte-for-byte.
@@ -29,11 +30,11 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/clock.hh"
@@ -71,7 +72,6 @@ class Tracer
     /** @param clock nullptr = SteadyClock::instance(). */
     explicit Tracer(const Clock *clock = nullptr,
                     size_t ring_capacity = kDefaultRingCapacity);
-    ~Tracer();
 
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
@@ -100,21 +100,21 @@ class Tracer
      */
     uint32_t virtualTrack(const std::string &name);
 
-    /** Push one event into the calling thread's ring (enabled only). */
+    /** Push one event into the ring (enabled only). */
     void record(TraceEvent ev);
 
     /** Record an instant marker at now() on the caller's track. */
     void instant(std::string name, std::vector<TraceArg> args = {});
 
-    /** Events currently buffered across all rings. */
+    /** Events currently buffered. */
     size_t pendingEvents() const;
-    /** Events overwritten because a ring filled up. */
+    /** Events overwritten because the ring filled up. */
     size_t droppedEvents() const;
 
     /**
-     * Drain every ring into one Chrome trace-event JSON document
-     * (sorted by timestamp; thread_name metadata first). The rings
-     * are left empty; track registrations survive.
+     * Drain the ring into one Chrome trace-event JSON document
+     * (sorted by timestamp; thread_name metadata first). The ring is
+     * left empty; track registrations survive.
      */
     void writeChromeTrace(std::ostream &os);
 
@@ -125,24 +125,20 @@ class Tracer
     static Tracer &global();
 
   private:
-    struct ThreadBuf
-    {
-        std::mutex mtx;
-        std::vector<TraceEvent> ring;
-        size_t next = 0; ///< overwrite cursor once full
-        uint64_t dropped = 0;
-        uint32_t track = 0;
-    };
-
-    ThreadBuf &threadBuf();
+    /** The calling thread's track, numbered on first touch. Caller
+     * holds `mtx`. */
+    uint32_t callerTrack();
 
     std::atomic<bool> on{false};
     const Clock *clk;
     const size_t ringCapacity;
-    const uint64_t tracerId; ///< key for the thread-local buf cache
 
-    mutable std::mutex mtx; ///< guards bufs + trackNames
-    std::vector<std::unique_ptr<ThreadBuf>> bufs;
+    mutable std::mutex mtx; ///< guards everything below
+    std::vector<TraceEvent> ring;
+    size_t next = 0; ///< overwrite cursor once full
+    uint64_t dropped = 0;
+    /** Process-unique thread serial (see trace.cc) -> track. */
+    std::unordered_map<uint64_t, uint32_t> threadTracks;
     std::vector<std::string> trackNames;
 };
 

@@ -121,8 +121,8 @@ struct SimConfig
      * Canonical one-line encoding of every *result-affecting*
      * (microarchitectural) field — the config partition that keys the
      * run journal and the store's region-simulation stage. Host-side
-     * knobs (jobs, obs, retries, watchdog, reference scheduler, fault
-     * plan) are deliberately absent: flipping them never changes
+     * knobs (jobs, obs, retries, watchdog, fault plan) are
+     * deliberately absent: flipping them never changes
      * simulated metrics, so they must never invalidate cached results.
      * Unlike describe(), this covers prefetchDegree and the op
      * latencies — the journal historically fingerprinted describe(),

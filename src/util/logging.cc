@@ -105,7 +105,6 @@ fatal(const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = vFormat(fmt, ap);
     va_end(ap);
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     throw FatalError(msg);
 }
 

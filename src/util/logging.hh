@@ -3,7 +3,8 @@
  * Status/error reporting helpers in the spirit of gem5's logging.hh.
  *
  * fatal() is for conditions that are the caller's fault (bad configuration,
- * invalid arguments); it throws FatalError so tests can observe it.
+ * invalid arguments); it throws FatalError, printing nothing, so tests
+ * can observe it and the catch site reports it once.
  * panic() is for internal invariant violations (a bug in this library);
  * it aborts the process.
  * logError()/warn()/inform()/debug() print leveled status to stderr
@@ -64,7 +65,8 @@ void setLogLevel(LogLevel level);
 std::string strFormat(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report a user error and throw FatalError. */
+/** Throw FatalError with the formatted message. Prints nothing: the
+ * catch site reports e.what(), so the error appears once. */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 

@@ -1,21 +1,13 @@
 #include "util/thread_pool.hh"
 
+#include <algorithm>
+#include <atomic>
+
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "util/logging.hh"
 
 namespace looppoint {
-
-namespace {
-
-// Worker identity of the current thread, for deque-local push/pop.
-// Plain thread_locals (not members) so external threads are simply
-// "no pool, no deque".
-thread_local ThreadPool *tlsPool = nullptr;
-thread_local uint32_t tlsWid = 0;
-
-} // namespace
 
 uint32_t
 ThreadPool::defaultWorkers()
@@ -26,187 +18,88 @@ ThreadPool::defaultWorkers()
 
 ThreadPool::ThreadPool(uint32_t num_workers)
 {
-    uint32_t n = num_workers ? num_workers : defaultWorkers();
+    const uint32_t n = resolveWorkers(num_workers);
     MetricsRegistry &reg = MetricsRegistry::global();
-    statExternalSteals = &reg.counter("pool.steals.external");
     workers.reserve(n);
     for (uint32_t wid = 0; wid < n; ++wid) {
-        auto w = std::make_unique<Worker>();
-        const std::string prefix =
-            "pool.worker" + std::to_string(wid);
-        w->statTasks = &reg.counter(prefix + ".tasks");
-        w->statSteals = &reg.counter(prefix + ".steals");
-        w->statIdleNs = &reg.counter(prefix + ".idle_ns");
-        workers.push_back(std::move(w));
+        const std::string prefix = "pool.worker" + std::to_string(wid);
+        Counter &tasks = reg.counter(prefix + ".tasks");
+        Counter &idle_ns = reg.counter(prefix + ".idle_ns");
+        workers.emplace_back([this, wid, &tasks, &idle_ns] {
+            workerLoop(wid, tasks, idle_ns);
+        });
     }
-    for (uint32_t wid = 0; wid < n; ++wid)
-        workers[wid]->thread =
-            std::thread([this, wid] { workerLoop(wid); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> g(sleepMtx);
+        std::lock_guard<std::mutex> g(mtx);
         stopping = true;
-        ++wakeEpoch;
     }
-    sleepCv.notify_all();
-    for (auto &w : workers)
-        w->thread.join();
-    // A task racing with shutdown may have enqueued work after its
-    // worker drained and exited; finish it here so no queued task is
-    // ever dropped (and no future is left with a broken promise).
-    Task task;
-    while (takeTask(numWorkers(), task))
-        task();
-}
-
-void
-ThreadPool::bumpEpoch()
-{
-    {
-        std::lock_guard<std::mutex> g(sleepMtx);
-        ++wakeEpoch;
-    }
-    sleepCv.notify_all();
+    cv.notify_all();
+    // A worker exits only once the queue is empty, and a task that
+    // enqueues more keeps its own worker alive to run it, so nothing
+    // queued is ever dropped.
+    for (std::thread &w : workers)
+        w.join();
 }
 
 void
 ThreadPool::enqueue(Task task)
 {
-    uint32_t target;
-    if (tlsPool == this) {
-        target = tlsWid;
-    } else {
-        target = static_cast<uint32_t>(
-            pushCursor.fetch_add(1, std::memory_order_relaxed) %
-            workers.size());
-    }
     {
-        std::lock_guard<std::mutex> g(workers[target]->mtx);
-        workers[target]->deque.push_back(std::move(task));
+        std::lock_guard<std::mutex> g(mtx);
+        queue.push_back(std::move(task));
     }
-    bumpEpoch();
-}
-
-bool
-ThreadPool::popLocal(uint32_t wid, Task &out)
-{
-    Worker &w = *workers[wid];
-    std::lock_guard<std::mutex> g(w.mtx);
-    if (w.deque.empty())
-        return false;
-    out = std::move(w.deque.back());
-    w.deque.pop_back();
-    return true;
-}
-
-bool
-ThreadPool::steal(uint32_t wid, Task &out)
-{
-    const uint32_t n = numWorkers();
-    const bool have_deque = wid < n;
-    for (uint32_t i = 0; i < n; ++i) {
-        uint32_t victim = (wid + 1 + i) % n;
-        if (victim == wid)
-            continue;
-        // Move the spoils to a local buffer under the victim's lock
-        // only, then requeue under our own lock — never both at once,
-        // so two workers stealing from each other cannot deadlock.
-        std::vector<Task> stolen;
-        {
-            std::lock_guard<std::mutex> g(workers[victim]->mtx);
-            std::deque<Task> &dq = workers[victim]->deque;
-            if (dq.empty())
-                continue;
-            size_t take = have_deque ? (dq.size() + 1) / 2 : 1;
-            for (size_t s = 0; s < take; ++s) {
-                stolen.push_back(std::move(dq.front()));
-                dq.pop_front();
-            }
-        }
-        out = std::move(stolen.front());
-        if (stolen.size() > 1) {
-            {
-                std::lock_guard<std::mutex> g(workers[wid]->mtx);
-                for (size_t s = 1; s < stolen.size(); ++s)
-                    workers[wid]->deque.push_back(
-                        std::move(stolen[s]));
-            }
-            // The requeued tasks are up for grabs again.
-            bumpEpoch();
-        }
-        if (have_deque)
-            workers[wid]->statSteals->add();
-        else
-            statExternalSteals->add();
-        return true;
-    }
-    return false;
-}
-
-bool
-ThreadPool::takeTask(uint32_t wid, Task &out)
-{
-    if (wid < numWorkers() && popLocal(wid, out))
-        return true;
-    return steal(wid, out);
+    cv.notify_one();
 }
 
 bool
 ThreadPool::runPendingTask()
 {
-    uint32_t wid = tlsPool == this ? tlsWid : numWorkers();
     Task task;
-    if (!takeTask(wid, task))
-        return false;
+    {
+        std::lock_guard<std::mutex> g(mtx);
+        if (queue.empty())
+            return false;
+        task = std::move(queue.front());
+        queue.pop_front();
+    }
     task();
     return true;
 }
 
 void
-ThreadPool::workerLoop(uint32_t wid)
+ThreadPool::workerLoop(uint32_t wid, Counter &tasks, Counter &idle_ns)
 {
-    tlsPool = this;
-    tlsWid = wid;
     // Claim a named trace track so spans recorded while running pool
     // tasks land on a recognizable timeline.
     if (Tracer::global().enabled())
         Tracer::global().nameCurrentThread(
             "pool worker " + std::to_string(wid));
     for (;;) {
-        // Read the epoch *before* scanning, so a push that lands
-        // between a failed scan and the wait still wakes us.
-        uint64_t epoch;
-        {
-            std::lock_guard<std::mutex> g(sleepMtx);
-            epoch = wakeEpoch;
-        }
         Task task;
-        if (takeTask(wid, task)) {
-            task();
-            workers[wid]->statTasks->add();
-            continue;
+        {
+            std::unique_lock<std::mutex> g(mtx);
+            if (queue.empty() && !stopping) {
+                // Clock reads only when someone is scraping;
+                // Counter::add re-checks the enabled flag itself.
+                const bool timing = MetricsRegistry::global().enabled();
+                const uint64_t idle0 =
+                    timing ? SteadyClock::instance().nowNs() : 0;
+                cv.wait(g, [this] { return stopping || !queue.empty(); });
+                if (timing)
+                    idle_ns.add(SteadyClock::instance().nowNs() - idle0);
+            }
+            if (queue.empty())
+                return; // stopping, and drained
+            task = std::move(queue.front());
+            queue.pop_front();
         }
-        // Clock reads only when someone is scraping; Counter::add
-        // re-checks the enabled flag itself.
-        const bool timing = MetricsRegistry::global().enabled();
-        const uint64_t idle0 =
-            timing ? SteadyClock::instance().nowNs() : 0;
-        std::unique_lock<std::mutex> g(sleepMtx);
-        if (stopping)
-            break;
-        sleepCv.wait(g, [&] {
-            return wakeEpoch != epoch || stopping;
-        });
-        if (timing)
-            workers[wid]->statIdleNs->add(
-                SteadyClock::instance().nowNs() - idle0);
-        if (stopping && wakeEpoch == epoch)
-            break;
+        task();
+        tasks.add();
     }
-    tlsPool = nullptr;
 }
 
 void

@@ -1,16 +1,14 @@
 /**
  * @file
- * A shared work-stealing thread pool for host-parallel phases of the
- * pipeline (checkpointed region simulation, the k-means BIC sweep,
- * per-slice random projection).
+ * The shared thread pool for host-parallel phases of the pipeline
+ * (checkpointed region simulation, the k-means BIC sweep, per-slice
+ * random projection).
  *
- * Design: a fixed set of workers, each owning a mutex-guarded deque.
- * Local work is pushed and popped LIFO at the back (locality); idle
- * workers steal the oldest *half* of a victim's deque (steal-half), so
- * one long queue spreads across the pool in O(log n) steals. External
- * submitters distribute round-robin across the worker deques. There is
- * no global queue and no lock shared by running workers; the only
- * shared lock is the sleep mutex, touched when a worker runs dry.
+ * Design: a fixed set of workers over one mutex-guarded FIFO queue
+ * and a condition variable. The pool carries tens of coarse tasks per
+ * run (one per region, one per parallelFor runner), each milliseconds
+ * long, so one lock is never contended enough to matter, and FIFO
+ * order means tasks start in the order they were submitted.
  *
  * Determinism contract: the pool schedules *when and where* tasks run,
  * never *what they compute*. Callers must seed any randomness by task
@@ -51,11 +49,8 @@ class ThreadPool
     /** @param num_workers worker threads; 0 = defaultWorkers(). */
     explicit ThreadPool(uint32_t num_workers = 0);
 
-    /**
-     * Drains: queued tasks are completed (on the workers, then on the
-     * destructing thread if a racing task enqueued more), never
-     * dropped.
-     */
+    /** Drains: queued tasks, and any they enqueue, are completed on
+     * the workers, never dropped. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -88,11 +83,8 @@ class ThreadPool
         return requested ? requested : defaultWorkers();
     }
 
-    /**
-     * Queue one task; the future carries its result or exception.
-     * Called from a worker, the task lands on that worker's own deque
-     * (LIFO, stealable); otherwise it is distributed round-robin.
-     */
+    /** Queue one task at the back of the FIFO; the future carries its
+     * result or exception. */
     template <typename F>
     auto
     submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
@@ -111,17 +103,14 @@ class ThreadPool
      * shared cursor, so uneven per-index costs balance automatically.
      * Blocks until every index completed; the first exception thrown
      * by any body is rethrown here (after all indices finish). Safe to
-     * call from inside a pool task (the nested call helps instead of
-     * sleeping).
+     * call from inside a pool task (the nested call claims indices
+     * itself instead of sleeping).
      */
     void parallelFor(size_t begin, size_t end,
                      const std::function<void(size_t)> &body);
 
-    /**
-     * Execute one queued task on the calling thread, if any is
-     * available (own deque first for workers, then stealing). Returns
-     * false when every deque was empty.
-     */
+    /** Execute the oldest queued task on the calling thread, if any.
+     * Returns false when the queue was empty. */
     bool runPendingTask();
 
     /**
@@ -151,46 +140,16 @@ class ThreadPool
   private:
     using Task = std::function<void()>;
 
-    struct Worker
-    {
-        std::mutex mtx;
-        std::deque<Task> deque;
-        std::thread thread;
-        // Telemetry handles, owned by the global MetricsRegistry and
-        // wired in the pool constructor. Updates are no-ops while the
-        // registry is disabled.
-        Counter *statTasks = nullptr;
-        Counter *statSteals = nullptr;
-        Counter *statIdleNs = nullptr;
-    };
-
     void enqueue(Task task);
-    /** Pop the newest task of worker `wid`'s own deque. */
-    bool popLocal(uint32_t wid, Task &out);
-    /**
-     * Steal-half: take the oldest half of some victim's deque, run the
-     * first stolen task as `out`, requeue the rest on `wid`'s deque
-     * (or, for external thieves with no deque, steal just one).
-     */
-    bool steal(uint32_t wid, Task &out);
-    bool takeTask(uint32_t wid, Task &out);
-    void bumpEpoch();
-    void workerLoop(uint32_t wid);
+    /** Telemetry handles are owned by the global MetricsRegistry;
+     * updates are no-ops while it is disabled. */
+    void workerLoop(uint32_t wid, Counter &tasks, Counter &idle_ns);
 
-    std::vector<std::unique_ptr<Worker>> workers;
-
-    // Sleep/wake machinery: workers that find every deque empty block
-    // on `sleepCv` until the submit epoch moves (epoch is read before
-    // scanning, so a push between scan and sleep is never missed).
-    std::mutex sleepMtx;
-    std::condition_variable sleepCv;
-    uint64_t wakeEpoch = 0;
+    std::mutex mtx; ///< guards queue + stopping
+    std::condition_variable cv;
+    std::deque<Task> queue;
     bool stopping = false;
-
-    std::atomic<uint64_t> pushCursor{0};
-
-    /** Steals performed by threads outside the pool (helping APIs). */
-    Counter *statExternalSteals = nullptr;
+    std::vector<std::thread> workers;
 };
 
 } // namespace looppoint

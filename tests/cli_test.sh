@@ -67,6 +67,17 @@ expect 2 "$sample_spec_app" 628.pop2_s.1 8 extra
 expect 2 "$baseline_comparison" bogus.app
 expect 2 "$baseline_comparison" 644.nab_s.1 extra
 
+# A usage error is reported once: exactly one stderr line.
+for tool in "$run_looppoint" "$lp_lint"; do
+    "$tool" -p npb-bogus-1 > /dev/null 2> "$tmp/err"
+    lines=$(wc -l < "$tmp/err")
+    if [ "$lines" -ne 1 ]; then
+        echo "FAIL: '$(basename "$tool") -p npb-bogus-1' printed $lines stderr line(s) (want 1)"
+        sed 's/^/    /' "$tmp/err"
+        failures=$((failures + 1))
+    fi
+done
+
 # The space form of a value works for every flag.
 expect 0 "$run_looppoint" -p demo-matrix-1 -n 2 -j 1 --no-fullsim --trace "$tmp/t.json"
 expect 0 "$lp_report" --trace "$tmp/t.json" --check

@@ -2,14 +2,16 @@
  * @file
  * The observability layer: JSON reader round-trips, deterministic
  * Chrome-trace emission under a FakeClock, ring-buffer overflow
- * accounting, sharded counter/histogram aggregation, leveled-logging
- * parsing, the resume-accounting fix in the host-parallel speedup
- * stats, and — the contract that matters most — that arming the
- * tracer and metrics registry leaves simulated results bit-identical.
+ * accounting, counter/histogram updates from many threads,
+ * leveled-logging parsing, the resume-accounting fix in the
+ * host-parallel speedup stats, and — the contract that matters most —
+ * that arming the tracer and metrics registry leaves simulated
+ * results bit-identical.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -270,6 +272,34 @@ TEST(ObsTrace, MirroredSpanLandsOnIdempotentVirtualTrack)
         if (e->find("args") && e->find("args")->find("mirror"))
             ++mirrors;
     EXPECT_EQ(mirrors, 1);
+}
+
+TEST(ObsTrace, EachThreadGetsItsOwnFirstTouchTrack)
+{
+    FakeClock clock;
+    Tracer tracer(&clock);
+    tracer.setEnabled(true);
+    tracer.nameCurrentThread("main");
+    EXPECT_EQ(tracer.virtualTrack("region 0"), 1u);
+    // One thread after another: the runtime may hand a joined
+    // thread's id to the next one, but never its track.
+    for (int t = 0; t < 2; ++t)
+        std::thread([&tracer] { tracer.instant("ev"); }).join();
+    tracer.instant("ev");
+
+    JsonValue doc = emitAndParse(tracer);
+    std::vector<std::string> names;
+    for (const JsonValue &e : doc.find("traceEvents")->array)
+        if (e.stringOr("name", "") == "thread_name")
+            names.push_back(e.find("args")->stringOr("name", ""));
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "main", "region 0", "host thread 2",
+                         "host thread 3"}));
+    std::vector<double> tids;
+    for (const JsonValue *e : spanEvents(doc))
+        tids.push_back(e->numberOr("tid", -1));
+    std::sort(tids.begin(), tids.end());
+    EXPECT_EQ(tids, (std::vector<double>{0, 2, 3}));
 }
 
 TEST(ObsTrace, NonFiniteDoubleArgsStayParseable)

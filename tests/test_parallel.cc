@@ -3,14 +3,22 @@
  * Determinism of the host-parallel phases: the analysis and the
  * checkpointed region simulation must be bit-identical for any jobs
  * count. Runs the full pipeline with jobs=1 (serial path, no pool)
- * and jobs=4 (work-stealing pool) on two workloads and compares the
+ * and jobs=4 (the shared FIFO pool) on two workloads and compares the
  * outputs with exact equality — including every double in the final
- * MetricPrediction.
+ * MetricPrediction. Also checks that the region executor starts
+ * regions in the order they were submitted.
  */
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <vector>
+
 #include "core/looppoint.hh"
+#include "core/region_exec.hh"
+#include "isa/program_builder.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 #include "workload/descriptor.hh"
@@ -137,6 +145,79 @@ TEST(ParallelDeterminism, PhaseStatsPopulated)
     EXPECT_GT(parallel.ckpt.parallelEfficiency(), 0.0);
     EXPECT_EQ(parallel.ckpt.regionWallSeconds.size(),
               parallel.ckpt.regionMetrics.size());
+}
+
+/**
+ * Regions submitted in priority order start in that order at jobs = 2.
+ * The first region holds one worker at its start until every other
+ * region has completed, so the rest run one at a time on the second
+ * worker and the recorded start order is exact.
+ */
+TEST(RegionExecutor, StartsRegionsInPriorityOrderAtTwoJobs)
+{
+    ProgramBuilder b("exec-order", 7);
+    uint32_t k = b.beginKernel("work", SchedPolicy::StaticFor, 16);
+    b.addStream({.footprintBytes = 1 << 16, .strideBytes = 8});
+    b.addBlock({.numInstrs = 20, .fracMem = 0.3, .streams = {0}});
+    b.endKernel();
+    b.runKernels({k}, 1);
+    const Program prog = b.build();
+    const MulticoreSim base(prog, ExecConfig{.numThreads = 2},
+                            SimConfig{});
+    const SyncLog log;
+    const ReplayArbiter arbiter(log);
+
+    constexpr uint32_t kRegions = 6;
+    std::mutex mtx;
+    std::condition_variable cv;
+    std::vector<uint32_t> started;
+    uint32_t completed = 0;
+    bool release = false;
+    auto source = [&](const RegionWorkItem &item) {
+        std::unique_lock<std::mutex> g(mtx);
+        started.push_back(item.index);
+        cv.notify_all();
+        if (item.index == 0)
+            cv.wait(g, [&] { return release; });
+        return std::make_shared<WarmSnapshot>(base, arbiter, false);
+    };
+    std::vector<bool> ok(kRegions, false);
+    ThreadPool pool(2);
+    RegionExecutor exec(&pool, FaultPlan{},
+                        [&](const RegionCompletion &c) {
+                            std::lock_guard<std::mutex> g(mtx);
+                            ok[c.item.index] = c.result.ok;
+                            ++completed;
+                            cv.notify_all();
+                        });
+    auto item = [](uint32_t index) {
+        RegionWorkItem it;
+        it.index = index;
+        return it;
+    };
+
+    exec.submit({item(0)}, source);
+    {
+        // Region 0 holds its worker before the rest are queued.
+        std::unique_lock<std::mutex> g(mtx);
+        cv.wait(g, [&] { return !started.empty(); });
+    }
+    std::vector<RegionWorkItem> rest;
+    for (uint32_t i = 1; i < kRegions; ++i)
+        rest.push_back(item(i));
+    exec.submit(std::move(rest), source);
+    {
+        // finish() helps run queued regions, so it is called only
+        // once the second worker has run all of them.
+        std::unique_lock<std::mutex> g(mtx);
+        cv.wait(g, [&] { return completed == kRegions - 1; });
+        release = true;
+        cv.notify_all();
+    }
+    exec.finish();
+
+    EXPECT_EQ(started, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(ok, std::vector<bool>(kRegions, true));
 }
 
 } // namespace

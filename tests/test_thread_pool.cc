@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests for the shared work-stealing thread pool: parallelFor under
- * uneven task costs, exception propagation (futures and parallelFor
- * bodies), nested submission from inside tasks, and destructor
- * behaviour with work still queued.
+ * Tests for the shared FIFO thread pool: submission order, parallelFor
+ * under uneven task costs, exception propagation (futures and
+ * parallelFor bodies), nested submission from inside tasks, and
+ * destructor behaviour with work still queued.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -45,10 +46,30 @@ TEST(ThreadPool, SubmitReturnsValue)
     EXPECT_EQ(fut.get(), 42);
 }
 
+TEST(ThreadPool, FifoOrderOnOneWorker)
+{
+    // With one worker, externally submitted tasks run in submission
+    // order. A gate task holds the worker until all are queued.
+    ThreadPool pool(1);
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    auto held = pool.submit([opened] { opened.wait(); });
+    std::vector<int> order;
+    std::vector<std::future<void>> futs;
+    for (int i = 0; i < 8; ++i)
+        futs.push_back(pool.submit([&order, i] { order.push_back(i); }));
+    gate.set_value();
+    held.get();
+    for (auto &f : futs)
+        f.get();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(ThreadPool, ParallelForUnevenCosts)
 {
-    // Uneven per-index cost exercises stealing: a static partition
-    // would leave one worker with nearly all the work.
+    // Uneven per-index cost exercises the shared index cursor: a
+    // static partition would leave one worker with nearly all the
+    // work.
     constexpr size_t n = 257;
     ThreadPool pool(4);
     std::vector<uint64_t> out(n, 0);
