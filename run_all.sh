@@ -59,8 +59,8 @@
 # corrupt-result), the supervisor is SIGTERM'd mid-campaign with a job
 # wedged, and a restart must finish the sweep with exactly-once
 # accounting (one ok per job in the journal) and a campaign.json
-# byte-identical to an uninterrupted reference run; a watermark-GC
-# pass over the shared store must fire without evicting live objects.
+# byte-identical to an uninterrupted reference run; a fresh campaign
+# over the reference store must be served from it.
 #
 # With --analysis-smoke the verifiers are exercised end to end: lint +
 # audit run over every bundled workload and must report zero
@@ -430,21 +430,16 @@ if [ "$1" = "--campaign-smoke" ]; then
         grep -q 'supervisor (done)' "$out.report.txt" || {
             echo "campaign-smoke FAIL: report did not render the supervisor status"; exit 1; }
 
-        # Watermark GC over the shared reference store: an absurd
-        # watermark forces GC before every launch; with the default
-        # target only orphans go, so the fresh campaign is still
-        # served from the store afterwards.
-        echo "== campaign smoke: watermark GC keeps live objects =="
+        # A fresh campaign over the shared reference store is served
+        # from it: the cross-campaign store-reuse check.
+        echo "== campaign smoke: a fresh campaign reuses the store =="
         build/tools/lp_campaign $matrix --out="$camp/gc" \
-            --store="$camp/ref/store" \
-            --gc-watermark=1152921504606846976 > "$out.gc.txt" 2>&1
+            --store="$camp/ref/store" > "$out.gc.txt" 2>&1
         rc=$?
-        [ $rc -eq 0 ] || { echo "campaign-smoke FAIL: GC run exited $rc (want 0)"; exit 1; }
-        grep -q 'running store gc' "$out.gc.txt" || {
-            echo "campaign-smoke FAIL: watermark did not trigger GC"; exit 1; }
+        [ $rc -eq 0 ] || { echo "campaign-smoke FAIL: store-reuse run exited $rc (want 0)"; exit 1; }
         grep -q '"record": true' \
             "$camp/gc/demo-matrix-1-test-t2-baseline/result.json" || {
-            echo "campaign-smoke FAIL: GC evicted live store objects"; exit 1; }
+            echo "campaign-smoke FAIL: fresh campaign was not served from the store"; exit 1; }
     } || exit 1
 
     echo "== campaign smoke: supervisor test subset =="

@@ -14,6 +14,7 @@
 #include "obs/json.hh"
 #include "util/checksum.hh"
 #include "util/crc_log.hh"
+#include "util/fingerprint.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
 
@@ -27,6 +28,16 @@ fmtDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
+}
+
+/** List fields of the campaign fingerprint: `a|b|`. */
+std::string
+joined(const std::vector<std::string> &items)
+{
+    std::string out;
+    for (const auto &item : items)
+        out += item + "|";
+    return out;
 }
 
 void
@@ -125,25 +136,19 @@ expandCampaignMatrix(const CampaignSpec &spec)
 std::string
 campaignFingerprint(const CampaignSpec &spec)
 {
-    std::ostringstream os;
-    os << "lp-campaign-v1;apps=";
-    for (const auto &a : spec.apps)
-        os << a << "|";
-    os << ";inputs=";
-    for (const auto &i : spec.inputs)
-        os << i << "|";
-    os << ";threads=";
+    std::string threads;
     for (uint32_t t : spec.threads)
-        os << t << "|";
-    os << ";uarchs=";
-    for (const auto &u : spec.uarchs)
-        os << u << "|";
-    os << ";wait=" << waitPolicyName(spec.waitPolicy)
-       << ";seed=" << spec.seed
-       << ";fullsim=" << (spec.fullSim ? 1 : 0)
-       << ";audit=" << (spec.audit ? 1 : 0) << ";";
-    const std::string text = os.str();
-    return crcHex(crc32(text));
+        threads += std::to_string(t) + "|";
+    FingerprintBuilder fp("lp-campaign-v1");
+    fp.field("apps", joined(spec.apps))
+        .field("inputs", joined(spec.inputs))
+        .field("threads", threads)
+        .field("uarchs", joined(spec.uarchs))
+        .field("wait", waitPolicyName(spec.waitPolicy))
+        .field("seed", spec.seed)
+        .field("fullsim", spec.fullSim)
+        .field("audit", spec.audit);
+    return crcHex(fp.crc());
 }
 
 bool
@@ -215,8 +220,6 @@ runCampaignJob(CampaignJob &job, const std::string &job_dir,
     job.status = r.coverage < 1.0 ? "degraded" : "ok";
 
     writeResultJson(job_dir + "/result.json", job, r);
-    std::ofstream done(job_dir + "/.done");
-    done << job.status << "\n";
     return r.coverage < 1.0 ? 1 : 0;
 }
 
@@ -224,21 +227,12 @@ void
 writeCampaignJson(const std::string &path, const CampaignSpec &spec,
                   const std::vector<CampaignJob> &jobs)
 {
-    size_t ran = 0, done = 0, running = 0, degraded = 0, failed = 0,
-           parked = 0;
+    size_t ran = 0, running = 0, degraded = 0, failed = 0;
     for (const auto &j : jobs) {
-        if (j.status == "ok")
-            ++ran;
-        else if (j.status == "done")
-            ++done;
-        else if (j.status == "running")
-            ++running;
-        else if (j.status == "degraded")
-            ++degraded;
-        else if (j.status == "failed")
-            ++failed;
-        else if (j.status == "parked")
-            ++parked;
+        ran += j.status == "ok";
+        running += j.status == "running";
+        degraded += j.status == "degraded";
+        failed += j.status == "failed";
     }
     std::ostringstream os;
     os << "{\n"
@@ -246,11 +240,9 @@ writeCampaignJson(const std::string &path, const CampaignSpec &spec,
        << "  \"store\": " << jsonQuote(spec.storeDir) << ",\n"
        << "  \"jobsTotal\": " << jobs.size() << ",\n"
        << "  \"jobsRan\": " << ran << ",\n"
-       << "  \"jobsSkippedDone\": " << done << ",\n"
        << "  \"jobsSkippedRunning\": " << running << ",\n"
        << "  \"jobsDegraded\": " << degraded << ",\n"
        << "  \"jobsFailed\": " << failed << ",\n"
-       << "  \"jobsParked\": " << parked << ",\n"
        << "  \"jobs\": [\n";
     for (size_t i = 0; i < jobs.size(); ++i)
         os << "    {\"job\": " << jsonQuote(jobs[i].id)

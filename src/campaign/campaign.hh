@@ -15,12 +15,12 @@
  * Layout under CampaignSpec::outDir:
  *
  *   campaign.json            summary (written last, atomically)
- *   campaign.journal         supervisor state journal (crash-safe)
+ *   campaign.journal         supervisor state journal (crash-safe);
+ *                            the one record of which jobs completed
  *   status.json              live supervisor surface (atomic rewrite)
  *   store/                   the shared store (override: storeDir)
  *   <job>/result.json        one "lp_campaign_job" document per job
  *   <job>/journal            per-job region journal (resume-able)
- *   <job>/.done              completion marker (skip-done)
  *   <job>/.lock              flock target (skip-running)
  */
 
@@ -63,8 +63,8 @@ struct CampaignJob
     std::string input;
     uint32_t threads = 0;
     std::string uarch;
-    /** pending | done | running | ok | degraded | failed | parked
-     * (set as the campaign runs). */
+    /** pending | running | backoff | ok | degraded | failed (set as
+     * the campaign runs). */
     std::string status = "pending";
     double wallSeconds = 0.0;
     /** Launches this campaign invocation made for the job. */
@@ -87,10 +87,11 @@ std::string campaignFingerprint(const CampaignSpec &spec);
 
 /**
  * Does `<job_dir>/result.json` exist and parse as a complete
- * lp_campaign_job document? The skip-done path must call this before
- * trusting a `.done` marker: a crash (or an injected corrupt-result
- * fault) can leave a marker next to a missing or garbage result, and
- * skipping such a job would silently hole the campaign.
+ * lp_campaign_job document? The supervisor checks this before it
+ * trusts a child's success exit or a journaled completion: a crash
+ * (or an injected corrupt-result fault) can leave a missing or
+ * garbage result, and accepting such a job would silently hole the
+ * campaign.
  */
 bool validJobResult(const std::string &job_dir);
 
@@ -105,7 +106,7 @@ ExperimentConfig campaignJobConfig(const CampaignJob &job,
 
 /**
  * The in-child job body: configure and run the experiment, write
- * `result.json` + `.done`. Returns the run_looppoint exit-code
+ * `result.json`. Returns the run_looppoint exit-code
  * contract (0 ok, 1 degraded, 3 runtime failure, 4 interrupted at a
  * region boundary). A per-job region journal at `<job_dir>/journal`
  * is always recorded and auto-resumed when present, so a killed job's

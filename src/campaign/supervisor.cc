@@ -2,15 +2,12 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
-#include <sys/statvfs.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/prctl.h>
 #endif
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -21,11 +18,9 @@
 
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "store/artifact_store.hh"
 #include "util/crc_log.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
-#include "util/rng.hh"
 
 namespace looppoint {
 
@@ -40,41 +35,17 @@ secondsSince(clock_type::time_point t0)
         .count();
 }
 
-/** Daemon rescan request (SIGHUP). */
-std::atomic<bool> rescanRequested{false};
-
 void
-onHup(int)
+loadJournal(CampaignJournal &jnl)
 {
-    rescanRequested.store(true, std::memory_order_relaxed);
-}
-
-void
-installHupHandler()
-{
-    struct sigaction sa = {};
-    sa.sa_handler = onHup;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART;
-    sigaction(SIGHUP, &sa, nullptr);
-}
-
-uint64_t
-defaultFreeDisk(const std::string &path)
-{
-    struct statvfs vfs{};
-    if (statvfs(path.c_str(), &vfs) != 0) {
-        // An unprobeable path must never park the queue: report
-        // "plenty" and let real I/O errors surface in the jobs.
-        return UINT64_MAX;
-    }
-    return static_cast<uint64_t>(vfs.f_bavail) *
-           static_cast<uint64_t>(vfs.f_frsize);
+    if (auto err = jnl.load(/*must_exist=*/false))
+        fatal("campaign journal '%s': %s", jnl.path().c_str(),
+              err->describe().c_str());
 }
 
 /** Chunked sleep that returns early once shutdown is requested. */
 void
-defaultSleep(double seconds)
+interruptibleSleep(double seconds)
 {
     auto t0 = clock_type::now();
     while (secondsSince(t0) < seconds && !shutdownRequested()) {
@@ -123,15 +94,11 @@ childEntry(CampaignJob job, const std::string &job_dir,
             pause();
     }
     if (fault == FaultSpec::Kind::CorruptResult) {
-        // The nastiest failure: "success" with a garbage result and a
-        // .done marker. Exercises the result-validation guard.
+        // The nastiest failure: "success" with a garbage result.
+        // Exercises the result-validation guard.
         {
             std::ofstream r(job_dir + "/result.json");
             r << "{\"kind\": \"lp_campaign_job\", \"trunc";
-        }
-        {
-            std::ofstream d(job_dir + "/.done");
-            d << "ok\n";
         }
         _exit(0);
     }
@@ -161,10 +128,6 @@ CampaignSupervisor::CampaignSupervisor(CampaignSpec spec_,
                                        SupervisorOptions opts_)
     : spec(std::move(spec_)), opts(std::move(opts_))
 {
-    if (!opts.freeDiskProbe)
-        opts.freeDiskProbe = defaultFreeDisk;
-    if (!opts.sleeper)
-        opts.sleeper = defaultSleep;
 }
 
 CampaignSupervisor::ChildOutcome
@@ -234,14 +197,11 @@ CampaignSupervisor::launchAttempt(CampaignJob &job,
 }
 
 void
-CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
-                                 CampaignJob &job,
+CampaignSupervisor::superviseJob(CampaignJob &job,
                                  const std::string &job_dir,
                                  CampaignJournal &jnl)
 {
     MetricsRegistry &reg = MetricsRegistry::global();
-    const BackoffPolicy policy =
-        opts.backoff.withSeed(hashCombine(spec.seed, job.index));
     const uint32_t max_attempts = 1 + opts.jobRetries;
 
     for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
@@ -260,7 +220,7 @@ CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
         std::printf("[run ] %-44s attempt %u/%u\n", job.id.c_str(),
                     attempt + 1, max_attempts);
         jnl.append({job.index, job.id, "launch", attempt, -1, 0});
-        writeStatus(jobs, "running");
+        writeStatus("running");
 
         ChildOutcome oc = launchAttempt(job, job_dir, attempt);
         job.wallSeconds += oc.wallSeconds;
@@ -281,7 +241,7 @@ CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
             return;
         }
 
-        bool retry = false;
+        // Every case that does not return falls through to a retry.
         switch (oc.cls) {
           case FailureClass::Success:
           case FailureClass::Degraded:
@@ -292,12 +252,10 @@ CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
                 reg.counter("campaign.stale_results").add();
                 jnl.append({job.index, job.id, "stale", attempt,
                             oc.code, oc.sig});
-                unlink((job_dir + "/.done").c_str());
                 unlink((job_dir + "/result.json").c_str());
                 logError("job %s: exit %d but result.json is missing "
                          "or corrupt; retrying", job.id.c_str(),
                          oc.code);
-                retry = true;
                 break;
             }
             job.status =
@@ -308,7 +266,7 @@ CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
                         oc.cls == FailureClass::Success ? " ok "
                                                         : "DEGR",
                         job.id.c_str(), oc.wallSeconds);
-            writeStatus(jobs, "running");
+            writeStatus("running");
             return;
           case FailureClass::Permanent:
             job.status = "failed";
@@ -316,7 +274,7 @@ CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
                         oc.code, oc.sig});
             logError("job %s: permanent failure (exit %d); not "
                      "retrying", job.id.c_str(), oc.code);
-            writeStatus(jobs, "running");
+            writeStatus("running");
             return;
           case FailureClass::Interrupted:
             // Parked at a region boundary (usually our own watchdog's
@@ -329,7 +287,6 @@ CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
                 result.interrupted = true;
                 return;
             }
-            retry = true;
             break;
           case FailureClass::Transient:
             jnl.append({job.index, job.id, "fail-transient", attempt,
@@ -337,23 +294,20 @@ CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
             std::printf("[fail] %-44s transient (%s %d)\n",
                         job.id.c_str(), oc.sig ? "signal" : "exit",
                         oc.sig ? oc.sig : oc.code);
-            retry = true;
             break;
         }
-        if (!retry)
-            return;
         if (attempt + 1 >= max_attempts)
             break;
 
-        const double delay = policy.delaySeconds(attempt);
+        const double delay = opts.backoff.delaySeconds(attempt);
         job.status = "backoff";
         job.backoffSeconds = delay;
-        writeStatus(jobs, "running");
+        writeStatus("running");
         std::printf("[wait] %-44s backoff %.3f s before attempt "
                     "%u/%u\n", job.id.c_str(), delay, attempt + 2,
                     max_attempts);
         std::fflush(stdout);
-        opts.sleeper(delay);
+        interruptibleSleep(delay);
         job.backoffSeconds = 0.0;
         if (shutdownRequested()) {
             job.status = "pending";
@@ -365,108 +319,109 @@ CampaignSupervisor::superviseJob(std::vector<CampaignJob> &jobs,
     job.status = "failed";
     logError("job %s: failed after %u attempt(s)", job.id.c_str(),
              max_attempts);
-    writeStatus(jobs, "running");
+    writeStatus("running");
 }
 
 bool
-CampaignSupervisor::diskPressureOk(CampaignJob &job)
+CampaignSupervisor::adopt(CampaignJob &job, const std::string &job_dir,
+                          CampaignJournal &jnl)
 {
-    if (opts.gcWatermarkBytes == 0 && opts.gcFloorBytes == 0)
-        return true;
-    uint64_t free_bytes = opts.freeDiskProbe(spec.storeDir);
-    if (opts.gcWatermarkBytes != 0 &&
-        free_bytes < opts.gcWatermarkBytes) {
-        inform("campaign: %llu free bytes under store below watermark "
-               "%llu; running store gc",
-               static_cast<unsigned long long>(free_bytes),
-               static_cast<unsigned long long>(opts.gcWatermarkBytes));
-        ArtifactStore store(spec.storeDir);
-        auto gc = store.gc(opts.gcTargetBytes);
-        ++result.gcRuns;
-        MetricsRegistry::global().counter("campaign.gc_runs").add();
-        inform("campaign: gc removed %llu object(s) / %llu byte(s), "
-               "kept %llu object(s)",
-               static_cast<unsigned long long>(gc.removedObjects),
-               static_cast<unsigned long long>(gc.removedBytes),
-               static_cast<unsigned long long>(gc.keptObjects));
-        free_bytes = opts.freeDiskProbe(spec.storeDir);
-    }
-    if (opts.gcFloorBytes != 0 && free_bytes < opts.gcFloorBytes) {
-        logError("campaign: %llu free bytes under store below hard "
-                 "floor %llu even after gc; parking job %s and the "
-                 "rest of the queue",
-                 static_cast<unsigned long long>(free_bytes),
-                 static_cast<unsigned long long>(opts.gcFloorBytes),
-                 job.id.c_str());
+    // Another invocation journals a job's completion before it drops
+    // the job's lock, so the file as it is now is the whole truth.
+    loadJournal(jnl);
+    const auto ledgers = jnl.ledgers();
+    const auto led = ledgers.find(job.index);
+    if (led == ledgers.end() || !led->second.completed)
         return false;
+    // Trust a completion only while its result on disk still parses:
+    // a completed-then-corrupted job reruns.
+    if (validJobResult(job_dir)) {
+        job.status = led->second.finalStatus;
+        job.attempts = led->second.attempts;
+        ++result.adopted;
+        std::printf("[skip] %-44s complete per journal (%s)\n",
+                    job.id.c_str(), job.status.c_str());
+        return true;
     }
-    return true;
+    ++result.staleResults;
+    MetricsRegistry::global().counter("campaign.stale_results").add();
+    jnl.append({job.index, job.id, "stale", led->second.attempts, -1, 0});
+    warn("job %s: journal says complete but result.json is missing or "
+         "corrupt; rerunning", job.id.c_str());
+    unlink((job_dir + "/result.json").c_str());
+    return false;
 }
 
 void
-CampaignSupervisor::runPass(std::vector<CampaignJob> &jobs,
-                            CampaignJournal &jnl)
+CampaignSupervisor::writeStatus(const std::string &state)
 {
-    auto ledgers = jnl.ledgers();
-    bool announced_drain = false;
-    for (auto &job : jobs) {
+    size_t done = 0, failed = 0, pending = 0;
+    for (const auto &j : result.jobs) {
+        done += j.status == "ok" || j.status == "degraded";
+        failed += j.status == "failed";
+        pending += j.status == "pending";
+    }
+    std::ostringstream os;
+    os << "{\n"
+       << "  \"kind\": \"lp_campaign_status\",\n"
+       << "  \"pid\": " << static_cast<long>(getpid()) << ",\n"
+       << "  \"state\": " << jsonQuote(state) << ",\n"
+       << "  \"jobsTotal\": " << result.jobs.size() << ",\n"
+       << "  \"jobsDone\": " << done << ",\n"
+       << "  \"jobsFailed\": " << failed << ",\n"
+       << "  \"jobsPending\": " << pending << ",\n"
+       << "  \"launches\": " << result.launches << ",\n"
+       << "  \"retries\": " << result.retries << ",\n"
+       << "  \"timeouts\": " << result.timeouts << ",\n"
+       << "  \"adopted\": " << result.adopted << ",\n"
+       << "  \"staleResults\": " << result.staleResults << ",\n"
+       << "  \"jobs\": [\n";
+    for (size_t i = 0; i < result.jobs.size(); ++i) {
+        const CampaignJob &j = result.jobs[i];
+        char backoff[64], wall[64];
+        std::snprintf(backoff, sizeof(backoff), "%.3f",
+                      j.backoffSeconds);
+        std::snprintf(wall, sizeof(wall), "%.3f", j.wallSeconds);
+        os << "    {\"job\": " << jsonQuote(j.id) << ", \"status\": "
+           << jsonQuote(j.status) << ", \"attempts\": " << j.attempts
+           << ", \"backoffSeconds\": " << backoff
+           << ", \"wallSeconds\": " << wall << "}"
+           << (i + 1 < result.jobs.size() ? "," : "") << "\n";
+    }
+    os << "  ]\n}\n";
+
+    // Best effort: a live surface is never worth failing the
+    // campaign for.
+    writeFileAtomic(spec.outDir + "/status.json", os.str());
+}
+
+SupervisorResult
+CampaignSupervisor::run()
+{
+    makeCampaignDir(spec.outDir);
+    // A shutdown request left over from an earlier campaign in this
+    // process (tests run several) must not drain this one.
+    clearShutdownRequest();
+    installInterruptHandlers();
+
+    CampaignJournal jnl(spec.outDir + "/campaign.journal",
+                        campaignFingerprint(spec));
+    loadJournal(jnl);
+    if (jnl.droppedRecords())
+        warn("campaign journal: dropped %zu torn trailing record(s)",
+             jnl.droppedRecords());
+
+    result.jobs = expandCampaignMatrix(spec);
+    writeStatus("running");
+    for (auto &job : result.jobs) {
         if (shutdownRequested()) {
-            if (!announced_drain) {
-                inform("campaign: shutdown requested; draining (no "
-                       "new launches)");
-                announced_drain = true;
-            }
+            inform("campaign: shutdown requested; draining (no new "
+                   "launches)");
             result.interrupted = true;
             break;
         }
         const std::string job_dir = spec.outDir + "/" + job.id;
         makeCampaignDir(job_dir);
-
-        // Exactly-once adoption: the campaign journal says this job
-        // completed — but only trust it while the result on disk
-        // still parses. A completed-then-corrupted job reruns.
-        auto led = ledgers.find(job.index);
-        if (led != ledgers.end() && led->second.completed) {
-            if (validJobResult(job_dir)) {
-                job.status = led->second.finalStatus;
-                job.attempts = led->second.attempts;
-                ++result.adopted;
-                std::printf("[skip] %-44s complete per journal (%s)\n",
-                            job.id.c_str(), job.status.c_str());
-                continue;
-            }
-            ++result.staleResults;
-            MetricsRegistry::global()
-                .counter("campaign.stale_results")
-                .add();
-            jnl.append({job.index, job.id, "stale",
-                        led->second.attempts, -1, 0});
-            warn("job %s: journal says complete but result.json is "
-                 "missing or corrupt; rerunning", job.id.c_str());
-            unlink((job_dir + "/.done").c_str());
-            unlink((job_dir + "/result.json").c_str());
-        }
-
-        // Marker-based skip (a job finished by an earlier campaign
-        // instance that shares the directory but not this journal).
-        // The marker alone proves nothing: verify the result parses.
-        struct stat st;
-        if (stat((job_dir + "/.done").c_str(), &st) == 0) {
-            if (validJobResult(job_dir)) {
-                job.status = "done";
-                std::printf("[skip] %-44s already done\n",
-                            job.id.c_str());
-                continue;
-            }
-            ++result.staleResults;
-            MetricsRegistry::global()
-                .counter("campaign.stale_results")
-                .add();
-            warn("job %s: stale .done marker without a valid "
-                 "result.json; rerunning", job.id.c_str());
-            unlink((job_dir + "/.done").c_str());
-            unlink((job_dir + "/result.json").c_str());
-        }
 
         // Skip-running: the lock dies with its holder, so a crashed
         // job never wedges the campaign.
@@ -483,160 +438,23 @@ CampaignSupervisor::runPass(std::vector<CampaignJob> &jobs,
             continue;
         }
 
-        // Resource-pressure degradation: GC below the watermark,
-        // park below the floor.
-        if (!diskPressureOk(job)) {
-            job.status = "parked";
-            result.parked = true;
-            flock(lock_fd, LOCK_UN);
-            close(lock_fd);
-            writeStatus(jobs, "parked");
-            break;
-        }
-
-        superviseJob(jobs, job, job_dir, jnl);
+        if (!adopt(job, job_dir, jnl))
+            superviseJob(job, job_dir, jnl);
 
         flock(lock_fd, LOCK_UN);
         close(lock_fd);
         if (result.interrupted)
             break;
     }
-}
 
-void
-CampaignSupervisor::writeStatus(const std::vector<CampaignJob> &jobs,
-                                const std::string &state)
-{
-    size_t done = 0, failed = 0, pending = 0;
-    for (const auto &j : jobs) {
-        if (j.status == "ok" || j.status == "degraded" ||
-            j.status == "done")
-            ++done;
-        else if (j.status == "failed")
-            ++failed;
-        else if (j.status == "pending")
-            ++pending;
-    }
-    std::ostringstream os;
-    os << "{\n"
-       << "  \"kind\": \"lp_campaign_status\",\n"
-       << "  \"pid\": " << static_cast<long>(getpid()) << ",\n"
-       << "  \"state\": " << jsonQuote(state) << ",\n"
-       << "  \"pass\": " << result.passes << ",\n"
-       << "  \"jobsTotal\": " << jobs.size() << ",\n"
-       << "  \"jobsDone\": " << done << ",\n"
-       << "  \"jobsFailed\": " << failed << ",\n"
-       << "  \"jobsPending\": " << pending << ",\n"
-       << "  \"launches\": " << result.launches << ",\n"
-       << "  \"retries\": " << result.retries << ",\n"
-       << "  \"timeouts\": " << result.timeouts << ",\n"
-       << "  \"gcRuns\": " << result.gcRuns << ",\n"
-       << "  \"adopted\": " << result.adopted << ",\n"
-       << "  \"staleResults\": " << result.staleResults << ",\n"
-       << "  \"freeDiskBytes\": "
-       << opts.freeDiskProbe(spec.storeDir) << ",\n"
-       << "  \"jobs\": [\n";
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const CampaignJob &j = jobs[i];
-        char backoff[64], wall[64];
-        std::snprintf(backoff, sizeof(backoff), "%.3f",
-                      j.backoffSeconds);
-        std::snprintf(wall, sizeof(wall), "%.3f", j.wallSeconds);
-        os << "    {\"job\": " << jsonQuote(j.id) << ", \"status\": "
-           << jsonQuote(j.status) << ", \"attempts\": " << j.attempts
-           << ", \"backoffSeconds\": " << backoff
-           << ", \"wallSeconds\": " << wall << "}"
-           << (i + 1 < jobs.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-
-    // Best effort: a live surface is never worth failing the
-    // campaign for.
-    writeFileAtomic(statusPath, os.str());
-}
-
-SupervisorResult
-CampaignSupervisor::run()
-{
-    makeCampaignDir(spec.outDir);
-    statusPath = opts.statusPath.empty()
-                     ? spec.outDir + "/status.json"
-                     : opts.statusPath;
-    // A shutdown request left over from an earlier campaign in this
-    // process (tests run several) must not drain this one.
-    clearShutdownRequest();
-    installInterruptHandlers();
-    if (opts.daemonMode)
-        installHupHandler();
-
-    CampaignJournal jnl(spec.outDir + "/campaign.journal",
-                        campaignFingerprint(spec));
-    if (auto err = jnl.load(/*must_exist=*/false))
-        fatal("campaign journal '%s': %s", jnl.path().c_str(),
-              err->describe().c_str());
-    if (jnl.droppedRecords())
-        warn("campaign journal: dropped %zu torn trailing record(s)",
-             jnl.droppedRecords());
-
-    std::vector<CampaignJob> jobs;
-    for (;;) {
-        ++result.passes;
-        result.parked = false;
-        jobs = expandCampaignMatrix(spec);
-        writeStatus(jobs, "running");
-        runPass(jobs, jnl);
-
-        result.exitCode = 0;
-        for (const auto &j : jobs)
-            if (j.status == "degraded" || j.status == "failed" ||
-                j.status == "parked")
-                result.exitCode = 1;
-
-        writeCampaignJson(spec.outDir + "/campaign.json", spec, jobs);
-        const char *state = result.interrupted ? "interrupted"
-                            : result.parked    ? "parked"
-                            : opts.daemonMode  ? "idle"
-                                               : "done";
-        writeStatus(jobs, state);
-        if (!opts.daemonMode || result.interrupted)
-            break;
-        if (!idleWait(jobs)) {
-            result.interrupted = true;
-            writeStatus(jobs, "interrupted");
-            break;
-        }
-    }
-
-    result.jobs = jobs;
+    for (const auto &j : result.jobs)
+        if (j.status == "degraded" || j.status == "failed")
+            result.exitCode = 1;
+    writeCampaignJson(spec.outDir + "/campaign.json", spec, result.jobs);
+    writeStatus(result.interrupted ? "interrupted" : "done");
     if (result.interrupted)
         result.exitCode = 4;
     return result;
-}
-
-bool
-CampaignSupervisor::idleWait(const std::vector<CampaignJob> &jobs)
-{
-    auto t0 = clock_type::now();
-    auto last_beat = t0;
-    for (;;) {
-        if (shutdownRequested())
-            return false;
-        if (rescanRequested.exchange(false,
-                                     std::memory_order_relaxed)) {
-            inform("campaign: SIGHUP received; rescanning matrix");
-            return true;
-        }
-        if (opts.rescanSeconds > 0.0 &&
-            secondsSince(t0) >= opts.rescanSeconds)
-            return true;
-        if (secondsSince(last_beat) >= 1.0) {
-            // Periodic heartbeat so watchers can tell "idle daemon"
-            // from "dead daemon".
-            writeStatus(jobs, "idle");
-            last_beat = clock_type::now();
-        }
-        shortNap();
-    }
 }
 
 } // namespace looppoint

@@ -1,7 +1,7 @@
 /**
  * @file
- * Campaign supervisor: crash-isolated job execution with retry,
- * watchdogs, and graceful degradation.
+ * Campaign supervisor: crash-isolated job execution with retry and a
+ * watchdog.
  *
  * Each job runs in a forked child, so a crashing simulation — real or
  * injected — costs one job attempt, never the sweep. Around the fork
@@ -17,31 +17,28 @@
  *                (exit 3, any signal death) and boundary interrupts
  *                are retried.
  *   retry        up to `jobRetries` extra attempts, spaced by
- *                BackoffPolicy with deterministic per-job jitter
- *                (seeded from the campaign seed and job index). The
- *                per-job region journal makes each retry resume
- *                completed regions bit-identically.
+ *                BackoffPolicy. The per-job region journal makes
+ *                each retry resume completed regions bit-identically.
  *   journal      every launch and outcome lands in the crash-safe
- *                campaign journal before/after the fact, so a killed
- *                supervisor restarts with exactly-once accounting:
- *                completed jobs are adopted, mid-flight ones rerun.
- *   degrade      before each launch, a free-disk probe runs store GC
- *                below `gcWatermarkBytes` and parks the whole queue
- *                below `gcFloorBytes` rather than corrupt the store.
+ *                campaign journal, the one record of which jobs
+ *                completed. Adoption is decided under the job's
+ *                `.lock` from the journal as it is on disk then, so
+ *                a restarted supervisor (or a concurrent one) adopts
+ *                each completed job exactly once; a launch without a
+ *                completion reruns, cheaply and bit-identically from
+ *                the store and the job's region journal.
  *
  * Signal contract (SIGINT/SIGTERM): the first request drains — the
  * running child finishes, nothing new launches; the second kills the
  * child (SIGKILL), journals the kill, and flushes state; a third
- * falls through to default disposition. SIGHUP in daemon mode
- * requests a rescan. status.json is rewritten atomically on every
- * transition for `lp_report --campaign` to render live.
+ * falls through to default disposition. status.json is rewritten
+ * atomically on every transition for `lp_report --campaign`.
  */
 
 #ifndef LOOPPOINT_CAMPAIGN_SUPERVISOR_HH
 #define LOOPPOINT_CAMPAIGN_SUPERVISOR_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,51 +59,25 @@ struct SupervisorOptions
     double jobTimeoutSeconds = 0.0;
     /** SIGTERM → SIGKILL escalation grace. */
     double killGraceSeconds = 5.0;
-    /** Retry spacing; its seed is re-derived per job from the
-     * campaign seed and the job index. */
+    /** Retry spacing. */
     BackoffPolicy backoff;
-    /** Run store GC before a launch when free disk under the store
-     * falls below this; 0 disables. */
-    uint64_t gcWatermarkBytes = 0;
-    /** Park the queue (instead of launching) when free disk is still
-     * below this after GC; 0 disables. */
-    uint64_t gcFloorBytes = 0;
-    /** gc() size target; the default only collects orphans, never
-     * evicting live (manifest-bound) objects. */
-    uint64_t gcTargetBytes = UINT64_MAX;
-    /** Keep running after a pass: rescan on SIGHUP or every
-     * `rescanSeconds`, rewriting status.json while idle. */
-    bool daemonMode = false;
-    double rescanSeconds = 0.0;
     /** Deterministic fault injection (job: clauses). */
     FaultPlan faults;
-    /** Live surface path; default <outDir>/status.json. */
-    std::string statusPath;
-    /** Free bytes available at a path; injectable for tests
-     * (default: statvfs). */
-    std::function<uint64_t(const std::string &)> freeDiskProbe;
-    /** Interruptible sleep; injectable for tests (default: chunked
-     * nanosleep that returns early on a shutdown request). */
-    std::function<void(double)> sleeper;
 };
 
 /** Outcome of one CampaignSupervisor::run(). */
 struct SupervisorResult
 {
-    /** 0 all ok, 1 degraded/failed/parked jobs, 4 interrupted. */
+    /** 0 all ok, 1 degraded/failed jobs, 4 interrupted. */
     int exitCode = 0;
     std::vector<CampaignJob> jobs;
     uint32_t launches = 0;
     uint32_t retries = 0;
     uint32_t timeouts = 0;
-    uint32_t gcRuns = 0;
     uint32_t adopted = 0; ///< completed jobs taken from the journal
     uint32_t staleResults = 0;
     /** A shutdown request stopped the campaign early. */
     bool interrupted = false;
-    /** The disk floor parked the queue. */
-    bool parked = false;
-    size_t passes = 0; ///< daemon rescan passes completed
 };
 
 /** See file comment. */
@@ -116,11 +87,8 @@ class CampaignSupervisor
     CampaignSupervisor(CampaignSpec spec, SupervisorOptions opts);
 
     /**
-     * Run the campaign to completion (or until interrupted/parked).
-     * In daemon mode, loops: pass, idle (status heartbeats), rescan
-     * on SIGHUP or interval, until a shutdown request. Writes
-     * campaign.json after every pass and status.json on every
-     * transition.
+     * Run the campaign to completion (or until interrupted). Writes
+     * campaign.json at the end and status.json on every transition.
      */
     SupervisorResult run();
 
@@ -135,29 +103,25 @@ class CampaignSupervisor
         double wallSeconds = 0.0;
     };
 
-    /** One pass over the matrix; fills `result`. */
-    void runPass(std::vector<CampaignJob> &jobs, CampaignJournal &jnl);
-    /** Run one job's attempt loop (job is an element of jobs; the
-     * whole vector is needed for status.json snapshots). */
-    void superviseJob(std::vector<CampaignJob> &jobs, CampaignJob &job,
-                      const std::string &job_dir, CampaignJournal &jnl);
-    /** Daemon idle: heartbeat status.json until SIGHUP, the rescan
-     * interval, or shutdown. False = shut down. */
-    bool idleWait(const std::vector<CampaignJob> &jobs);
+    /** Adopt the job if the journal on disk says it completed and its
+     * result still parses; a completion without one is journaled
+     * stale. Call with the job's lock held. True = adopted. */
+    bool adopt(CampaignJob &job, const std::string &job_dir,
+               CampaignJournal &jnl);
+    /** Run one job's attempt loop (job is an element of
+     * result.jobs). */
+    void superviseJob(CampaignJob &job, const std::string &job_dir,
+                      CampaignJournal &jnl);
     /** Fork, babysit (watchdog + shutdown), reap, classify. */
     ChildOutcome launchAttempt(CampaignJob &job,
                                const std::string &job_dir,
                                uint32_t attempt);
-    /** GC/park disk-pressure check before a launch. True = proceed. */
-    bool diskPressureOk(CampaignJob &job);
     /** Atomic rewrite of status.json. */
-    void writeStatus(const std::vector<CampaignJob> &jobs,
-                     const std::string &state);
+    void writeStatus(const std::string &state);
 
     CampaignSpec spec;
     SupervisorOptions opts;
     SupervisorResult result;
-    std::string statusPath;
 };
 
 } // namespace looppoint

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "rng.hh"
-
 namespace looppoint {
 
 const char *
@@ -42,32 +40,11 @@ classifyWaitStatus(int wait_status)
 double
 BackoffPolicy::delaySeconds(uint32_t retry) const
 {
-    double raw = std::max(0.0, baseSeconds);
-    double mult = std::max(1.0, multiplier);
-    double cap = std::max(0.0, capSeconds);
-    for (uint32_t i = 0; i < retry; i++) {
-        raw *= mult;
-        if (raw >= cap)
-            break;
-    }
-    if (raw >= cap)
-        return cap;
-
-    double frac = std::clamp(jitterFraction, 0.0, 1.0);
-    if (frac > 0.0) {
-        uint64_t state = hashCombine(seed, retry);
-        double u = (splitMix64(state) >> 11) * 0x1.0p-53; // [0, 1)
-        raw *= 1.0 + frac * (u - 0.5);
-    }
-    return std::min(raw, cap);
-}
-
-BackoffPolicy
-BackoffPolicy::withSeed(uint64_t new_seed) const
-{
-    BackoffPolicy p = *this;
-    p.seed = new_seed;
-    return p;
+    const double cap = std::max(0.0, capSeconds);
+    double delay = std::max(0.0, baseSeconds);
+    for (uint32_t i = 0; i < retry && delay < cap; ++i)
+        delay *= 2.0;
+    return std::min(delay, cap);
 }
 
 } // namespace looppoint

@@ -1,8 +1,8 @@
 /**
  * @file
  * Retry policy for supervised job execution: transient-vs-permanent
- * failure classification from a waitpid() status, and exponential
- * backoff with deterministic seeded jitter.
+ * failure classification from a waitpid() status, and capped
+ * exponential backoff.
  *
  * The campaign supervisor runs each job in a forked child; when the
  * child stops, everything it knows is the wait status. The classifier
@@ -14,13 +14,9 @@
  * while usage errors and unknown exit codes are permanent (the same
  * command line will fail the same way forever).
  *
- * Backoff is exponential with a hard cap and multiplicative jitter.
- * The jitter is *seeded*, not sampled: delay(retry) is a pure
- * function of (policy, retry), so a test can assert the exact
- * schedule and a resumed supervisor recomputes the same delays the
- * crashed one would have used. Once the uncapped delay reaches the
- * cap, jitter is dropped and the cap is returned exactly — saturation
- * is a fixed point, not a band.
+ * The delay before retry r is min(cap, base * 2^r): a pure function
+ * of (policy, retry), and the cap comes back exactly once reached.
+ * Jobs run one at a time, so there is no herd for jitter to spread.
  */
 
 #ifndef LOOPPOINT_UTIL_BACKOFF_HH
@@ -53,29 +49,14 @@ FailureClass classifyWaitStatus(int wait_status);
 /** See file comment. */
 struct BackoffPolicy
 {
-    /** Delay before the first retry (uncapped, pre-jitter). */
+    /** Delay before the first retry. */
     double baseSeconds = 0.5;
-    /** Growth factor per retry (>= 1). */
-    double multiplier = 2.0;
     /** Hard ceiling; saturated delays return exactly this. */
     double capSeconds = 60.0;
-    /**
-     * Width of the multiplicative jitter band: the pre-cap delay is
-     * scaled by 1 + jitterFraction * (u - 0.5) with u in [0, 1)
-     * derived from (seed, retry). 0 disables jitter.
-     */
-    double jitterFraction = 0.5;
-    /** Jitter stream selector (e.g. per-job: combine with job index). */
-    uint64_t seed = 0;
 
-    /**
-     * The delay before retry `retry` (0-based: retry 0 follows the
-     * first failure). Deterministic for a fixed (policy, retry).
-     */
+    /** The delay before retry `retry` (0-based: retry 0 follows the
+     * first failure). */
     double delaySeconds(uint32_t retry) const;
-
-    /** This policy with its jitter stream re-seeded (per-job use). */
-    BackoffPolicy withSeed(uint64_t new_seed) const;
 };
 
 } // namespace looppoint

@@ -27,7 +27,7 @@
  *   job:index=2,kind=wedge,times=1    job 2's first attempt hangs
  *                                     until the watchdog escalates
  *   job:index=2,kind=corrupt-result   job 2 writes garbage result.json
- *                                     but still drops its .done marker
+ *                                     and still exits 0
  *
  * The plan is pure data: nothing fires unless the hosting code asks
  * (simFault() in the checkpointed-simulation loop, corrupt() in the
@@ -64,7 +64,7 @@ struct FaultSpec
         FlipByte, ///< corrupt-site: XOR 0xFF one payload byte
         Interrupt, ///< sim site: request shutdown at this boundary
         Crash,     ///< job site: the child SIGKILLs itself
-        CorruptResult ///< job site: garbage result.json + .done marker
+        CorruptResult ///< job site: garbage result.json, then exit 0
     };
 
     Site site = Site::Sim;

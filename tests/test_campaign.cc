@@ -1,12 +1,14 @@
 /**
  * @file
- * Campaign-supervisor tests: the failure classifier and deterministic
- * backoff schedule, the crash-safe campaign journal (roundtrip, torn
- * tail, fingerprint mismatch, exactly-once replay), stale-result
- * detection, and the supervisor end to end — injected crash, wedge
- * (watchdog escalation), and corrupt-result faults must each cost one
- * attempt, never the campaign, and a restarted supervisor must adopt
- * completed jobs from the journal without relaunching them.
+ * Campaign-supervisor tests: the failure classifier and the capped
+ * exponential backoff schedule, the crash-safe campaign journal
+ * (roundtrip, torn tail, fingerprint mismatch, exactly-once replay),
+ * stale-result detection, and the supervisor end to end — injected
+ * crash, wedge (watchdog escalation), and corrupt-result faults must
+ * each cost one attempt, never the campaign; a restarted supervisor
+ * must adopt completed jobs from the journal without relaunching
+ * them, and rerun (then journal once) a job whose completion the
+ * journal never recorded.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +16,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,7 +30,6 @@
 #include "util/backoff.hh"
 #include "util/checksum.hh"
 #include "util/fault.hh"
-#include "util/rng.hh"
 
 namespace looppoint {
 namespace {
@@ -108,57 +108,13 @@ TEST(FailureClassify, StableNames)
 
 // ------------------------------------------------------- backoff
 
-TEST(Backoff, DeterministicForFixedSeed)
-{
-    BackoffPolicy a;
-    a.seed = 1234;
-    BackoffPolicy b = a;
-    for (uint32_t retry = 0; retry < 8; ++retry)
-        EXPECT_EQ(a.delaySeconds(retry), b.delaySeconds(retry))
-            << "retry " << retry;
-}
-
-TEST(Backoff, SeedSelectsTheJitterStream)
-{
-    BackoffPolicy a;
-    a.seed = 1;
-    BackoffPolicy b = a.withSeed(2);
-    // Same envelope, different jitter: at least one early retry must
-    // differ (all-equal would mean the seed is ignored).
-    bool differ = false;
-    for (uint32_t retry = 0; retry < 4 && !differ; ++retry)
-        differ = a.delaySeconds(retry) != b.delaySeconds(retry);
-    EXPECT_TRUE(differ);
-}
-
-TEST(Backoff, JitterStaysInsideTheBand)
-{
-    BackoffPolicy p;
-    p.baseSeconds = 1.0;
-    p.multiplier = 2.0;
-    p.capSeconds = 1e9;
-    p.jitterFraction = 0.5;
-    for (uint64_t seed = 0; seed < 50; ++seed) {
-        p.seed = seed;
-        for (uint32_t retry = 0; retry < 6; ++retry) {
-            const double envelope = std::ldexp(1.0, retry); // 2^retry
-            const double d = p.delaySeconds(retry);
-            EXPECT_GE(d, envelope * 0.75);
-            EXPECT_LE(d, envelope * 1.25);
-        }
-    }
-}
-
 TEST(Backoff, CapSaturatesExactly)
 {
     BackoffPolicy p;
     p.baseSeconds = 1.0;
-    p.multiplier = 2.0;
     p.capSeconds = 10.0;
-    p.jitterFraction = 0.5;
-    p.seed = 99;
     // 1, 2, 4, 8 are under the cap; 16 and beyond saturate and the
-    // cap comes back exactly (no jitter band around it).
+    // cap comes back exactly.
     EXPECT_LT(p.delaySeconds(3), 10.0);
     for (uint32_t retry = 4; retry < 40; ++retry)
         EXPECT_EQ(p.delaySeconds(retry), 10.0) << "retry " << retry;
@@ -168,9 +124,7 @@ TEST(Backoff, ZeroJitterIsPureExponential)
 {
     BackoffPolicy p;
     p.baseSeconds = 0.5;
-    p.multiplier = 2.0;
     p.capSeconds = 1e9;
-    p.jitterFraction = 0.0;
     EXPECT_EQ(p.delaySeconds(0), 0.5);
     EXPECT_EQ(p.delaySeconds(1), 1.0);
     EXPECT_EQ(p.delaySeconds(2), 2.0);
@@ -332,6 +286,23 @@ TEST(CampaignModel, FingerprintCoversTheMatrixNotHostKnobs)
     b = a;
     b.uarchs.push_back("bigcore");
     EXPECT_NE(campaignFingerprint(a), campaignFingerprint(b));
+}
+
+/**
+ * The journal key of an unchanged matrix must not move, or every
+ * existing campaign directory would be refused instead of adopted.
+ * `lp_campaign --apps=demo-matrix-1 --inputs=test --threads=2
+ * --no-fullsim` writes `key fp=6cab5e3e`.
+ */
+TEST(CampaignModel, FingerprintIsStableAcrossReleases)
+{
+    CampaignSpec spec;
+    spec.apps = {"demo-matrix-1"};
+    spec.inputs = {"test"};
+    spec.threads = {2};
+    spec.uarchs = {"baseline"};
+    spec.fullSim = false;
+    EXPECT_EQ(campaignFingerprint(spec), "6cab5e3e");
 }
 
 TEST(CampaignModel, MatrixIndicesAreStablePositions)
@@ -560,8 +531,8 @@ TEST(Supervisor, CorruptResultFaultIsDetectedAndRetried)
         FaultPlan::parse("job:index=0,kind=corrupt-result,times=1");
     CampaignSupervisor sup(spec, opts);
     SupervisorResult res = sup.run();
-    // The faulty child exits 0 with a .done marker and garbage
-    // result.json; trusting it would silently hole the campaign.
+    // The faulty child exits 0 with a garbage result.json; trusting
+    // it would silently hole the campaign.
     EXPECT_EQ(res.exitCode, 0);
     EXPECT_EQ(res.jobs[0].status, "ok");
     EXPECT_EQ(res.staleResults, 1u);
@@ -575,79 +546,80 @@ TEST(Supervisor, CorruptResultFaultIsDetectedAndRetried)
     EXPECT_EQ(countEvents(jnl, 0, "ok"), 1u);
 }
 
-TEST(Supervisor, StaleDoneMarkerWithoutResultIsRerun)
+/**
+ * A supervisor that dies after its child finished but before it
+ * journaled the completion leaves only the launch. The journal is the
+ * one completion record, so a restart reruns the job (cheaply, from
+ * the store and the job's region journal) and journals one `ok`.
+ */
+TEST(Supervisor, UnjournaledCompletionIsRerunAndJournaledOnce)
 {
-    const std::string dir = freshDir("sup_stale_done");
-    CampaignSpec spec = tinySpec(dir);
-    // Fabricate the stale state an old crash could leave: a .done
-    // marker with no (or garbage) result.json beside it.
-    auto jobs = expandCampaignMatrix(spec);
-    ASSERT_EQ(jobs.size(), 1u);
-    const std::string job_dir = dir + "/" + jobs[0].id;
-    makeCampaignDir(dir);
-    makeCampaignDir(job_dir);
-    {
-        std::ofstream done(job_dir + "/.done");
-        done << "ok\n";
-    }
-    CampaignSupervisor sup(spec, fastOptions());
-    SupervisorResult res = sup.run();
-    EXPECT_EQ(res.exitCode, 0);
-    EXPECT_EQ(res.jobs[0].status, "ok");
-    EXPECT_EQ(res.staleResults, 1u);
-    EXPECT_EQ(res.launches, 1u); // it actually ran
-    EXPECT_TRUE(validJobResult(job_dir));
-}
-
-TEST(Supervisor, DiskWatermarkRunsGcWithoutEvictingLiveObjects)
-{
-    const std::string dir = freshDir("sup_gc");
+    const std::string dir = freshDir("sup_unjournaled");
     CampaignSpec spec = tinySpec(dir);
     {
-        // Warm run populates the store.
         CampaignSupervisor sup(spec, fastOptions());
         ASSERT_EQ(sup.run().exitCode, 0);
     }
-    // Second run with a probe reporting pressure below the watermark
-    // (but above the floor): GC must fire, and with the default
-    // target it must not evict anything a manifest still binds.
-    const std::string rerun_dir = freshDir("sup_gc_rerun");
-    CampaignSpec spec2 = tinySpec(rerun_dir);
-    spec2.storeDir = spec.storeDir; // same store
-    SupervisorOptions opts = fastOptions();
-    opts.gcWatermarkBytes = 1ull << 40;
-    opts.gcFloorBytes = 1; // never park
-    opts.freeDiskProbe = [](const std::string &) {
-        return uint64_t{1} << 30;
-    };
-    CampaignSupervisor sup(spec2, opts);
+    const std::string path = dir + "/campaign.journal";
+    {
+        // Keep the header (magic + key) and the launch only.
+        std::istringstream in(slurp(path));
+        std::string line, kept;
+        for (int i = 0; i < 3 && std::getline(in, line); ++i)
+            kept += line + "\n";
+        ASSERT_NE(kept.find("event=launch"), std::string::npos);
+        std::ofstream(path, std::ios::trunc) << kept;
+    }
+
+    CampaignSupervisor sup(spec, fastOptions());
     SupervisorResult res = sup.run();
     EXPECT_EQ(res.exitCode, 0);
-    EXPECT_GE(res.gcRuns, 1u);
-    // The live objects survived: the rerun's job was served from the
-    // store (store hits recorded in its result.json).
-    const std::string result =
-        slurp(rerun_dir + "/" + res.jobs[0].id + "/result.json");
-    EXPECT_NE(result.find("\"record\": true"), std::string::npos)
-        << result;
+    EXPECT_EQ(res.launches, 1u);
+    EXPECT_EQ(res.adopted, 0u);
+    EXPECT_EQ(res.jobs[0].status, "ok");
+    EXPECT_TRUE(validJobResult(dir + "/" + res.jobs[0].id));
+
+    CampaignJournal jnl(path, campaignFingerprint(spec));
+    ASSERT_FALSE(jnl.load(true));
+    EXPECT_EQ(countEvents(jnl, 0, "launch"), 2u);
+    EXPECT_EQ(countEvents(jnl, 0, "ok"), 1u);
+    const std::string summary = slurp(dir + "/campaign.json");
+    EXPECT_NE(summary.find("\"status\": \"ok\""), std::string::npos)
+        << summary;
 }
 
-TEST(Supervisor, DiskFloorParksTheQueue)
+/**
+ * The journal says the job completed, but its result.json is gone:
+ * adoption must not trust the journal alone. It journals the
+ * completion stale and reruns the job to a valid result.
+ */
+TEST(Supervisor, JournaledCompletionWithoutResultIsRerun)
 {
-    const std::string dir = freshDir("sup_park");
+    const std::string dir = freshDir("sup_lost_result");
     CampaignSpec spec = tinySpec(dir);
-    SupervisorOptions opts = fastOptions();
-    opts.gcWatermarkBytes = 100;
-    opts.gcFloorBytes = 50;
-    opts.freeDiskProbe = [](const std::string &) {
-        return uint64_t{10}; // hopeless, even after GC
-    };
-    CampaignSupervisor sup(spec, opts);
+    {
+        CampaignSupervisor sup(spec, fastOptions());
+        ASSERT_EQ(sup.run().exitCode, 0);
+    }
+    const std::string job_dir =
+        dir + "/" + expandCampaignMatrix(spec)[0].id;
+    ASSERT_EQ(unlink((job_dir + "/result.json").c_str()), 0);
+
+    CampaignSupervisor sup(spec, fastOptions());
     SupervisorResult res = sup.run();
-    EXPECT_EQ(res.exitCode, 1);
-    EXPECT_TRUE(res.parked);
-    EXPECT_EQ(res.launches, 0u); // parked instead of launching
-    EXPECT_EQ(res.jobs[0].status, "parked");
+    EXPECT_EQ(res.exitCode, 0);
+    EXPECT_EQ(res.adopted, 0u);
+    EXPECT_EQ(res.staleResults, 1u);
+    EXPECT_EQ(res.launches, 1u);
+    EXPECT_EQ(res.jobs[0].status, "ok");
+    EXPECT_TRUE(validJobResult(job_dir));
+
+    CampaignJournal jnl(dir + "/campaign.journal",
+                        campaignFingerprint(spec));
+    ASSERT_FALSE(jnl.load(true));
+    EXPECT_EQ(countEvents(jnl, 0, "stale"), 1u);
+    EXPECT_EQ(countEvents(jnl, 0, "ok"), 2u); // one per completion
+    EXPECT_TRUE(jnl.ledgers()[0].completed);
 }
 
 } // namespace

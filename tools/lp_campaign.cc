@@ -4,25 +4,25 @@
  *
  * A thin CLI over src/campaign: the matrix spec and execution knobs
  * parse into a CampaignSpec, the supervision policy (retry budget,
- * watchdog, backoff, disk watermarks, daemon mode, fault injection)
- * into SupervisorOptions, and CampaignSupervisor::run() does the rest.
- * Each job runs in a forked child for crash isolation; see
- * src/campaign/supervisor.hh for the full supervision model.
+ * watchdog, backoff, fault injection) into SupervisorOptions, and
+ * CampaignSupervisor::run() does the rest. Each job runs in a forked
+ * child for crash isolation; see src/campaign/supervisor.hh for the
+ * full supervision model.
  *
  * Layout under --out=DIR:
  *
  *   campaign.json             summary (written last, atomically)
- *   campaign.journal          supervisor state (crash-safe; restarts
- *                             adopt completed jobs exactly once)
+ *   campaign.journal          supervisor state (crash-safe; the one
+ *                             completion record: restarts adopt
+ *                             completed jobs exactly once)
  *   status.json               live surface (`lp_report --campaign`)
  *   store/                    the shared store (override: --store)
  *   <job>/result.json         one "lp_campaign_job" document per job
  *   <job>/journal             per-job region journal (resume-able)
- *   <job>/.done               completion marker (skip-done)
  *   <job>/.lock               flock target (skip-running)
  *
  * Aggregate with `lp_report --campaign=DIR`. Exit codes follow
- * run_looppoint: 0 all jobs ok, 1 some job degraded/failed/parked,
+ * run_looppoint: 0 all jobs ok, 1 some job degraded or failed,
  * 2 usage, 3 runtime failure, 4 interrupted (drained on SIGINT or
  * SIGTERM; re-invoke to resume exactly-once from the journal).
  */
@@ -94,29 +94,10 @@ commandLine(CampaignSpec &spec, SupervisorOptions &sup)
          "SIGTERM -> SIGKILL escalation grace (default: 5)",
          setDouble(sup.killGraceSeconds)},
         {"backoff-base", 0, "SEC",
-         "first retry delay (default: 0.5); doubles per retry with "
-         "deterministic per-job jitter",
+         "first retry delay (default: 0.5); doubles per retry",
          setDouble(sup.backoff.baseSeconds)},
         {"backoff-cap", 0, "SEC", "retry delay ceiling (default: 60)",
          setDouble(sup.backoff.capSeconds)},
-        {"gc-watermark", 0, "BYTES",
-         "run store GC before a launch when free disk under the store "
-         "drops below this; 0 disables (default)",
-         setUnsigned(sup.gcWatermarkBytes)},
-        {"gc-floor", 0, "BYTES",
-         "park the queue when free disk is still below this after GC; 0 "
-         "disables",
-         setUnsigned(sup.gcFloorBytes)},
-        {"gc-target", 0, "BYTES",
-         "GC size target (default: unlimited, so GC only collects "
-         "orphaned objects and never evicts live results)",
-         setUnsigned(sup.gcTargetBytes)},
-        {"daemon", 0, "",
-         "keep running after a pass: rescan the matrix on SIGHUP or "
-         "--rescan interval, heartbeat status.json while idle",
-         setBool(sup.daemonMode)},
-        {"rescan", 0, "SEC", "daemon rescan interval (default: SIGHUP only)",
-         setDouble(sup.rescanSeconds)},
         {"inject-fault", 0, "SPEC",
          "deterministic job faults, e.g. "
          "job:index=2,kind=crash|wedge|corrupt-result[,times=M]; "

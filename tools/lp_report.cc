@@ -492,7 +492,7 @@ reportMetrics(const Options &opt)
 
 /**
  * Render the supervisor's live surface (status.json) when present:
- * supervisor state, retry/timeout/GC accounting, and the per-job
+ * supervisor state, retry/timeout accounting, and the per-job
  * attempt/backoff table. Best-effort — a missing or torn file (the
  * supervisor rewrites it atomically, so torn means "not a campaign
  * with a supervisor") just skips the section.
@@ -509,24 +509,20 @@ reportCampaignStatus(const Options &opt)
 
     std::printf("== supervisor (%s) ==\n",
                 doc->stringOr("state", "?").c_str());
-    std::printf("pid %.0f, pass %.0f: %.0f/%.0f job(s) done, %.0f "
-                "failed, %.0f pending\n",
-                doc->numberOr("pid", 0), doc->numberOr("pass", 0),
-                doc->numberOr("jobsDone", 0),
+    std::printf("pid %.0f: %.0f/%.0f job(s) done, %.0f failed, %.0f "
+                "pending\n",
+                doc->numberOr("pid", 0), doc->numberOr("jobsDone", 0),
                 doc->numberOr("jobsTotal", 0),
                 doc->numberOr("jobsFailed", 0),
                 doc->numberOr("jobsPending", 0));
     std::printf("supervision    : %.0f launch(es), %.0f retry(ies), "
-                "%.0f timeout(s), %.0f gc run(s), %.0f adopted from "
-                "journal, %.0f stale result(s)\n",
+                "%.0f timeout(s), %.0f adopted from journal, %.0f stale "
+                "result(s)\n",
                 doc->numberOr("launches", 0),
                 doc->numberOr("retries", 0),
                 doc->numberOr("timeouts", 0),
-                doc->numberOr("gcRuns", 0),
                 doc->numberOr("adopted", 0),
                 doc->numberOr("staleResults", 0));
-    std::printf("free disk      : %.0f byte(s) under the store\n",
-                doc->numberOr("freeDiskBytes", 0));
     const JsonValue *jobs = doc->find("jobs");
     if (jobs && jobs->isArray() && !jobs->array.empty()) {
         std::printf("%-44s %-9s %8s %10s %8s\n", "job", "status",

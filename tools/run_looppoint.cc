@@ -376,8 +376,8 @@ main(int argc, char **argv)
         // Graceful stop at a region boundary: the run journal already
         // holds every completed region, so the supervisor (or user)
         // can rerun with --resume for a bit-identical continuation.
-        // Flush obs outputs first — a parked daemon job should still
-        // leave its trace behind.
+        // Flush obs outputs first — a parked job should still leave
+        // its trace behind.
         warn("run_looppoint: %s", e.what());
         writeObsOutputs(cli);
         return 4;
