@@ -67,7 +67,8 @@ struct CampaignJob
      * the campaign runs). */
     std::string status = "pending";
     double wallSeconds = 0.0;
-    /** Launches this campaign invocation made for the job. */
+    /** Launches this campaign invocation made for the job; for a job
+     * adopted from the journal, the launches of every invocation. */
     uint32_t attempts = 0;
     /** Backoff the supervisor is currently waiting out (status.json
      * surface; 0 when not in backoff). */

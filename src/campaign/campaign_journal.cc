@@ -1,7 +1,5 @@
 #include "campaign/campaign_journal.hh"
 
-#include <algorithm>
-
 namespace looppoint {
 
 namespace {
@@ -46,7 +44,9 @@ CampaignJournal::ledgers() const
     for (const auto &ev : records) {
         Ledger &l = out[ev.index];
         if (ev.event == "launch") {
-            l.attempts = std::max(l.attempts, ev.attempt + 1);
+            // One per launch: each supervisor invocation numbers its
+            // attempts from 0.
+            ++l.attempts;
         } else if (ev.event == "ok" || ev.event == "degraded") {
             l.completed = true;
             l.finalStatus = ev.event;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <future>
 #include <limits>
@@ -783,6 +784,20 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
     // waiting for a partition's free chunk, or the partitions (summed)
     // waiting for accesses.
     double warm_producer_wait = 0.0, warm_partition_idle = 0.0;
+    // Records the partitions applied, and accesses the producer
+    // dropped as exact repeats (sim/warm_partition.hh).
+    uint64_t warm_shipped = 0, warm_dropped = 0;
+
+    // Captured checkpoints whose region task has not started yet. Each
+    // holds a payload (~2.35 MB at four threads), so the warming
+    // producer captures the next one only while fewer than `jobs` are
+    // queued: a producer faster than the regions then waits instead of
+    // queueing payloads without bound, and every worker still finds a
+    // region ready when it frees up.
+    std::mutex queued_mtx;
+    std::condition_variable queued_cv;
+    uint32_t queued_checkpoints = 0;
+    double checkpoint_wait_s = 0.0;
 
     // The executor is destroyed before `out`, the sink and the lambdas
     // above on unwind, draining whatever is in flight.
@@ -855,6 +870,17 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             // in its cache image. The region's task waits for it,
             // publishes it when the store lacks it, and simulates in
             // that same buffer, so each queued region holds one image.
+            {
+                std::unique_lock<std::mutex> lock(queued_mtx);
+                if (queued_checkpoints >= out.jobs) {
+                    const auto t_wait = clock::now();
+                    queued_cv.wait(lock, [&] {
+                        return queued_checkpoints < out.jobs;
+                    });
+                    checkpoint_wait_s += seconds_since(t_wait);
+                }
+                ++queued_checkpoints;
+            }
             RegionWorkItem item = make_item(idx);
             std::shared_ptr<WarmCheckpoint> ckpt =
                 warmer ? warmer->checkpoint(
@@ -866,8 +892,14 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                                                   item));
             const bool publish = warm_stage && !warm_bound[idx];
             executor.submit(
-                {item}, [&publish_warm, &restore_own, ckpt,
+                {item}, [&publish_warm, &restore_own, &queued_mtx,
+                         &queued_cv, &queued_checkpoints, ckpt,
                          publish](const RegionWorkItem &it) {
+                    {
+                        std::lock_guard<std::mutex> lock(queued_mtx);
+                        --queued_checkpoints;
+                    }
+                    queued_cv.notify_one();
                     std::string payload = ckpt->take();
                     return publish ? publish_warm(std::move(payload), it)
                                    : restore_own(std::move(payload), it);
@@ -881,6 +913,8 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             out.checkpointWallSeconds += seconds_since(t_drain);
             warm_producer_wait = warmer->producerWaitSeconds();
             warm_partition_idle = warmer->partitionIdleSeconds();
+            warm_shipped = warmer->shippedRecords();
+            warm_dropped = warmer->droppedRecords();
         }
         out.warmPartitions = partitions;
     }
@@ -917,7 +951,10 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         .arg("warm_published", out.warmPublished)
         .arg("warm_partitions", out.warmPartitions)
         .arg("warm_producer_wait_s", warm_producer_wait)
-        .arg("warm_partition_idle_s", warm_partition_idle);
+        .arg("warm_partition_idle_s", warm_partition_idle)
+        .arg("warm_shipped", warm_shipped)
+        .arg("warm_dropped", warm_dropped)
+        .arg("checkpoint_wait_s", checkpoint_wait_s);
     // Close now, not at frame exit: the span duration must agree with
     // phaseWallSeconds (lp_report --check enforces 1%).
     phase_span.finish();

@@ -62,8 +62,12 @@ PartitionedWarmer::PartitionedWarmer(const SimConfig &cfg,
     owner.resize(fewest);
     for (uint32_t r = 0; r < fewest; ++r)
         owner[r] = warmPartitionOf(r, fewest, partitions);
-    for (uint32_t p = 0; p < partitions; ++p)
+    fills.reset(new Fill[partitions]);
+    for (uint32_t p = 0; p < partitions; ++p) {
         lanes.push_back(std::make_unique<Lane>(cfg, num_cores));
+        fills[p].chunk = &lanes[p]->ring.first();
+        fills[p].recs = fills[p].chunk->recs.get();
+    }
     for (uint32_t p = 0; p < partitions; ++p)
         lanes[p]->worker = std::thread([this, p] {
             // A lost worker would leave its checkpoints pending forever.
@@ -81,8 +85,10 @@ PartitionedWarmer::~PartitionedWarmer()
 }
 
 void
-PartitionedWarmer::ship(Lane &lane, std::shared_ptr<WarmCheckpoint> boundary)
+PartitionedWarmer::ship(uint32_t p, std::shared_ptr<WarmCheckpoint> boundary)
 {
+    Lane &lane = *lanes[p];
+    Fill &f = fills[p];
     // About to wait for this partition: the others drain what they
     // hold meanwhile instead of sleeping until half a ring is queued.
     if (lane.ring.full())
@@ -90,11 +96,14 @@ PartitionedWarmer::ship(Lane &lane, std::shared_ptr<WarmCheckpoint> boundary)
             if (other.get() != &lane)
                 other->ring.flush();
     const bool waited_on = boundary != nullptr;
-    lane.filling->boundary = std::move(boundary);
-    lane.filling = lane.ring.publish();
+    f.chunk->n = f.n;
+    f.chunk->boundary = std::move(boundary);
+    f.shipped += f.n;
+    f.chunk = lane.ring.publish();
     // Workers never abort their rings.
-    LP_ASSERT(lane.filling);
-    lane.filling->n = 0;
+    LP_ASSERT(f.chunk);
+    f.recs = f.chunk->recs.get();
+    f.n = 0;
     // A region's task waits for this checkpoint.
     if (waited_on)
         lane.ring.flush();
@@ -106,8 +115,8 @@ PartitionedWarmer::checkpoint(std::string payload, size_t image_offset)
     LP_ASSERT(!finished);
     auto ckpt = std::make_shared<WarmCheckpoint>(
         std::move(payload), image_offset, partitions());
-    for (auto &lane : lanes)
-        ship(*lane, ckpt);
+    for (uint32_t p = 0; p < partitions(); ++p)
+        ship(p, ckpt);
     return ckpt;
 }
 
@@ -117,8 +126,11 @@ PartitionedWarmer::finish()
     if (finished)
         return;
     finished = true;
-    for (auto &lane : lanes)
-        lane->ring.close();
+    for (uint32_t p = 0; p < partitions(); ++p) {
+        fills[p].chunk->n = fills[p].n;
+        fills[p].shipped += fills[p].n;
+        lanes[p]->ring.close();
+    }
     for (auto &lane : lanes)
         lane->worker.join();
 }
@@ -141,6 +153,24 @@ PartitionedWarmer::partitionIdleSeconds() const
     return s;
 }
 
+uint64_t
+PartitionedWarmer::shippedRecords() const
+{
+    uint64_t n = 0;
+    for (uint32_t p = 0; p < partitions(); ++p)
+        n += fills[p].shipped;
+    return n;
+}
+
+uint64_t
+PartitionedWarmer::droppedRecords() const
+{
+    uint64_t n = 0;
+    for (uint32_t p = 0; p < partitions(); ++p)
+        n += fills[p].dropped;
+    return n;
+}
+
 void
 PartitionedWarmer::run(uint32_t p)
 {
@@ -150,16 +180,20 @@ PartitionedWarmer::run(uint32_t p)
     if (tracer.enabled())
         tracer.nameCurrentThread("warm partition " + std::to_string(p));
     ScopedSpan span(tracer, "warm.partition");
-    uint64_t accesses = 0;
+    uint64_t shipped = 0;
     while (Chunk *c = lane.ring.acquire(0)) {
-        for (uint32_t i = 0; i < c->n; ++i) {
-            const Access &a = c->recs[i];
-            if (a.kind == Kind::Fetch)
-                h.fetch(a.core, a.addr);
+        const uint32_t n = c->n;
+        const uint64_t *recs = c->recs.get();
+        for (uint32_t i = 0; i < n; ++i) {
+            const uint64_t r = recs[i];
+            const Addr addr = (r >> 8) << lineShift;
+            const uint32_t core = static_cast<uint32_t>(r >> 2) & 63;
+            if ((r & 3) == kFetch)
+                h.fetch(core, addr);
             else
-                h.access(a.core, a.addr, a.kind == Kind::Write);
+                h.access(core, addr, (r & 3) == kWrite);
         }
-        accesses += c->n;
+        shipped += n;
         if (c->boundary) {
             h.exportOwnedSets(c->boundary->image(), p, partitions());
             c->boundary->contributed();
@@ -167,8 +201,11 @@ PartitionedWarmer::run(uint32_t p)
         }
         lane.ring.release(0);
     }
+    // The ring is closed: the producer's counts for this partition are
+    // final and ordered before this read by the ring's lock.
     span.arg("partition", p)
-        .arg("accesses", accesses)
+        .arg("shipped", shipped)
+        .arg("dropped", fills[p].dropped)
         .arg("idle_s", lane.ring.idleSeconds(0));
 }
 

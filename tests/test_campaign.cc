@@ -190,6 +190,24 @@ TEST(CampaignJournal, RoundtripAndReplay)
     EXPECT_EQ(ledgers[2].attempts, 1u);
 }
 
+/** Each supervisor invocation numbers its attempts from 0, so the
+ * ledger counts launch events, not the highest attempt number. */
+TEST(CampaignJournal, LaunchesCountAcrossInvocations)
+{
+    const std::string dir = freshDir("journal_invocations");
+    mkdir(dir.c_str(), 0777);
+    CampaignJournal jnl(dir + "/campaign.journal", "fp");
+    ASSERT_FALSE(jnl.load(false));
+    jnl.append(ev(0, "launch", 0));
+    jnl.append(ev(0, "launch", 0)); // the next invocation's first try
+    jnl.append(ev(0, "fail-transient", 0, 3));
+    jnl.append(ev(0, "launch", 1));
+    jnl.append(ev(0, "ok", 1, 0));
+    auto ledgers = jnl.ledgers();
+    EXPECT_EQ(ledgers[0].attempts, 3u);
+    EXPECT_TRUE(ledgers[0].completed);
+}
+
 TEST(CampaignJournal, StaleEventInvalidatesACompletion)
 {
     const std::string dir = freshDir("journal_stale");
@@ -585,6 +603,53 @@ TEST(Supervisor, UnjournaledCompletionIsRerunAndJournaledOnce)
     EXPECT_EQ(countEvents(jnl, 0, "ok"), 1u);
     const std::string summary = slurp(dir + "/campaign.json");
     EXPECT_NE(summary.find("\"status\": \"ok\""), std::string::npos)
+        << summary;
+}
+
+/**
+ * A job launched once by each of two invocations (two `launch
+ * attempt=0` lines) is adopted by a third with both launches counted,
+ * in its ledger and in campaign.json.
+ */
+TEST(Supervisor, AdoptedJobCountsTheLaunchesOfEveryInvocation)
+{
+    const std::string dir = freshDir("sup_two_invocations");
+    CampaignSpec spec = tinySpec(dir);
+    {
+        CampaignSupervisor sup(spec, fastOptions());
+        ASSERT_EQ(sup.run().exitCode, 0);
+    }
+    const std::string path = dir + "/campaign.journal";
+    {
+        // Drop the `ok`, as if the supervisor died after the launch.
+        std::istringstream in(slurp(path));
+        std::string line, kept;
+        for (int i = 0; i < 3 && std::getline(in, line); ++i)
+            kept += line + "\n";
+        std::ofstream(path, std::ios::trunc) << kept;
+    }
+    {
+        CampaignSupervisor sup(spec, fastOptions());
+        ASSERT_EQ(sup.run().launches, 1u);
+    }
+    {
+        CampaignJournal jnl(path, campaignFingerprint(spec));
+        ASSERT_FALSE(jnl.load(true));
+        size_t first_tries = 0;
+        for (const CampaignEvent &e : jnl.events())
+            first_tries += e.event == "launch" && e.attempt == 0;
+        ASSERT_EQ(first_tries, 2u);
+        EXPECT_EQ(jnl.ledgers()[0].attempts, 2u);
+    }
+
+    CampaignSupervisor sup(spec, fastOptions());
+    SupervisorResult res = sup.run();
+    EXPECT_EQ(res.exitCode, 0);
+    EXPECT_EQ(res.launches, 0u);
+    EXPECT_EQ(res.adopted, 1u);
+    EXPECT_EQ(res.jobs[0].attempts, 2u);
+    const std::string summary = slurp(dir + "/campaign.json");
+    EXPECT_NE(summary.find("\"attempts\": 2"), std::string::npos)
         << summary;
 }
 

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -352,14 +353,77 @@ TEST(PartitionedWarming, OwnedSetAssemblyEqualsTheSingleHierarchy)
     }
 }
 
+/**
+ * `ops` with a second access to the same line after every 7th one,
+ * cycling through every (first, second) kind pair, each by the same
+ * core either right after the first or split from it by another
+ * core's access to that line (kind cycling too). Only R->R, W->R, W->W
+ * and F->F with nothing between are exact repeats; a rule that drops
+ * any other pair leaves a stale line or a remote copy behind.
+ */
+std::vector<WarmOp>
+withRepeatPairs(const std::vector<WarmOp> &ops, uint32_t cores)
+{
+    std::vector<WarmOp> out;
+    out.reserve(ops.size() * 3 / 2);
+    for (size_t i = 0; i < ops.size(); ++i) {
+        out.push_back(ops[i]);
+        if (i % 7 != 0)
+            continue;
+        const size_t pattern = i / 7 % 18;
+        WarmOp first = ops[i];
+        first.kind = static_cast<WarmOp::Kind>(pattern % 3);
+        out.back() = first;
+        if (pattern >= 9) {
+            WarmOp other = first;
+            other.core = (first.core + 1) % cores;
+            other.kind = static_cast<WarmOp::Kind>(i / 7 % 3);
+            out.push_back(other);
+        }
+        WarmOp second = first;
+        second.kind = static_cast<WarmOp::Kind>(pattern / 3 % 3);
+        out.push_back(second);
+    }
+    return out;
+}
+
+/** Accesses of `ops` the repeat rule drops with `parts` partitions:
+ * an exact repeat of the last access its partition shipped. */
+size_t
+exactRepeats(const std::vector<WarmOp> &ops, const SimConfig &cfg,
+             uint32_t parts)
+{
+    const uint32_t fewest = CacheHierarchy::fewestSets(cfg);
+    std::vector<std::optional<WarmOp>> shipped(parts);
+    size_t repeats = 0;
+    for (const WarmOp &op : ops) {
+        const uint64_t line = op.addr / cfg.l3.lineBytes;
+        std::optional<WarmOp> &last =
+            shipped[warmPartitionOf(line, fewest, parts)];
+        const bool same = last && last->core == op.core &&
+                          last->addr / cfg.l3.lineBytes == line;
+        if (same && (op.kind == last->kind ||
+                     (op.kind == WarmOp::Read &&
+                      last->kind == WarmOp::Write)))
+            ++repeats;
+        else
+            last = op;
+    }
+    return repeats;
+}
+
 /** The same through PartitionedWarmer's queues and worker threads,
- * long enough for the producer to block on full queues. */
+ * long enough for the producer to block on full queues, with repeat
+ * pairs of every kind (withRepeatPairs) in the stream: the image
+ * stays the serial one and exactly the exact repeats are dropped. */
 TEST(PartitionedWarming, WorkerCheckpointsEqualTheSerialImage)
 {
     const SimConfig cfg;
     const uint32_t cores = 4;
-    const size_t kOps = 200'000, kMarkers = 5;
-    const auto ops = warmStream(0xc0ffee, cores, cfg, kOps);
+    const size_t kMarkers = 5;
+    const auto ops =
+        withRepeatPairs(warmStream(0xc0ffee, cores, cfg, 200'000), cores);
+    const size_t kOps = ops.size();
     CacheHierarchy single(cfg, cores);
     const size_t header = 16, image = single.stateBytes();
     for (uint32_t parts : {2u, 3u, 4u}) {
@@ -385,6 +449,14 @@ TEST(PartitionedWarming, WorkerCheckpointsEqualTheSerialImage)
                         header));
                 }
             }
+            warmer.finish();
+            // Four of the nine adjacent pairs are repeats, a ninth of
+            // the ~200k/7 pairs each.
+            const size_t repeats = exactRepeats(ops, cfg, parts);
+            EXPECT_GT(repeats, 200'000u / 7 / 9);
+            EXPECT_EQ(warmer.droppedRecords(), repeats) << parts;
+            EXPECT_EQ(warmer.shippedRecords() + warmer.droppedRecords(),
+                      kOps);
         }
         ASSERT_EQ(got.size(), kMarkers);
         for (size_t m = 0; m < kMarkers; ++m) {
@@ -729,7 +801,30 @@ TEST(PartitionedWarming, TraceHasOnePartitionSpanPerWorker)
         ++spans;
     EXPECT_EQ(spans, 3u);
     EXPECT_NE(t.find("\"warm_partitions\": 3"), std::string::npos);
-    EXPECT_NE(t.find("\"accesses\": "), std::string::npos);
+    // Every partition span counts what it applied and what the
+    // producer dropped for it; the phase carries the totals.
+    auto sum = [&t](const std::string &key) {
+        double total = 0.0;
+        size_t found = 0;
+        const std::string needle = "\"" + key + "\": ";
+        for (size_t at = t.find(needle); at != std::string::npos;
+             at = t.find(needle, at + 1), ++found)
+            total += std::stod(t.substr(at + needle.size()));
+        return std::make_pair(found, total);
+    };
+    const auto shipped = sum("shipped"), dropped = sum("dropped");
+    const auto phase_shipped = sum("warm_shipped");
+    const auto phase_dropped = sum("warm_dropped");
+    EXPECT_EQ(shipped.first, 3u);
+    EXPECT_EQ(dropped.first, 3u);
+    ASSERT_EQ(phase_shipped.first, 1u);
+    ASSERT_EQ(phase_dropped.first, 1u);
+    EXPECT_GT(shipped.second, 0.0);
+    EXPECT_GT(dropped.second, 0.0);
+    EXPECT_EQ(shipped.second, phase_shipped.second);
+    EXPECT_EQ(dropped.second, phase_dropped.second);
+    // How long the producer waited for a queued region to start.
+    EXPECT_EQ(sum("checkpoint_wait_s").first, 1u);
 }
 
 

@@ -364,11 +364,25 @@ reportTrace(const Options &opt)
         } else if (partitions > 1.0) {
             const double wait_s = arg("warm_producer_wait_s");
             const double idle_s = arg("warm_partition_idle_s");
+            // Accesses the producer shipped to the partitions, and
+            // exact repeats it dropped instead.
+            const double shipped = arg("warm_shipped");
+            const double dropped = arg("warm_dropped");
+            const double pushed = shipped + dropped;
             std::printf("warm pass      : %s (producer waited %.2f s, "
-                        "partitions idle %.2f s)\n",
+                        "partitions idle %.2f s; shipped %.0f, dropped "
+                        "%.0f = %.1f%%)\n",
                         wait_s > idle_s / partitions ? "partition-bound"
                                                      : "producer-bound",
-                        wait_s, idle_s);
+                        wait_s, idle_s, shipped, dropped,
+                        pushed > 0.0 ? 100.0 * dropped / pushed : 0.0);
+        }
+        if (partitions >= 1.0) {
+            // The producer waits while `jobs` captured checkpoints
+            // still wait for a region task to start.
+            std::printf("checkpoints    : producer waited %.2f s for "
+                        "queued regions to start\n",
+                        arg("checkpoint_wait_s"));
         }
 
         // The phase span must agree with the wall time the pipeline
