@@ -39,7 +39,7 @@
 # is written as a SHA-tagged ledger, build-rel/obs_gate.json, the
 # format of the committed BENCH_hotpath.json.
 #
-# With --jobs-smoke lbm train's results at -j 1, -j 3 and -j 4
+# With --jobs-smoke lbm train's results at -j 1, -j 2, -j 3 and -j 4
 # (baseline and prefetch) are diffed bit-exact across host worker and
 # warming partition counts, and the partition count each run reports
 # is checked; a cold roms train at -j 2 and -j 4 (pipelined analysis)
@@ -181,17 +181,18 @@ if [ "$1" = "--jobs-smoke" ]; then
     {
         # Set-partitioned warming: lbm train's checkpoints, and so every
         # simulated number, must not depend on the partition count
-        # (-j 3 and -j 4 split the cache work; -j 1 and the prefetch
-        # preset warm inline). The header line names the jobs count.
+        # (-j 2, the benchmark's host-worker count, -j 3 and -j 4 split
+        # the cache work; -j 1 and the prefetch preset warm inline).
+        # The header line names the jobs count.
         lbm="-p spec-lbm-1 -i train -n 4 --no-fullsim"
         filter='^(====|journal|host-parallel|actual speedup)'
         for uarch in baseline prefetch; do
-            for j in 1 3 4; do
+            for j in 1 2 3 4; do
                 $lp $lbm --uarch=$uarch -j $j > "$out.lbm.$uarch.j$j.txt"
                 rc=$?
                 [ $rc -eq 0 ] || { echo "jobs-smoke FAIL: lbm $uarch -j $j exited $rc (want 0)"; exit 1; }
             done
-            for j in 3 4; do
+            for j in 2 3 4; do
                 if ! diff <(grep -vE "$filter" "$out.lbm.$uarch.j1.txt") \
                           <(grep -vE "$filter" "$out.lbm.$uarch.j$j.txt"); then
                     echo "jobs-smoke FAIL: lbm $uarch -j $j differs from -j 1"; exit 1
@@ -214,6 +215,8 @@ if [ "$1" = "--jobs-smoke" ]; then
                 echo "jobs-smoke FAIL: roms -j $j differs from -j 1"; exit 1
             fi
         done
+        grep -q '2 jobs, 2 warm partition(s)' "$out.lbm.baseline.j2.txt" || {
+            echo "jobs-smoke FAIL: lbm baseline -j 2 did not warm in 2 partitions"; exit 1; }
         grep -q '4 jobs, 4 warm partition(s)' "$out.lbm.baseline.j4.txt" || {
             echo "jobs-smoke FAIL: lbm baseline -j 4 did not warm in 4 partitions"; exit 1; }
         grep -q '4 jobs, 1 warm partition(s)' "$out.lbm.prefetch.j4.txt" || {

@@ -137,147 +137,6 @@ Cache::bindImage(void *mem)
     }
 }
 
-uint32_t
-Cache::find(size_t base, uint64_t tag) const
-{
-    // Invalid ways hold 0, which no tag equals.
-    const uint64_t *set = tags + base;
-    for (uint32_t w = 0; w < cfg.assoc; ++w)
-        if (set[w] == tag)
-            return w;
-    return cfg.assoc;
-}
-
-void
-Cache::promote(size_t base, uint32_t w, uint64_t tag, uint64_t mask)
-{
-    std::memmove(tags + base + 1, tags + base, w * sizeof(uint64_t));
-    tags[base] = tag;
-    if (masks) {
-        std::memmove(masks + base + 1, masks + base,
-                     w * sizeof(uint64_t));
-        masks[base] = mask;
-    }
-}
-
-void
-Cache::insert(size_t base, uint64_t tag, uint64_t mask,
-              std::optional<Addr> *evicted, uint64_t *evicted_sharers)
-{
-    // The first invalid way or, in a full set, the LRU line in the
-    // last way — the victim.
-    const uint64_t *set = tags + base;
-    uint32_t w = cfg.assoc - 1;
-    if (set[w]) {
-        if (evicted)
-            *evicted = (set[w] - 1) << lineShift;
-        if (evicted_sharers && masks)
-            *evicted_sharers = masks[base + w];
-    } else {
-        w = 0;
-        while (set[w])
-            ++w;
-    }
-    promote(base, w, tag, mask);
-}
-
-bool
-Cache::access(Addr addr, uint32_t core, bool is_write,
-              std::optional<Addr> *evicted, uint64_t *evicted_sharers)
-{
-    (void)is_write;
-    ++cacheStats.accesses;
-    const uint64_t line = lineAddr(addr);
-    const uint64_t tag = line + 1;
-    const uint64_t bit = 1ull << core;
-    const size_t base = setBase(line);
-
-    // MRU fast path: recency order makes the common temporal-locality
-    // hit a single compare.
-    if (tags[base] == tag) {
-        if (masks)
-            masks[base] |= bit;
-        return true;
-    }
-    const uint32_t w = find(base, tag);
-    if (w != cfg.assoc) {
-        promote(base, w, tag, masks ? masks[base + w] | bit : 0);
-        return true;
-    }
-    ++cacheStats.misses;
-    insert(base, tag, bit, evicted, evicted_sharers);
-    return false;
-}
-
-std::optional<Addr>
-Cache::fill(Addr addr, uint32_t core, uint64_t *evicted_sharers)
-{
-    const uint64_t line = lineAddr(addr);
-    const uint64_t tag = line + 1;
-    const uint64_t bit = 1ull << core;
-    const size_t base = setBase(line);
-    const uint32_t w = find(base, tag);
-    if (w != cfg.assoc) {
-        if (masks)
-            masks[base + w] |= bit;
-        return std::nullopt; // already resident; don't touch LRU
-    }
-    std::optional<Addr> evicted;
-    insert(base, tag, bit, &evicted, evicted_sharers);
-    return evicted;
-}
-
-bool
-Cache::invalidate(Addr addr)
-{
-    const uint64_t line = lineAddr(addr);
-    const size_t base = setBase(line);
-    const uint32_t w = find(base, line + 1);
-    if (w == cfg.assoc)
-        return false;
-    // Compact the valid suffix so invalid ways stay at the tail and
-    // relative recency is preserved.
-    const size_t tail = (cfg.assoc - 1 - w) * sizeof(uint64_t);
-    std::memmove(tags + base + w, tags + base + w + 1, tail);
-    tags[base + cfg.assoc - 1] = 0;
-    if (masks) {
-        std::memmove(masks + base + w, masks + base + w + 1, tail);
-        masks[base + cfg.assoc - 1] = 0;
-    }
-    ++cacheStats.invalidations;
-    return true;
-}
-
-bool
-Cache::contains(Addr addr) const
-{
-    const uint64_t line = lineAddr(addr);
-    return find(setBase(line), line + 1) != cfg.assoc;
-}
-
-uint64_t
-Cache::sharers(Addr addr) const
-{
-    if (!masks)
-        return 0;
-    const uint64_t line = lineAddr(addr);
-    const size_t base = setBase(line);
-    const uint32_t w = find(base, line + 1);
-    return w == cfg.assoc ? 0 : masks[base + w];
-}
-
-void
-Cache::removeSharer(Addr addr, uint32_t core)
-{
-    if (!masks)
-        return;
-    const uint64_t line = lineAddr(addr);
-    const size_t base = setBase(line);
-    const uint32_t w = find(base, line + 1);
-    if (w != cfg.assoc)
-        masks[base + w] &= ~(1ull << core);
-}
-
 CacheHierarchy::CacheHierarchy(const SimConfig &cfg_, uint32_t num_cores,
                                CacheBacking backing)
     : cfg(cfg_), numCores(num_cores),
@@ -308,18 +167,19 @@ CacheHierarchy::CacheHierarchy(const SimConfig &cfg_, uint32_t num_cores,
 }
 
 void
-CacheHierarchy::invalidateOthers(uint32_t core, Addr addr)
+CacheHierarchy::invalidateOthers(uint32_t core, Addr addr,
+                                 uint64_t &sharers)
 {
-    uint64_t mask = l3.sharers(addr) & ~(1ull << core);
-    while (mask) {
-        uint32_t other = static_cast<uint32_t>(__builtin_ctzll(mask));
-        mask &= mask - 1;
+    uint64_t others = sharers & ~(1ull << core);
+    while (others) {
+        uint32_t other = static_cast<uint32_t>(__builtin_ctzll(others));
+        others &= others - 1;
         l1d[other].invalidate(addr);
         l2[other].invalidate(addr);
         // A write leaves the other core's L1-I copy in place, so its
         // sharer bit stays while that copy lives.
         if (!l1i[other].contains(addr))
-            l3.removeSharer(addr, other);
+            sharers &= ~(1ull << other);
     }
 }
 
@@ -346,12 +206,11 @@ CacheHierarchy::access(uint32_t core, Addr addr, bool is_write)
     std::optional<Addr> evicted;
     uint64_t evicted_sharers = 0;
 
-    if (l1d[core].access(addr, core, is_write, nullptr)) {
+    if (l1d[core].access(addr, core, nullptr)) {
         r.hitLevel = 1;
-    } else if (l2[core].access(addr, core, is_write, nullptr)) {
+    } else if (l2[core].access(addr, core, nullptr)) {
         r.hitLevel = 2;
-    } else if (l3.access(addr, core, is_write, &evicted,
-                         &evicted_sharers)) {
+    } else if (l3.access(addr, core, &evicted, &evicted_sharers)) {
         r.hitLevel = 3;
     } else {
         r.hitLevel = 4;
@@ -360,8 +219,17 @@ CacheHierarchy::access(uint32_t core, Addr addr, bool is_write)
             backInvalidate(*evicted, evicted_sharers);
     }
     r.latency = dataLat[r.hitLevel - 1];
-    if (is_write)
-        invalidateOthers(core, addr);
+    if (is_write) {
+        // A private hit has not touched the L3, so look the line up
+        // (inclusion keeps it resident); an L3 hit left it in the MRU
+        // way; an L3 miss inserted it with only this core's bit.
+        if (r.hitLevel <= 2) {
+            if (uint64_t *sharers = l3.sharerWord(addr))
+                invalidateOthers(core, addr, *sharers);
+        } else if (r.hitLevel == 3) {
+            invalidateOthers(core, addr, l3.mruSharers(addr));
+        }
+    }
 
     // Next-line prefetcher: an L2 demand miss pulls the following
     // lines into the L2 and L3 without charging demand latency.
@@ -384,11 +252,11 @@ CacheHierarchy::fetch(uint32_t core, Addr pc)
     MemAccessResult r;
     std::optional<Addr> evicted;
     uint64_t evicted_sharers = 0;
-    if (l1i[core].access(pc, core, false, nullptr)) {
+    if (l1i[core].access(pc, core, nullptr)) {
         r.hitLevel = 1;
-    } else if (l2[core].access(pc, core, false, nullptr)) {
+    } else if (l2[core].access(pc, core, nullptr)) {
         r.hitLevel = 2;
-    } else if (l3.access(pc, core, false, &evicted, &evicted_sharers)) {
+    } else if (l3.access(pc, core, &evicted, &evicted_sharers)) {
         r.hitLevel = 3;
     } else {
         r.hitLevel = 4;

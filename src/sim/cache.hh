@@ -15,18 +15,31 @@
  * prefix. The ordering is observationally identical to classic
  * timestamp LRU, so no per-line stamps are kept.
  *
+ * The per-set operations (lookup, promotion, insertion, invalidation,
+ * sharer queries) are defined inline in this header, so
+ * CacheHierarchy::access and CacheHierarchy::fetch compile into one
+ * walk through L1, L2 and L3 with no call per level. That walk runs
+ * under every warm partition, every region simulation and every
+ * whole-program reference.
+ *
  * Sharer masks live only in the L3, in an array parallel to its tags.
  * The hierarchy keeps one rule: a private copy of a line (L1-I, L1-D
  * or L2) implies that core's sharer bit on the L3 line. A bit may be
  * stale, never missing, so back-invalidation of an L3 victim visits
- * only the cores in the victim's mask.
+ * only the cores in the victim's mask. A write that reached the L3
+ * takes the line's mask from that access (the line is then the MRU
+ * way of its set) instead of probing the L3 again; a write that
+ * missed the L3 inserted the line with only the writer's bit, so it
+ * invalidates nothing.
  */
 
 #ifndef LOOPPOINT_SIM_CACHE_HH
 #define LOOPPOINT_SIM_CACHE_HH
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "isa/program.hh"
@@ -51,13 +64,6 @@ struct CacheStats
 };
 
 /**
- * One set-associative LRU cache. Tags only — no data storage. Each way
- * is one packed tag word, `lineAddr + 1`, so 0 marks an invalid way.
- * A cache built with Sharers::Tracked (the L3, and the default) also
- * keeps a sharer bitmask per way, in an array parallel to the tags,
- * recording which cores may hold a private copy.
- */
-/**
  * Where a cache's arrays live. Deferred allocates nothing: the cache
  * (or hierarchy) is unusable until an image is bound, which lets a
  * checkpoint restore bind straight into its payload without first
@@ -65,6 +71,13 @@ struct CacheStats
  */
 enum class CacheBacking { Owned, Deferred };
 
+/**
+ * One set-associative LRU cache. Tags only — no data storage. Each way
+ * is one packed tag word, `lineAddr + 1`, so 0 marks an invalid way.
+ * A cache built with Sharers::Tracked (the L3, and the default) also
+ * keeps a sharer bitmask per way, in an array parallel to the tags,
+ * recording which cores may hold a private copy.
+ */
 class Cache
 {
   public:
@@ -86,8 +99,7 @@ class Cache
      *        untouched otherwise.
      * @return true on hit
      */
-    bool access(Addr addr, uint32_t core, bool is_write,
-                std::optional<Addr> *evicted,
+    bool access(Addr addr, uint32_t core, std::optional<Addr> *evicted,
                 uint64_t *evicted_sharers = nullptr);
 
     /**
@@ -108,8 +120,22 @@ class Cache
     /** Sharer bitmask of a resident line; 0 if absent or untracked. */
     uint64_t sharers(Addr addr) const;
 
-    /** Drop a core from a line's sharer set. */
-    void removeSharer(Addr addr, uint32_t core);
+    /**
+     * The sharer mask word of a resident line of a tracked cache, or
+     * null if the line is absent. Valid until the line's set changes.
+     */
+    uint64_t *sharerWord(Addr addr);
+
+    /**
+     * The sharer mask word of the most recently used way of `addr`'s
+     * set in a tracked cache: after access(addr) or a fill of an
+     * absent `addr`, that line's. No lookup.
+     */
+    uint64_t &
+    mruSharers(Addr addr)
+    {
+        return masks[setBase(lineAddr(addr))];
+    }
 
     const CacheStats &stats() const { return cacheStats; }
     void resetStats() { cacheStats = CacheStats{}; }
@@ -160,13 +186,17 @@ class Cache
     }
     /** Way holding `tag` in the set at `base`, or assoc if absent. */
     uint32_t find(size_t base, uint64_t tag) const;
-    /** Shift ways [0, w) of the set at `base` down by one and put
-     * `tag` (with sharer mask `mask`) in way 0. */
-    void promote(size_t base, uint32_t w, uint64_t tag, uint64_t mask);
-    /** Insert an absent `tag` as MRU, reporting any displaced line
-     * as access() does. */
-    void insert(size_t base, uint64_t tag, uint64_t mask,
-                std::optional<Addr> *evicted, uint64_t *evicted_sharers);
+    /**
+     * Put `tag` in way 0 of the set at `base`, shifting the ways
+     * before it down by one: the way that held `tag` (a hit), else
+     * the first invalid way, else the last way, whose LRU line is
+     * evicted and reported as access() does. A line's sharer mask
+     * moves with it and gains `bit`; an inserted line gets `bit`
+     * alone. Returns true on a hit.
+     */
+    bool moveToFront(size_t base, uint64_t tag, uint64_t bit,
+                     std::optional<Addr> *evicted,
+                     uint64_t *evicted_sharers);
 
     /** Sets in the cache (a power of two). */
     uint32_t numSets() const { return setMask + 1; }
@@ -190,6 +220,139 @@ class Cache
     uint64_t *masks = nullptr;
     CacheStats cacheStats;
 };
+
+inline uint32_t
+Cache::find(size_t base, uint64_t tag) const
+{
+    // Invalid ways hold 0, which no tag equals.
+    const uint64_t *set = tags + base;
+    for (uint32_t w = 0; w < cfg.assoc; ++w)
+        if (set[w] == tag)
+            return w;
+    return cfg.assoc;
+}
+
+inline bool
+Cache::moveToFront(size_t base, uint64_t tag, uint64_t bit,
+                   std::optional<Addr> *evicted, uint64_t *evicted_sharers)
+{
+    // One pass finds the way and shifts: each step puts the line the
+    // previous way held into the current one and picks up its line.
+    uint64_t *set = tags + base;
+    uint64_t displaced = set[0];
+    set[0] = tag;
+    uint32_t w = 0;
+    while (displaced != tag && displaced != 0 && ++w < cfg.assoc)
+        std::swap(displaced, set[w]);
+    const bool hit = displaced == tag;
+    const bool full = w == cfg.assoc; // `displaced` is the LRU line
+    if (full) {
+        w = cfg.assoc - 1;
+        if (evicted)
+            *evicted = (displaced - 1) << lineShift;
+    }
+    if (masks) {
+        uint64_t *mask = masks + base;
+        const uint64_t moved = mask[w];
+        for (uint32_t i = w; i > 0; --i)
+            mask[i] = mask[i - 1];
+        mask[0] = hit ? moved | bit : bit;
+        if (full && evicted_sharers)
+            *evicted_sharers = moved;
+    }
+    return hit;
+}
+
+inline bool
+Cache::access(Addr addr, uint32_t core, std::optional<Addr> *evicted,
+              uint64_t *evicted_sharers)
+{
+    ++cacheStats.accesses;
+    const uint64_t line = lineAddr(addr);
+    const uint64_t tag = line + 1;
+    const uint64_t bit = 1ull << core;
+    const size_t base = setBase(line);
+
+    // MRU fast path: recency order makes the common temporal-locality
+    // hit a single compare.
+    if (tags[base] == tag) {
+        if (masks)
+            masks[base] |= bit;
+        return true;
+    }
+    if (moveToFront(base, tag, bit, evicted, evicted_sharers))
+        return true;
+    ++cacheStats.misses;
+    return false;
+}
+
+inline std::optional<Addr>
+Cache::fill(Addr addr, uint32_t core, uint64_t *evicted_sharers)
+{
+    const uint64_t line = lineAddr(addr);
+    const uint64_t tag = line + 1;
+    const uint64_t bit = 1ull << core;
+    const size_t base = setBase(line);
+    const uint32_t w = find(base, tag);
+    if (w != cfg.assoc) {
+        if (masks)
+            masks[base + w] |= bit;
+        return std::nullopt; // already resident; don't touch LRU
+    }
+    std::optional<Addr> evicted;
+    moveToFront(base, tag, bit, &evicted, evicted_sharers);
+    return evicted;
+}
+
+inline bool
+Cache::invalidate(Addr addr)
+{
+    const uint64_t line = lineAddr(addr);
+    const size_t base = setBase(line);
+    const uint32_t w = find(base, line + 1);
+    if (w == cfg.assoc)
+        return false;
+    // Compact the valid suffix so invalid ways stay at the tail and
+    // relative recency is preserved.
+    const size_t tail = (cfg.assoc - 1 - w) * sizeof(uint64_t);
+    std::memmove(tags + base + w, tags + base + w + 1, tail);
+    tags[base + cfg.assoc - 1] = 0;
+    if (masks) {
+        std::memmove(masks + base + w, masks + base + w + 1, tail);
+        masks[base + cfg.assoc - 1] = 0;
+    }
+    ++cacheStats.invalidations;
+    return true;
+}
+
+inline bool
+Cache::contains(Addr addr) const
+{
+    const uint64_t line = lineAddr(addr);
+    return find(setBase(line), line + 1) != cfg.assoc;
+}
+
+inline uint64_t *
+Cache::sharerWord(Addr addr)
+{
+    if (!masks)
+        return nullptr;
+    const uint64_t line = lineAddr(addr);
+    const size_t base = setBase(line);
+    const uint32_t w = find(base, line + 1);
+    return w == cfg.assoc ? nullptr : masks + base + w;
+}
+
+inline uint64_t
+Cache::sharers(Addr addr) const
+{
+    if (!masks)
+        return 0;
+    const uint64_t line = lineAddr(addr);
+    const size_t base = setBase(line);
+    const uint32_t w = find(base, line + 1);
+    return w == cfg.assoc ? 0 : masks[base + w];
+}
 
 /**
  * Which of `partitions` warming partitions owns a cache set, given the
@@ -283,7 +446,10 @@ class CacheHierarchy
                          uint32_t partitions) const;
 
   private:
-    void invalidateOthers(uint32_t core, Addr addr);
+    /** Write-invalidate: drop the line from the L1-D and L2 of every
+     * other core in `sharers`, the written line's L3 mask word, and
+     * clear the bit of each such core whose L1-I lacks the line. */
+    void invalidateOthers(uint32_t core, Addr addr, uint64_t &sharers);
     /** Remove an L3 victim from the private caches of its sharers. */
     void backInvalidate(Addr addr, uint64_t sharers);
 

@@ -2,7 +2,8 @@
 # Exit-code contract of the command-line tools and of the examples
 # that take arguments, all parsed by src/util/flags: --help exits 0, a
 # malformed command line exits 2. Also checks that README's flag
-# tables list every flag --help lists.
+# tables list every flag --help lists, and that lp_report reads a
+# trace, partitioned warm pass included.
 #
 #   tests/cli_test.sh RUN_LOOPPOINT LP_LINT LP_CAMPAIGN LP_REPORT LP_STORE \
 #       SAMPLE_SPEC_APP BASELINE_COMPARISON README
@@ -81,6 +82,14 @@ done
 # The space form of a value works for every flag.
 expect 0 "$run_looppoint" -p demo-matrix-1 -n 2 -j 1 --no-fullsim --trace "$tmp/t.json"
 expect 0 "$lp_report" --trace "$tmp/t.json" --check
+# A warm pass split over partitions (-j 2) reports how fast they
+# applied the records they were shipped.
+expect 0 "$run_looppoint" -p demo-matrix-1 -n 2 -j 2 --no-fullsim --trace "$tmp/t2.json"
+expect 0 "$lp_report" --trace "$tmp/t2.json" --check
+grep -qE '^warm apply +: [0-9.]+ M records/s \([0-9]+ records over [0-9.]+ busy s\)$' "$tmp/out" || {
+    echo "FAIL: lp_report printed no partition apply rate for a -j 2 trace"
+    sed 's/^/    /' "$tmp/out"
+    failures=$((failures + 1)); }
 expect 0 "$lp_store" stats "$tmp/store"
 expect 0 "$lp_store" gc "$tmp/store" --max-bytes 0 --dry-run
 

@@ -680,8 +680,7 @@ TEST(HotpathCache, PropertyMatchesReferenceLru)
         const uint64_t op = rng.nextBounded(10);
         if (op < 7) {
             std::optional<Addr> ev_opt, ev_ref;
-            const bool is_write = rng.nextBounded(2) != 0;
-            const bool hit_opt = opt.access(addr, core, is_write, &ev_opt);
+            const bool hit_opt = opt.access(addr, core, &ev_opt);
             const bool hit_ref = ref.access(addr, core, &ev_ref);
             ASSERT_EQ(hit_opt, hit_ref) << "step " << step;
             ASSERT_EQ(ev_opt.has_value(), ev_ref.has_value())
@@ -713,11 +712,11 @@ TEST(HotpathCache, EvictedOptionalDisambiguatesLineZero)
     // the line at address 0 must yield an *engaged* optional holding 0,
     // distinguishable from "nothing evicted".
     Cache c(CacheConfig{128, 2, 64, 1});
-    EXPECT_FALSE(c.access(0x00, 0, false, nullptr));
-    EXPECT_FALSE(c.access(0x40, 0, false, nullptr));
+    EXPECT_FALSE(c.access(0x00, 0, nullptr));
+    EXPECT_FALSE(c.access(0x40, 0, nullptr));
 
     std::optional<Addr> evicted;
-    EXPECT_FALSE(c.access(0x80, 0, false, &evicted));
+    EXPECT_FALSE(c.access(0x80, 0, &evicted));
     ASSERT_TRUE(evicted.has_value());
     EXPECT_EQ(*evicted, 0u);
     EXPECT_FALSE(c.contains(0x00));
@@ -838,22 +837,46 @@ expectStatsEqual(const CacheStats &opt, const RefLruCache &ref,
     EXPECT_EQ(opt.invalidations, ref.invalidations) << what;
 }
 
-TEST(HotpathCache, HierarchyMatchesReference)
+/** One hierarchy geometry for the oracle, and its address pool. */
+struct HierarchyGeometry
 {
-    // Tiny geometries so the L3 (16 lines) evicts constantly and
-    // back-invalidation runs on most misses. Instruction fetches and
-    // data accesses share one 48-line pool, so writes hit lines other
-    // cores hold in L1-I — the case where a sharer bit cleared by a
-    // write would hide a live L1-I copy from a mask-filtered
-    // back-invalidation.
+    const char *name;
+    CacheConfig l1i, l1d, l2, l3;
+    uint32_t prefetchDegree;
+    /** Distinct lines the random stream draws from: three times the
+     * L3's capacity, so it evicts constantly. */
+    uint64_t poolLines;
+};
+
+/** Names the geometry in test listings (not its bytes). */
+void
+PrintTo(const HierarchyGeometry &geo, std::ostream *os)
+{
+    *os << geo.name;
+}
+
+class HotpathHierarchy : public testing::TestWithParam<HierarchyGeometry>
+{};
+
+/**
+ * Few sets, so the L3 evicts constantly and back-invalidation runs on
+ * most misses. Instruction fetches and data accesses share one pool,
+ * so writes hit lines other cores hold in L1-I — the case where a
+ * sharer bit cleared by a write would hide a live L1-I copy from a
+ * mask-filtered back-invalidation — and writes that hit the L3 find
+ * other cores' bits to clear.
+ */
+TEST_P(HotpathHierarchy, MatchesReference)
+{
+    const HierarchyGeometry &geo = GetParam();
     SimConfig cfg;
-    cfg.l1i = CacheConfig{256, 2, 64, 1};
-    cfg.l1d = CacheConfig{256, 2, 64, 3};
-    cfg.l2 = CacheConfig{512, 2, 64, 9};
-    cfg.l3 = CacheConfig{1024, 4, 64, 34};
-    cfg.prefetchDegree = 2;
+    cfg.l1i = geo.l1i;
+    cfg.l1d = geo.l1d;
+    cfg.l2 = geo.l2;
+    cfg.l3 = geo.l3;
+    cfg.prefetchDegree = geo.prefetchDegree;
     const uint32_t cores = 4;
-    const uint64_t pool_lines = 48;
+    const uint64_t pool_lines = geo.poolLines;
     CacheHierarchy opt(cfg, cores);
     RefHierarchy ref(cfg, cores);
     Rng rng(2024);
@@ -887,7 +910,7 @@ TEST(HotpathCache, HierarchyMatchesReference)
         EXPECT_GT(opt.l1iStats(c).invalidations, 0u) << core;
     }
     expectStatsEqual(opt.l3Stats(), ref.l3, "l3");
-    // The prefetcher reaches up to two lines past the pool.
+    // The prefetcher reaches up to prefetchDegree lines past the pool.
     for (uint64_t line = 0; line < pool_lines + cfg.prefetchDegree;
          ++line) {
         const Addr addr = line * 64;
@@ -906,6 +929,25 @@ TEST(HotpathCache, HierarchyMatchesReference)
             << "l3 line " << line;
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, HotpathHierarchy,
+    testing::Values(
+        // 2/2/2/4 ways, a 16-line L3, the next-line prefetcher on.
+        HierarchyGeometry{"tiny_prefetch2", CacheConfig{256, 2, 64, 1},
+                          CacheConfig{256, 2, 64, 3},
+                          CacheConfig{512, 2, 64, 9},
+                          CacheConfig{1024, 4, 64, 34}, 2, 48},
+        // The Table I associativities (4/8/8/16 ways) with two sets
+        // per level and no prefetcher: the path of every baseline
+        // run and every warm partition.
+        HierarchyGeometry{"table1_ways", CacheConfig{512, 4, 64, 1},
+                          CacheConfig{1024, 8, 64, 3},
+                          CacheConfig{1024, 8, 64, 9},
+                          CacheConfig{2048, 16, 64, 34}, 0, 96}),
+    [](const testing::TestParamInfo<HierarchyGeometry> &info) {
+        return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------
 // Checkpoint round trip while a thread is blocked mid-wait.

@@ -25,9 +25,9 @@ namespace {
 TEST(Cache, HitsAfterFill)
 {
     Cache c(CacheConfig{1024, 2, 64, 1});
-    EXPECT_FALSE(c.access(0x1000, 0, false, nullptr)); // miss, fill
-    EXPECT_TRUE(c.access(0x1000, 0, false, nullptr));  // hit
-    EXPECT_TRUE(c.access(0x1020, 0, false, nullptr));  // same line
+    EXPECT_FALSE(c.access(0x1000, 0, nullptr)); // miss, fill
+    EXPECT_TRUE(c.access(0x1000, 0, nullptr));  // hit
+    EXPECT_TRUE(c.access(0x1020, 0, nullptr));  // same line
     EXPECT_EQ(c.stats().accesses, 3u);
     EXPECT_EQ(c.stats().misses, 1u);
 }
@@ -37,11 +37,11 @@ TEST(Cache, LruEviction)
     // 2-way, 64B lines, 1024B => 8 sets. Lines mapping to set 0:
     // 0x0000, 0x0200, 0x0400 (line index multiples of 8).
     Cache c(CacheConfig{1024, 2, 64, 1});
-    c.access(0x0000, 0, false, nullptr);
-    c.access(0x0200, 0, false, nullptr);
-    c.access(0x0000, 0, false, nullptr); // touch: 0x200 becomes LRU
+    c.access(0x0000, 0, nullptr);
+    c.access(0x0200, 0, nullptr);
+    c.access(0x0000, 0, nullptr); // touch: 0x200 becomes LRU
     std::optional<Addr> evicted;
-    c.access(0x0400, 0, false, &evicted); // evicts 0x200
+    c.access(0x0400, 0, &evicted); // evicts 0x200
     ASSERT_TRUE(evicted.has_value());
     EXPECT_EQ(*evicted, 0x200u);
     EXPECT_TRUE(c.contains(0x0000));
@@ -52,7 +52,7 @@ TEST(Cache, LruEviction)
 TEST(Cache, InvalidateRemovesLine)
 {
     Cache c(CacheConfig{1024, 2, 64, 1});
-    c.access(0x40, 0, false, nullptr);
+    c.access(0x40, 0, nullptr);
     EXPECT_TRUE(c.contains(0x40));
     EXPECT_TRUE(c.invalidate(0x40));
     EXPECT_FALSE(c.contains(0x40));
@@ -62,11 +62,14 @@ TEST(Cache, InvalidateRemovesLine)
 TEST(Cache, SharerTracking)
 {
     Cache c(CacheConfig{1024, 2, 64, 1});
-    c.access(0x80, 0, false, nullptr);
-    c.access(0x80, 3, false, nullptr);
+    c.access(0x80, 0, nullptr);
+    c.access(0x80, 3, nullptr);
     EXPECT_EQ(c.sharers(0x80), 0b1001ull);
-    c.removeSharer(0x80, 0);
+    // The last access left the line in the MRU way.
+    EXPECT_EQ(&c.mruSharers(0x80), c.sharerWord(0x80));
+    *c.sharerWord(0x80) &= ~1ull;
     EXPECT_EQ(c.sharers(0x80), 0b1000ull);
+    EXPECT_EQ(c.sharerWord(0xc0), nullptr);
 }
 
 TEST(Hierarchy, LatenciesGrowWithDepth)

@@ -376,6 +376,17 @@ reportTrace(const Options &opt)
                                                      : "producer-bound",
                         wait_s, idle_s, shipped, dropped,
                         pushed > 0.0 ? 100.0 * dropped / pushed : 0.0);
+            // How fast the cache layer applies records: the shipped
+            // records over the partitions' busy time, their spans
+            // less the time they waited for records.
+            auto part = phases.find("warm.partition");
+            const double busy_s =
+                (part == phases.end() ? 0.0 : part->second.totalUs / 1e6) -
+                idle_s;
+            if (busy_s > 0.0)
+                std::printf("warm apply     : %.2f M records/s (%.0f "
+                            "records over %.3f busy s)\n",
+                            shipped / busy_s / 1e6, shipped, busy_s);
         }
         if (partitions >= 1.0) {
             // The producer waits while `jobs` captured checkpoints
