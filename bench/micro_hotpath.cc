@@ -9,9 +9,9 @@
  *
  * Only stable public APIs are used, so the identical source can be
  * built against an older commit (one that has src/util/flags.hh) to
- * obtain a comparison baseline. --obs=on arms the global
- * tracer/metrics during measurement so obs overhead itself can be
- * benchmarked; the setting is recorded in the JSON.
+ * obtain a comparison baseline. --obs=on arms the global span tracer,
+ * the one telemetry channel, during measurement so its overhead can
+ * be benchmarked; the setting is recorded in the JSON.
  */
 
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/multicore.hh"
 #include "workload/descriptor.hh"
@@ -149,15 +148,13 @@ main(int argc, char **argv)
          {"out", 0, "PATH", "JSON output path (default: BENCH_hotpath.json)",
           setString(out_path)},
          {"obs", 0, "on|off",
-          "arm the global tracer/metrics during measurement (default: off)",
+          "arm the global span tracer during measurement (default: off)",
           setChoice(obs, [](const std::string &v) {
               return v == "on" || v == "off" ? std::optional(v == "on")
                                              : std::nullopt;
           })}});
-    if (obs) {
+    if (obs)
         Tracer::global().setEnabled(true);
-        MetricsRegistry::global().setEnabled(true);
-    }
 
     const AppDescriptor &app = findApp(app_name);
     Program prog = generateProgram(app, resolveInputClass(input_name));

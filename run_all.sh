@@ -26,13 +26,13 @@
 # that the measurement harness itself still works.
 #
 # With --obs-smoke the observability layer is exercised end to end: a
-# short traced pipeline run emits a Chrome-trace JSON + metrics JSON
-# that lp_report --check validates. Then the hot-path microbenchmark
-# is compared on this host only, never against numbers from another
-# machine: micro_hotpath of this tree (Release, build-rel/) with
-# --obs=off against --obs=on, and against a Release build of its
-# parent commit (HEAD^, or HEAD when src/ or bench/ has uncommitted
-# edits; extracted with git archive into build-parent/), in
+# short traced pipeline run emits a Chrome-trace JSON that lp_report
+# --check validates. Then the hot-path microbenchmark is compared on
+# this host only, never against numbers from another machine:
+# micro_hotpath of this tree (Release, build-rel/) with --obs=off
+# against --obs=on (the span tracer armed), and against a Release
+# build of its parent commit (HEAD^, or HEAD when src/ or bench/ has
+# uncommitted edits; extracted with git archive into build-parent/), in
 # alternating rounds. In every mode the median over rounds of the
 # slowdown between back-to-back runs must stay within 2%, for obs on
 # against off and for this tree against its parent. The comparison
@@ -490,12 +490,11 @@ if [ "$1" = "--obs-smoke" ]; then
     cmake -B build -S . || exit 1
     cmake --build build -j --target run_looppoint lp_report || exit 1
     trace=$(mktemp -u /tmp/obs_smoke.XXXXXX).trace.json
-    metrics=${trace%.trace.json}.metrics.json
     dir=$(mktemp -d /tmp/obs_smoke.XXXXXX)
-    trap 'rm -rf "$trace" "$metrics" "$dir"' EXIT
+    trap 'rm -rf "$trace" "$dir"' EXIT
     build/tools/run_looppoint -p spec-roms-1 -i train --no-fullsim -j 4 \
-        --trace="$trace" --metrics="$metrics" > /dev/null || exit 1
-    build/tools/lp_report --trace="$trace" --metrics="$metrics" --check || {
+        --trace="$trace" > /dev/null || exit 1
+    build/tools/lp_report --trace="$trace" --check || {
         echo "obs-smoke FAIL: lp_report --check found violations"
         exit 1
     }
@@ -584,6 +583,8 @@ out = {
               "median and quartiles over rounds; rounds alternate "
               "which side runs first",
     "obs": "off",
+    "obs_on_means": "micro_hotpath --obs=on: the global span tracer "
+                    "armed during measurement",
     "modes": modes("off"),
     "obs_on": {"modes": modes("on")},
     "parent": {"git_sha": parent_sha, "modes": modes("parent")},

@@ -11,7 +11,7 @@ constexpr const char *kJournalMagic = "looppoint-campaign-journal-v1";
 CampaignJournal::CampaignJournal(std::string path,
                                  std::string fingerprint)
     : log(std::move(path), {kJournalMagic, "key fp=" + fingerprint},
-          "campaign journal", "campaign.journal")
+          "campaign journal")
 {
 }
 

@@ -17,7 +17,6 @@
 #include <sstream>
 
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 #include "util/crc_log.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
@@ -201,7 +200,6 @@ CampaignSupervisor::superviseJob(CampaignJob &job,
                                  const std::string &job_dir,
                                  CampaignJournal &jnl)
 {
-    MetricsRegistry &reg = MetricsRegistry::global();
     const uint32_t max_attempts = 1 + opts.jobRetries;
 
     for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
@@ -212,11 +210,8 @@ CampaignSupervisor::superviseJob(CampaignJob &job,
         job.status = "running";
         job.attempts = attempt + 1;
         ++result.launches;
-        reg.counter("campaign.launches").add();
-        if (attempt > 0) {
+        if (attempt > 0)
             ++result.retries;
-            reg.counter("campaign.retries").add();
-        }
         std::printf("[run ] %-44s attempt %u/%u\n", job.id.c_str(),
                     attempt + 1, max_attempts);
         jnl.append({job.index, job.id, "launch", attempt, -1, 0});
@@ -227,7 +222,6 @@ CampaignSupervisor::superviseJob(CampaignJob &job,
 
         if (oc.timedOut) {
             ++result.timeouts;
-            reg.counter("campaign.timeouts").add();
             jnl.append({job.index, job.id, "timeout", attempt, oc.code,
                         oc.sig});
             std::printf("[time] %-44s watchdog fired after %.1f s\n",
@@ -249,7 +243,6 @@ CampaignSupervisor::superviseJob(CampaignJob &job,
                 // Exit 0/1 with a missing or garbage result.json:
                 // never trust it. Scrub and retry.
                 ++result.staleResults;
-                reg.counter("campaign.stale_results").add();
                 jnl.append({job.index, job.id, "stale", attempt,
                             oc.code, oc.sig});
                 unlink((job_dir + "/result.json").c_str());
@@ -344,7 +337,6 @@ CampaignSupervisor::adopt(CampaignJob &job, const std::string &job_dir,
         return true;
     }
     ++result.staleResults;
-    MetricsRegistry::global().counter("campaign.stale_results").add();
     jnl.append({job.index, job.id, "stale", led->second.attempts, -1, 0});
     warn("job %s: journal says complete but result.json is missing or "
          "corrupt; rerunning", job.id.c_str());

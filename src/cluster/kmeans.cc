@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -316,8 +315,6 @@ simpointCluster(const FeatureMatrix &points, uint32_t max_k,
     std::vector<KmeansResult> runs(ks.size());
     out.bicByK.resize(ks.size());
     std::vector<double> candidate_wall(ks.size(), 0.0);
-    Counter &stat_iterations =
-        MetricsRegistry::global().counter("cluster.kmeans.iterations");
     ThreadPool::forEach(pool, 0, ks.size(), [&](size_t t) {
         auto t0 = clock::now();
         const size_t i = ks.size() - 1 - t;
@@ -330,7 +327,6 @@ simpointCluster(const FeatureMatrix &points, uint32_t max_k,
             .arg("iterations", runs[i].iterations)
             .arg("distance_terms", runs[i].distanceTerms)
             .arg("bic", out.bicByK[i].second);
-        stat_iterations.add(runs[i].iterations);
         candidate_wall[i] =
             std::chrono::duration<double>(clock::now() - t0).count();
     });

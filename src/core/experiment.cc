@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "store/stage_cache.hh"
 #include "util/checksum.hh"
@@ -28,7 +27,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 ExperimentResult
 runExperiment(const ExperimentConfig &cfg)
 {
-    // Arm the process-wide telemetry before any instrumented code
+    // Arm the process-wide tracer before any instrumented code
     // runs. Leaving already-armed state alone lets callers (tests)
     // manage obs themselves across multiple experiments.
     Tracer &tracer = Tracer::global();
@@ -36,8 +35,6 @@ runExperiment(const ExperimentConfig &cfg)
         tracer.setEnabled(true);
         tracer.nameCurrentThread("main");
     }
-    if (cfg.sim.obs.metrics)
-        MetricsRegistry::global().setEnabled(true);
 
     ScopedSpan exp_span(tracer, "experiment");
     exp_span.arg("app", cfg.app);

@@ -15,7 +15,6 @@
 #endif
 
 #include "core/region_exec.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "dcfg/dcfg.hh"
 #include "exec/block_pipe.hh"
@@ -453,19 +452,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
     out.regionOutcomes.resize(lp.regions.size());
     DiagnosticSink sink;
 
-    // Telemetry handles: registry references are stable for process
-    // lifetime, and every update below is a no-op while obs is off.
     Tracer &tracer = Tracer::global();
-    MetricsRegistry &reg = MetricsRegistry::global();
-    Counter &stat_completed = reg.counter("region.sim.completed");
-    Counter &stat_failed = reg.counter("region.sim.failed");
-    Counter &stat_retries = reg.counter("region.sim.retries");
-    Histogram &stat_wall_us = reg.histogram(
-        "region.sim.wall_us",
-        {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000});
-    Histogram &stat_l2_mpki = reg.histogram(
-        "region.l2.mpki_x1000",
-        {100, 300, 1'000, 3'000, 10'000, 30'000, 100'000});
 
     auto t_phase = clock::now();
     ScopedSpan phase_span(tracer, "phase.checkpointed");
@@ -555,11 +542,6 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             // idx is unique per region: each completion writes its
             // own slot.
             out.regionMetrics[idx] = m;
-            stat_completed.add();
-            if (c.result.attempts > 1)
-                stat_retries.add(c.result.attempts - 1);
-            stat_l2_mpki.observe(
-                static_cast<uint64_t>(m.l2Mpki() * 1000.0));
             if (c.result.attempts > 1)
                 sink.warning("fault-tolerance",
                              "region " + std::to_string(idx),
@@ -582,11 +564,8 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
                        "dropped after " +
                            std::to_string(c.result.attempts) +
                            " attempt(s): " + c.result.error);
-            stat_failed.add();
         }
         out.regionWallSeconds[idx] = c.wallSeconds;
-        stat_wall_us.observe(
-            static_cast<uint64_t>(c.wallSeconds * 1e6));
     };
 
     // Re-warm one region whose stored checkpoint is unusable: replay

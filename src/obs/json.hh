@@ -2,10 +2,11 @@
  * @file
  * Minimal JSON reader/escaper for the observability subsystem.
  *
- * The tracer and the metrics registry *emit* JSON (Chrome trace-event
- * files, metrics dumps); this header is the matching *reader*: a small
- * recursive-descent parser used by `lp_report` to load those artifacts
- * back and by the tests to round-trip-validate every emitter. It
+ * The tracer and the campaign supervisor *emit* JSON (Chrome
+ * trace-event files, status.json and job results); this header is the
+ * matching *reader*: a small recursive-descent parser used by
+ * `lp_report` to load those artifacts back and by the tests to
+ * round-trip-validate every emitter. It
  * accepts exactly RFC 8259 JSON (no comments, no trailing commas) and
  * rejects trailing garbage, so "parses with JsonValue" is a meaningful
  * validity check for files destined for Perfetto / chrome://tracing.

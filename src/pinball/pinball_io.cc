@@ -4,7 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/metrics.hh"
 #include "util/checksum.hh"
 #include "util/logging.hh"
 
@@ -95,16 +94,11 @@ readFramedArtifact(std::istream &is, const std::string &magic_base,
         return Result::failure(LoadErrorKind::Parse,
                                "malformed checksum '" + crc_text + "'");
     const uint32_t computed = crc32(out.payload);
-    if (computed != stored) {
-        MetricsRegistry::global()
-            .counter("artifact.checksum.fail")
-            .add();
+    if (computed != stored)
         return Result::failure(
             LoadErrorKind::BadChecksum,
             "payload CRC32 " + crcHex(computed) +
                 " does not match stored " + crcHex(stored));
-    }
-    MetricsRegistry::global().counter("artifact.checksum.ok").add();
     return Result::success(std::move(out));
 }
 

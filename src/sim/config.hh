@@ -40,8 +40,7 @@ struct CacheConfig
  */
 struct ObsConfig
 {
-    bool trace = false;   ///< span tracer -> Chrome/Perfetto JSON
-    bool metrics = false; ///< counters/gauges/histograms registry
+    bool trace = false; ///< span tracer -> Chrome/Perfetto JSON
 };
 
 /** Full simulated-system configuration (paper Table I). */

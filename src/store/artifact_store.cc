@@ -14,7 +14,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "pinball/pinball_io.hh"
 #include "util/logging.hh"
@@ -128,9 +127,25 @@ ArtifactStore::objectPath(const std::string &hash) const
     return rootDir + "/objects/" + hash;
 }
 
+std::optional<ArtifactStore::FileStamp>
+ArtifactStore::manifestStamp() const
+{
+    struct stat st{};
+    if (::stat(manifestLog.path().c_str(), &st) != 0)
+        return std::nullopt;
+    return FileStamp{st.st_dev, st.st_ino, st.st_size,
+                     st.st_mtim.tv_sec, st.st_mtim.tv_nsec};
+}
+
 void
 ArtifactStore::reloadManifestLocked()
 {
+    // Every append grows the file and every rewrite renames a new
+    // file into place, so an unchanged stamp means the map already
+    // holds what is on disk.
+    const auto stamp = manifestStamp();
+    if (stamp && stamp == parsedStamp)
+        return;
     manifest.clear();
     auto err = manifestLog.open(false, [&](const std::string &payload) {
         auto entry = parseManifestEntry(payload);
@@ -144,6 +159,7 @@ ArtifactStore::reloadManifestLocked()
     if (err)
         logError("artifact store: %s; ignoring it",
                  err->describe().c_str());
+    parsedStamp = stamp;
 }
 
 bool
@@ -153,27 +169,22 @@ ArtifactStore::rewriteManifestLocked()
     lines.reserve(manifest.size());
     for (const auto &[k, e] : manifest)
         lines.push_back(encodeManifestEntry(e));
-    return manifestLog.rewrite(lines);
+    const bool ok = manifestLog.rewrite(lines);
+    parsedStamp = ok ? manifestStamp() : std::nullopt;
+    return ok;
 }
 
 void
-ArtifactStore::countHit(const std::string &stage, uint64_t payload_bytes)
+ArtifactStore::countHit(uint64_t payload_bytes)
 {
     nHits.fetch_add(1, std::memory_order_relaxed);
     nBytesRead.fetch_add(payload_bytes, std::memory_order_relaxed);
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.counter("store.hits").add();
-    reg.counter("store.hit." + stage).add();
-    reg.counter("store.bytes_read").add(payload_bytes);
 }
 
 void
-ArtifactStore::countMiss(const std::string &stage)
+ArtifactStore::countMiss()
 {
     nMisses.fetch_add(1, std::memory_order_relaxed);
-    MetricsRegistry &reg = MetricsRegistry::global();
-    reg.counter("store.misses").add();
-    reg.counter("store.miss." + stage).add();
 }
 
 std::optional<ArtifactStore::Hit>
@@ -195,7 +206,7 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         reloadManifestLocked();
         auto it = manifest.find(std::make_pair(stage, key));
         if (it == manifest.end()) {
-            countMiss(stage);
+            countMiss();
             span.arg("outcome", "miss");
             return std::nullopt;
         }
@@ -204,7 +215,7 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         is.open(path, std::ios::binary);
         if (!is) {
             // Object vanished (e.g. a concurrent gc): plain miss.
-            countMiss(stage);
+            countMiss();
             span.arg("outcome", "gone");
             return std::nullopt;
         }
@@ -223,7 +234,6 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         logError("artifact store: evicting corrupt object %s (%s)",
                  hash.c_str(), why);
         nCorrupt.fetch_add(1, std::memory_order_relaxed);
-        MetricsRegistry::global().counter("store.corrupt").add();
         LockGuard lock(*this);
         reloadManifestLocked();
         ::unlink(path.c_str());
@@ -231,7 +241,7 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
             return kv.second.hash == hash;
         });
         rewriteManifestLocked();
-        countMiss(stage);
+        countMiss();
         span.arg("outcome", "corrupt");
     };
 
@@ -249,7 +259,7 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         return std::nullopt;
     }
 
-    countHit(stage, payload.size());
+    countHit(payload.size());
     span.arg("outcome", "hit")
         .arg("bytes", static_cast<uint64_t>(payload.size()));
     return Hit{std::move(payload), hash};
@@ -272,9 +282,6 @@ ArtifactStore::publish(const std::string &stage, const std::string &key,
     if (::stat(path.c_str(), &st) == 0) {
         nBytesDeduped.fetch_add(payload.size(),
                                 std::memory_order_relaxed);
-        MetricsRegistry::global()
-            .counter("store.bytes_deduped")
-            .add(payload.size());
     } else {
         // A failed publish is a cache miss, not a run failure: the
         // caller already holds the computed artifact, so an ENOSPC or
@@ -315,17 +322,11 @@ ArtifactStore::publish(const std::string &stage, const std::string &key,
         if (!wrote) {
             ::unlink(tmp.c_str());
             nFailedPublishes.fetch_add(1, std::memory_order_relaxed);
-            MetricsRegistry::global()
-                .counter("store.publish_failed")
-                .add();
             span.arg("outcome", "publish-failed");
             return hash;
         }
         nBytesStored.fetch_add(framed_bytes,
                                std::memory_order_relaxed);
-        MetricsRegistry::global()
-            .counter("store.bytes_stored")
-            .add(framed_bytes);
     }
 
     Entry e;
@@ -337,14 +338,16 @@ ArtifactStore::publish(const std::string &stage, const std::string &key,
     auto it = manifest.find(map_key);
     if (it == manifest.end() || it->second.hash != hash ||
         it->second.bytes != e.bytes) {
-        if (!manifestLog.append(encodeManifestEntry(e)))
+        const bool appended = manifestLog.append(encodeManifestEntry(e));
+        if (!appended)
             logError("artifact store: cannot append to manifest '%s'",
                      manifestLog.path().c_str());
         manifest[std::move(map_key)] = std::move(e);
+        // A failed append leaves the map ahead of the file: re-read it.
+        parsedStamp = appended ? manifestStamp() : std::nullopt;
     }
 
     nPublishes.fetch_add(1, std::memory_order_relaxed);
-    MetricsRegistry::global().counter("store.publishes").add();
     return hash;
 }
 

@@ -23,7 +23,8 @@
  * or gc() rewrites it atomically, one line per key.
  *
  * Concurrency contract: every mutation (publish, gc) and every lookup
- * holds an exclusive flock on `.lock` and reloads the manifest first,
+ * holds an exclusive flock on `.lock` and reloads the manifest first
+ * (a re-parse only when the file's device, inode, size or mtime moved),
  * so pool workers, parallel campaigns, and concurrent processes
  * share one store without torn state. A lookup holds it only to
  * resolve the binding and open the object; reading and both integrity
@@ -41,8 +42,11 @@
 #ifndef LOOPPOINT_STORE_ARTIFACT_STORE_HH
 #define LOOPPOINT_STORE_ARTIFACT_STORE_HH
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <cstdint>
+#include <ctime>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -55,9 +59,8 @@
 
 namespace looppoint {
 
-/** Monotonic per-instance operation counters (always on, unlike the
- * obs registry, so smoke tests can assert on them without --metrics;
- * the registry mirrors these under `store.*` when metrics are armed). */
+/** Monotonic per-instance operation counters (always on: product
+ * output, printed on run_looppoint's `store` line). */
 struct StoreStats
 {
     uint64_t hits = 0;
@@ -176,13 +179,27 @@ class ArtifactStore
 
     std::string objectPath(const std::string &hash) const;
 
-    /** Re-read the manifest from disk. Caller holds the flock. */
+    /** The manifest file's identity, size and mtime. */
+    struct FileStamp
+    {
+        dev_t dev;
+        ino_t ino;
+        off_t size;
+        time_t mtimeSec;
+        long mtimeNsec;
+        bool operator==(const FileStamp &) const = default;
+    };
+    std::optional<FileStamp> manifestStamp() const;
+
+    /** Re-read the manifest from disk unless its stamp equals the one
+     * the map was last parsed from or written to. Caller holds the
+     * flock. */
     void reloadManifestLocked();
     /** Atomically rewrite the manifest. Caller holds the flock. */
     bool rewriteManifestLocked();
 
-    void countHit(const std::string &stage, uint64_t payload_bytes);
-    void countMiss(const std::string &stage);
+    void countHit(uint64_t payload_bytes);
+    void countMiss();
 
     std::string rootDir;
     int lockFd = -1;
@@ -191,6 +208,8 @@ class ArtifactStore
     CrcLog manifestLog;
     /** (stage, key) -> entry, rebuilt from disk under the lock. */
     std::map<std::pair<std::string, std::string>, Entry> manifest;
+    /** The manifest file `manifest` matches; nullopt forces a parse. */
+    std::optional<FileStamp> parsedStamp;
 
     std::atomic<uint64_t> nHits{0}, nMisses{0}, nPublishes{0},
         nCorrupt{0}, nFailedPublishes{0}, nBytesStored{0},

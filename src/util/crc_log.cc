@@ -8,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/metrics.hh"
 #include "util/checksum.hh"
 
 namespace looppoint {
@@ -29,17 +28,10 @@ writeFileAtomic(const std::string &path, const std::string &contents)
 }
 
 CrcLog::CrcLog(std::string path, std::vector<std::string> header_,
-               std::string what_, std::string metrics_)
+               std::string what_)
     : filePath(std::move(path)), header(std::move(header_)),
-      what(std::move(what_)), metrics(std::move(metrics_))
+      what(std::move(what_))
 {
-}
-
-void
-CrcLog::count(const char *name, uint64_t n) const
-{
-    if (!metrics.empty())
-        MetricsRegistry::global().counter(metrics + "." + name).add(n);
 }
 
 std::optional<LoadError>
@@ -91,7 +83,7 @@ CrcLog::open(bool must_exist, const Decoder &decode)
                              "', this run is '" + header[i] + "'"};
     }
 
-    size_t valid = pos, records = 0;
+    size_t valid = pos;
     while (next()) {
         auto payload = checkCrcLine(line);
         if (!payload || !decode(*payload)) {
@@ -102,15 +94,11 @@ CrcLog::open(bool must_exist, const Decoder &decode)
                 ++nDropped;
             break;
         }
-        ++records;
         valid = pos;
     }
     validBytes = valid;
     tornTail = valid < bytes.size();
     needsNewline = valid > 0 && bytes[valid - 1] != '\n';
-    count("loaded_records", records);
-    if (nDropped)
-        count("dropped_records", nDropped);
     return std::nullopt;
 }
 
@@ -140,7 +128,6 @@ CrcLog::append(const std::string &payload)
         }
     }
     nFailed += !ok;
-    count(ok ? "appends" : "failed_writes", 1);
     return ok;
 }
 

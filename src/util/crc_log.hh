@@ -47,12 +47,10 @@ class CrcLog
 
     /**
      * `header`: the payloads every file starts with, magic first.
-     * `what` names the log in errors ("store manifest"). A non-empty
-     * `metrics` prefixes the obs counters `.loaded_records`,
-     * `.dropped_records`, `.appends` and `.failed_writes`.
+     * `what` names the log in errors ("store manifest").
      */
     CrcLog(std::string path, std::vector<std::string> header,
-           std::string what, std::string metrics = "");
+           std::string what);
 
     /** Read the file. Missing is an Io error iff `must_exist`, else an
      * empty log; a bad header decodes nothing; a torn tail is no error. */
@@ -69,12 +67,9 @@ class CrcLog
     size_t failedWrites() const { return nFailed; }
 
   private:
-    void count(const char *name, uint64_t n) const;
-
     std::string filePath;
     std::vector<std::string> header;
     std::string what;
-    std::string metrics;
     /** Bytes of the accepted header + records; nullopt until open() or
      * a write accepts the file, and then the next append replaces it. */
     std::optional<uint64_t> validBytes;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "obs/clock.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace looppoint {
@@ -19,16 +17,9 @@ ThreadPool::defaultWorkers()
 ThreadPool::ThreadPool(uint32_t num_workers)
 {
     const uint32_t n = resolveWorkers(num_workers);
-    MetricsRegistry &reg = MetricsRegistry::global();
     workers.reserve(n);
-    for (uint32_t wid = 0; wid < n; ++wid) {
-        const std::string prefix = "pool.worker" + std::to_string(wid);
-        Counter &tasks = reg.counter(prefix + ".tasks");
-        Counter &idle_ns = reg.counter(prefix + ".idle_ns");
-        workers.emplace_back([this, wid, &tasks, &idle_ns] {
-            workerLoop(wid, tasks, idle_ns);
-        });
-    }
+    for (uint32_t wid = 0; wid < n; ++wid)
+        workers.emplace_back([this, wid] { workerLoop(wid); });
 }
 
 ThreadPool::~ThreadPool()
@@ -71,7 +62,7 @@ ThreadPool::runPendingTask()
 }
 
 void
-ThreadPool::workerLoop(uint32_t wid, Counter &tasks, Counter &idle_ns)
+ThreadPool::workerLoop(uint32_t wid)
 {
     // Claim a named trace track so spans recorded while running pool
     // tasks land on a recognizable timeline.
@@ -82,23 +73,13 @@ ThreadPool::workerLoop(uint32_t wid, Counter &tasks, Counter &idle_ns)
         Task task;
         {
             std::unique_lock<std::mutex> g(mtx);
-            if (queue.empty() && !stopping) {
-                // Clock reads only when someone is scraping;
-                // Counter::add re-checks the enabled flag itself.
-                const bool timing = MetricsRegistry::global().enabled();
-                const uint64_t idle0 =
-                    timing ? SteadyClock::instance().nowNs() : 0;
-                cv.wait(g, [this] { return stopping || !queue.empty(); });
-                if (timing)
-                    idle_ns.add(SteadyClock::instance().nowNs() - idle0);
-            }
+            cv.wait(g, [this] { return stopping || !queue.empty(); });
             if (queue.empty())
                 return; // stopping, and drained
             task = std::move(queue.front());
             queue.pop_front();
         }
         task();
-        tasks.add();
     }
 }
 

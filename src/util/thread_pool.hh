@@ -40,8 +40,6 @@
 
 namespace looppoint {
 
-class Counter;
-
 /** See file comment. */
 class ThreadPool
 {
@@ -141,9 +139,7 @@ class ThreadPool
     using Task = std::function<void()>;
 
     void enqueue(Task task);
-    /** Telemetry handles are owned by the global MetricsRegistry;
-     * updates are no-ops while it is disabled. */
-    void workerLoop(uint32_t wid, Counter &tasks, Counter &idle_ns);
+    void workerLoop(uint32_t wid);
 
     std::mutex mtx; ///< guards queue + stopping
     std::condition_variable cv;

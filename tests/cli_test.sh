@@ -3,7 +3,8 @@
 # that take arguments, all parsed by src/util/flags: --help exits 0, a
 # malformed command line exits 2. Also checks that README's flag
 # tables list every flag --help lists, and that lp_report reads a
-# trace, partitioned warm pass and store-served regions included.
+# trace: region attempts, k-means work, partitioned warm pass and
+# store-served regions included.
 #
 #   tests/cli_test.sh RUN_LOOPPOINT LP_LINT LP_CAMPAIGN LP_REPORT LP_STORE \
 #       SAMPLE_SPEC_APP BASELINE_COMPARISON README
@@ -88,6 +89,17 @@ expect 0 "$run_looppoint" -p demo-matrix-1 -n 2 -j 2 --no-fullsim --trace "$tmp/
 expect 0 "$lp_report" --trace "$tmp/t2.json" --check
 grep -qE '^warm apply +: [0-9.]+ M records/s \([0-9]+ records over [0-9.]+ busy s\)$' "$tmp/out" || {
     echo "FAIL: lp_report printed no partition apply rate for a -j 2 trace"
+    sed 's/^/    /' "$tmp/out"
+    failures=$((failures + 1)); }
+# The region table carries each region's attempts, and one line totals
+# the k-means sweep's exact work over its cluster.kmeans spans.
+grep -qE '^ *region +mult +wall ms +ipc +l2mpki +attempts +ok$' "$tmp/out" &&
+    grep -qE '^ +[0-9]+ +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-9.]+ +1 +yes$' "$tmp/out" || {
+    echo "FAIL: lp_report printed no attempts column in its region table"
+    sed 's/^/    /' "$tmp/out"
+    failures=$((failures + 1)); }
+grep -qE '^k-means sweep +: [1-9][0-9]* candidate\(s\), [1-9][0-9]* iteration\(s\), [1-9][0-9]* distance term\(s\)$' "$tmp/out" || {
+    echo "FAIL: lp_report printed no k-means sweep totals"
     sed 's/^/    /' "$tmp/out"
     failures=$((failures + 1)); }
 # A degraded run publishes its good regions only; a rerun against the

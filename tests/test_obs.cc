@@ -2,10 +2,9 @@
  * @file
  * The observability layer: JSON reader round-trips, deterministic
  * Chrome-trace emission under a FakeClock, ring-buffer overflow
- * accounting, counter/histogram updates from many threads,
- * leveled-logging parsing, the host-parallel speedup stats, and —
- * the contract that matters most — that arming the tracer and
- * metrics registry leaves simulated results bit-identical.
+ * accounting, leveled-logging parsing, the host-parallel speedup
+ * stats, and — the contract that matters most — that arming the
+ * tracer leaves simulated results bit-identical.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include "core/looppoint.hh"
 #include "obs/clock.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 #include "workload/descriptor.hh"
@@ -319,104 +317,6 @@ TEST(ObsTrace, NonFiniteDoubleArgsStayParseable)
 }
 
 // --------------------------------------------------------------------
-// Metrics
-// --------------------------------------------------------------------
-
-TEST(ObsMetrics, CounterAggregatesAcrossThreads)
-{
-    MetricsRegistry reg;
-    reg.setEnabled(true);
-    Counter &c = reg.counter("test.hits");
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t)
-        threads.emplace_back([&c] {
-            for (int i = 0; i < 1000; ++i)
-                c.add();
-        });
-    for (auto &th : threads)
-        th.join();
-    EXPECT_EQ(c.value(), 8000u);
-}
-
-TEST(ObsMetrics, HistogramBucketBoundariesAreInclusive)
-{
-    MetricsRegistry reg;
-    reg.setEnabled(true);
-    Histogram &h = reg.histogram("test.lat", {10, 100});
-    for (uint64_t s : {5u, 10u, 11u, 100u, 101u})
-        h.observe(s);
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.sum(), 227u);
-    // bounds are inclusive upper bounds; the last bucket is overflow.
-    EXPECT_EQ(h.bucketCounts(), (std::vector<uint64_t>{2, 2, 1}));
-    // Unsorted/duplicated bounds are normalized at registration.
-    Histogram &h2 = reg.histogram("test.lat2", {100, 10, 100});
-    EXPECT_EQ(h2.bounds(), (std::vector<uint64_t>{10, 100}));
-}
-
-TEST(ObsMetrics, JsonEmitterRoundTripsThroughParser)
-{
-    MetricsRegistry reg;
-    reg.setEnabled(true);
-    reg.counter("a.count").add(42);
-    reg.gauge("b.gauge").set(2.75);
-    Histogram &h = reg.histogram("c.hist", {10});
-    h.observe(3);
-    h.observe(30);
-
-    std::ostringstream os;
-    reg.printJson(os);
-    std::string err;
-    auto v = parseJson(os.str(), &err);
-    ASSERT_TRUE(v.has_value()) << err << "\n" << os.str();
-    EXPECT_DOUBLE_EQ(v->find("counters")->numberOr("a.count", 0), 42.0);
-    EXPECT_DOUBLE_EQ(v->find("gauges")->numberOr("b.gauge", 0), 2.75);
-    const JsonValue *hist = v->find("histograms")->find("c.hist");
-    ASSERT_NE(hist, nullptr);
-    EXPECT_DOUBLE_EQ(hist->numberOr("count", 0), 2.0);
-    EXPECT_DOUBLE_EQ(hist->numberOr("sum", 0), 33.0);
-    ASSERT_TRUE(hist->find("buckets")->isArray());
-    EXPECT_EQ(hist->find("buckets")->array.size(), 2u);
-
-    // The text emitter mentions every metric by name.
-    std::ostringstream text;
-    reg.printText(text);
-    for (const char *name : {"a.count", "b.gauge", "c.hist"})
-        EXPECT_NE(text.str().find(name), std::string::npos) << name;
-}
-
-TEST(ObsMetrics, DisabledRegistryDropsUpdates)
-{
-    MetricsRegistry reg;
-    Counter &c = reg.counter("test.off");
-    Gauge &g = reg.gauge("test.off.g");
-    Histogram &h = reg.histogram("test.off.h", {10});
-    c.add(5);
-    g.set(1.0);
-    h.observe(3);
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-    EXPECT_EQ(h.count(), 0u);
-
-    reg.setEnabled(true);
-    c.add(5);
-    EXPECT_EQ(c.value(), 5u);
-    reg.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(ObsMetrics, RegistrationReturnsStableObjects)
-{
-    MetricsRegistry reg;
-    EXPECT_EQ(&reg.counter("x"), &reg.counter("x"));
-    EXPECT_EQ(&reg.gauge("y"), &reg.gauge("y"));
-    Histogram &h = reg.histogram("z", {1, 2});
-    // A re-registration keeps the original bounds.
-    EXPECT_EQ(&reg.histogram("z", {99}), &h);
-    EXPECT_EQ(h.bounds(), (std::vector<uint64_t>{1, 2}));
-}
-
-// --------------------------------------------------------------------
 // Leveled logging
 // --------------------------------------------------------------------
 
@@ -506,17 +406,27 @@ TEST(ObsIsolation, SimResultsBitIdenticalWithObsOnAndOff)
     PipelineOutput off = runPipeline();
 
     Tracer &tracer = Tracer::global();
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    tracer.setEnabled(true);
-    metrics.setEnabled(true);
-    PipelineOutput on = runPipeline();
-    // The instrumented run must actually have produced telemetry.
-    EXPECT_GT(tracer.pendingEvents(), 0u);
-    EXPECT_GT(metrics.counter("region.sim.completed").value(), 0u);
-    tracer.setEnabled(false);
     tracer.clear();
-    metrics.setEnabled(false);
-    metrics.reset();
+    tracer.setEnabled(true);
+    PipelineOutput on = runPipeline();
+    tracer.setEnabled(false);
+    // The instrumented run must actually have produced telemetry: one
+    // region.sim span per simulated region on the host tracks (the
+    // mirrored copies on the region tracks aside).
+    JsonValue doc = emitAndParse(tracer);
+    std::vector<double> sim_regions;
+    for (const JsonValue *ev : spanEvents(doc)) {
+        const JsonValue *args = ev->find("args");
+        if (ev->stringOr("name", "") == "region.sim" && args &&
+            !args->find("mirror"))
+            sim_regions.push_back(args->numberOr("region", -1));
+    }
+    std::sort(sim_regions.begin(), sim_regions.end());
+    std::vector<double> every_region(on.lp.regions.size());
+    for (size_t i = 0; i < every_region.size(); ++i)
+        every_region[i] = static_cast<double>(i);
+    EXPECT_FALSE(every_region.empty());
+    EXPECT_EQ(sim_regions, every_region);
 
     EXPECT_EQ(off.lp.chosenK, on.lp.chosenK);
     EXPECT_EQ(off.lp.assignment, on.lp.assignment);

@@ -422,6 +422,48 @@ TEST(ArtifactStore, ManifestLastLineWinsAndGcAndEvictionCompact)
     EXPECT_EQ(ArtifactStore(dir).hashFor("cluster", "k"), h2);
 }
 
+TEST(ArtifactStore, SecondInstanceSeesEveryManifestChange)
+{
+    // Each instance re-parses the manifest only when the file changed.
+    // Every change one instance makes must show in the other's next
+    // call, each of which follows a call that parsed the file before.
+    std::string dir = freshStoreDir("two_instances");
+    ArtifactStore a(dir);
+    ArtifactStore b(dir);
+    EXPECT_FALSE(b.hashFor("cluster", "k"));
+    EXPECT_TRUE(b.entries().empty());
+
+    // A publish through one instance.
+    const std::string h1 = a.publish("cluster", "k", "one");
+    const std::string h2 = a.publish("cluster", "other", "two");
+    EXPECT_EQ(b.hashFor("cluster", "k"), h1);
+    auto hit = b.lookup("cluster", "other");
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(hit->hash, h2);
+    EXPECT_EQ(b.entries().size(), 2u);
+    const std::string h3 = b.publish("cluster", "third", "three");
+    EXPECT_EQ(a.hashFor("cluster", "third"), h3);
+
+    // A corrupt-object eviction through one instance.
+    {
+        std::fstream f(dir + "/objects/" + h2,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(-1, std::ios::end);
+        f.put('?');
+    }
+    EXPECT_FALSE(a.lookup("cluster", "other"));
+    EXPECT_FALSE(b.hashFor("cluster", "other"));
+    EXPECT_FALSE(b.lookup("cluster", "other"));
+    EXPECT_EQ(b.entries().size(), 2u);
+    EXPECT_EQ(b.stats().corruptEntries, 0u) << "a evicted it, not b";
+
+    // A gc through one instance.
+    EXPECT_EQ(b.gc(0).removedObjects, 2u);
+    EXPECT_TRUE(a.entries().empty());
+    EXPECT_FALSE(a.hashFor("cluster", "k"));
+    EXPECT_FALSE(a.lookup("cluster", "third"));
+}
+
 TEST(ArtifactStore, GcEvictsLeastRecentlyUsedFirst)
 {
     std::string dir = freshStoreDir("gc");
@@ -529,7 +571,6 @@ TEST(StageKeys, UarchPartitionCoversEveryResultAffectingField)
                                 void (*)(SimConfig &)>> host_knobs = {
         {"jobs", [](SimConfig &c) { c.jobs = 16; }},
         {"obs.trace", [](SimConfig &c) { c.obs.trace = true; }},
-        {"obs.metrics", [](SimConfig &c) { c.obs.metrics = true; }},
         {"regionRetries", [](SimConfig &c) { c.regionRetries = 3; }},
         {"watchdogFactor", [](SimConfig &c) { c.watchdogFactor = 8; }},
         {"faults",
@@ -670,7 +711,7 @@ TEST(StageKeys, JournalKeyUsesUarchPartition)
 
     SimConfig host = a;
     host.jobs = 8;
-    host.obs.metrics = true;
+    host.obs.trace = true;
     const std::string kh =
         StageCache::simRegionKey(StageCache::simKey("HASH_C", host, false),
                                  0);

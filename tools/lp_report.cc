@@ -1,17 +1,18 @@
 /**
  * @file
- * lp_report: offline analyzer for the observability outputs of
- * run_looppoint (--trace / --metrics).
+ * lp_report: offline analyzer for the span trace of run_looppoint
+ * --trace, the one telemetry channel of a run.
  *
- *   lp_report --trace=t.json [--metrics=m.json] [--check]
+ *   lp_report --trace=t.json [--check]
  *
  * Reads a Chrome trace-event document produced by the span tracer and
  * prints a per-phase wall-time breakdown, a per-region table (wall
- * time, multiplier, IPC, L2 MPKI), the slowest region, the measured
- * host-parallel efficiency, and the checkpoint-fanout critical path
- * (the best wall time any worker count could achieve, paper Fig. 9's
- * limit): max over regions of (checkpoint-ready time + region sim
- * time). A region's checkpoint is ready when its warm.fastforward stop
+ * time, multiplier, IPC, L2 MPKI, attempts), the slowest region, the
+ * k-means sweep's exact work (candidates, iterations, distance terms),
+ * the measured host-parallel efficiency, and the checkpoint-fanout
+ * critical path (the best wall time any worker count could achieve,
+ * paper Fig. 9's limit): max over regions of (checkpoint-ready time +
+ * region sim time). A region's checkpoint is ready when its warm.fastforward stop
  * ends, or, in a phase served from stored warm checkpoints, when its
  * warm.load ends. It also counts the whole-program executions the
  * analysis made (the recording plus any DCFG or profile replay), and
@@ -53,7 +54,6 @@ namespace {
 struct Options
 {
     std::string tracePath;
-    std::string metricsPath;
     std::string campaignDir;
     bool check = false;
 };
@@ -68,6 +68,14 @@ struct Event
     double durUs = 0.0;
     bool mirror = false;
     std::map<std::string, double> numArgs;
+
+    /** The numeric arg `key`, or `absent` when the event has none. */
+    double
+    num(const char *key, double absent = 0.0) const
+    {
+        auto it = numArgs.find(key);
+        return it == numArgs.end() ? absent : it->second;
+    }
 };
 
 bool
@@ -264,16 +272,11 @@ reportTrace(const Options &opt)
         agg.maxUs = std::max(agg.maxUs, ev.durUs);
         if (ev.name == "phase.checkpointed")
             checkpointed = &ev;
-        auto region_of = [&]() {
-            auto it = ev.numArgs.find("region");
-            return it == ev.numArgs.end()
-                       ? static_cast<int64_t>(-1)
-                       : static_cast<int64_t>(it->second);
-        };
+        const auto region = static_cast<int64_t>(ev.num("region", -1));
         if (ev.name == "region.sim")
-            regionSims[region_of()] = &ev;
+            regionSims[region] = &ev;
         else if (ev.name == "warm.fastforward" || ev.name == "warm.load")
-            regionWarms[region_of()] = &ev;
+            regionWarms[region] = &ev;
     }
 
     std::printf("== phases (mirrored spans excluded) ==\n");
@@ -285,20 +288,17 @@ reportTrace(const Options &opt)
 
     if (!regionSims.empty()) {
         std::printf("\n== regions ==\n");
-        std::printf("%6s %10s %12s %8s %8s %3s\n", "region", "mult",
-                    "wall ms", "ipc", "l2mpki", "ok");
+        std::printf("%6s %10s %12s %8s %8s %8s %3s\n", "region", "mult",
+                    "wall ms", "ipc", "l2mpki", "attempts", "ok");
         int64_t slowest = -1;
         double slowest_us = -1.0;
         for (const auto &[region, ev] : regionSims) {
-            auto num = [&](const char *key) {
-                auto it = ev->numArgs.find(key);
-                return it == ev->numArgs.end() ? 0.0 : it->second;
-            };
-            std::printf("%6lld %10.3f %12.3f %8.3f %8.3f %3s\n",
+            std::printf("%6lld %10.3f %12.3f %8.3f %8.3f %8.0f %3s\n",
                         static_cast<long long>(region),
-                        num("multiplier"), ev->durUs / 1e3,
-                        num("ipc"), num("l2_mpki"),
-                        num("ok") != 0.0 ? "yes" : "NO");
+                        ev->num("multiplier"), ev->durUs / 1e3,
+                        ev->num("ipc"), ev->num("l2_mpki"),
+                        ev->num("attempts"),
+                        ev->num("ok") != 0.0 ? "yes" : "NO");
             if (ev->durUs > slowest_us) {
                 slowest_us = ev->durUs;
                 slowest = region;
@@ -310,10 +310,7 @@ reportTrace(const Options &opt)
 
     if (checkpointed) {
         const Event &cp = *checkpointed;
-        auto arg = [&](const char *key) {
-            auto it = cp.numArgs.find(key);
-            return it == cp.numArgs.end() ? 0.0 : it->second;
-        };
+        auto arg = [&](const char *key) { return cp.num(key); };
         const double jobs = arg("jobs");
         const double phase_ms = cp.durUs / 1e3;
 
@@ -415,8 +412,10 @@ reportTrace(const Options &opt)
 
     // Whole-program executions the analysis made to record and profile:
     // the recording (unless the store served the pinball) plus each
-    // constrained replay.
-    size_t executions = 0;
+    // constrained replay; and the BIC sweep's exact work, one
+    // cluster.kmeans span per K candidate.
+    size_t executions = 0, candidates = 0;
+    double iterations = 0.0, distance_terms = 0.0;
     bool analyzed = false;
     const Event *recording = nullptr;
     for (const Event &ev : spans) {
@@ -425,25 +424,29 @@ reportTrace(const Options &opt)
         if (ev.name == "analyze.record") {
             analyzed = true;
             recording = &ev;
-            auto it = ev.numArgs.find("cached");
-            if (it == ev.numArgs.end() || it->second == 0.0)
+            if (ev.num("cached") == 0.0)
                 ++executions;
         } else if (ev.name == "analyze.dcfg" ||
                    ev.name == "analyze.profile") {
             ++executions;
+        } else if (ev.name == "cluster.kmeans") {
+            ++candidates;
+            iterations += ev.num("iterations");
+            distance_terms += ev.num("distance_terms");
         }
     }
     if (analyzed)
         std::printf("\nanalysis       : %zu program execution(s)\n",
                     executions);
+    if (candidates)
+        std::printf("k-means sweep  : %zu candidate(s), %.0f "
+                    "iteration(s), %.0f distance term(s)\n",
+                    candidates, iterations, distance_terms);
     // Which side of a pipelined recording stalled: the recording
     // waiting for its slowest listener, or the listeners (the DCFG
     // builder and the slice profiler) waiting for block events.
     if (recording) {
-        auto arg = [&](const char *key) {
-            auto it = recording->numArgs.find(key);
-            return it == recording->numArgs.end() ? -1.0 : it->second;
-        };
+        auto arg = [&](const char *key) { return recording->num(key, -1); };
         const double wait_s = arg("record_wait_s");
         const double dcfg_s = arg("dcfg_idle_s");
         const double profile_s = arg("profile_idle_s");
@@ -470,49 +473,6 @@ reportTrace(const Options &opt)
 
     if (opt.check)
         std::printf("check          : %zu violation(s)\n",
-                    log.violations);
-    return log.violations ? 1 : 0;
-}
-
-int
-reportMetrics(const Options &opt)
-{
-    std::string text;
-    if (!loadFile(opt.metricsPath, text)) {
-        logError("cannot read metrics '%s'", opt.metricsPath.c_str());
-        return 2;
-    }
-    CheckLog log;
-    std::string err;
-    auto doc = parseJson(text, &err);
-    if (!doc) {
-        log.failf("metrics file is not valid JSON: %s", err.c_str());
-        return 1;
-    }
-    const JsonValue *counters = doc->find("counters");
-    const JsonValue *gauges = doc->find("gauges");
-    const JsonValue *histograms = doc->find("histograms");
-    if (!counters || !counters->isObject() || !gauges ||
-        !gauges->isObject() || !histograms || !histograms->isObject()) {
-        log.failf("metrics JSON lacks counters/gauges/histograms "
-                  "objects");
-        return 1;
-    }
-    std::printf("\n== metrics ==\n");
-    for (const auto &[name, v] : counters->object)
-        if (v.isNumber())
-            std::printf("%-32s %.0f\n", name.c_str(), v.number);
-    for (const auto &[name, v] : gauges->object)
-        if (v.isNumber())
-            std::printf("%-32s %g\n", name.c_str(), v.number);
-    for (const auto &[name, v] : histograms->object) {
-        const double count = v.numberOr("count", 0.0);
-        const double sum = v.numberOr("sum", 0.0);
-        std::printf("%-32s count %.0f, mean %.1f\n", name.c_str(),
-                    count, count > 0.0 ? sum / count : 0.0);
-    }
-    if (opt.check)
-        std::printf("metrics check  : %zu violation(s)\n",
                     log.violations);
     return log.violations ? 1 : 0;
 }
@@ -721,15 +681,12 @@ main(int argc, char **argv)
     Options opt;
     parseCommandLine(
         {.name = "lp_report",
-         .synopsis = "--trace=PATH [--metrics=PATH] [--check]\n"
+         .synopsis = "--trace=PATH [--check]\n"
                      "       lp_report --campaign=DIR",
          .flags =
              {{"trace", 0, "PATH",
                "Chrome trace JSON from run_looppoint --trace",
                setString(opt.tracePath)},
-              {"metrics", 0, "PATH",
-               "metrics JSON from run_looppoint --metrics",
-               setString(opt.metricsPath)},
               {"campaign", 0, "DIR",
                "aggregate the per-job result.json files of an lp_campaign "
                "directory: per-job table plus store hit-rate and "
@@ -741,17 +698,14 @@ main(int argc, char **argv)
                setBool(opt.check)}},
          .check =
              [&opt] {
-                 if (opt.tracePath.empty() && opt.metricsPath.empty() &&
-                     opt.campaignDir.empty())
-                     throw UsageError("nothing to do: give --trace, "
-                                      "--metrics, or --campaign");
+                 if (opt.tracePath.empty() && opt.campaignDir.empty())
+                     throw UsageError("nothing to do: give --trace or "
+                                      "--campaign");
              }},
         argc, argv);
     int rc = 0;
     if (!opt.tracePath.empty())
         rc = std::max(rc, reportTrace(opt));
-    if (!opt.metricsPath.empty())
-        rc = std::max(rc, reportMetrics(opt));
     if (!opt.campaignDir.empty())
         rc = std::max(rc, reportCampaign(opt));
     return rc;

@@ -20,7 +20,6 @@
 #include "analysis/experiment_audit.hh"
 #include "core/experiment.hh"
 #include "exec/driver.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/fault.hh"
 #include "util/flags.hh"
@@ -41,7 +40,6 @@ struct CliOptions
     bool native = false;
     bool audit = false;
     std::string tracePath;
-    std::string metricsPath;
     /** Named microarchitecture preset ("" = baseline). */
     std::string uarchPreset;
 };
@@ -143,10 +141,6 @@ commandLine(CliOptions &cli)
          "(open it in ui.perfetto.dev or chrome://tracing; inspect it "
          "with lp_report)",
          setString(cli.tracePath)},
-        {"metrics", 0, "PATH",
-         "write the metrics registry to PATH (*.txt = text, otherwise "
-         "JSON)",
-         setString(cli.metricsPath)},
         {"store", 0, "DIR",
          "content-addressed artifact store at DIR: recording, "
          "profiling, clustering, region simulation and the full sim "
@@ -166,7 +160,6 @@ commandLine(CliOptions &cli)
                 if (!cli.uarchPreset.empty())
                     applyUarchPreset(exp.sim, cli.uarchPreset);
                 exp.sim.obs.trace = !cli.tracePath.empty();
-                exp.sim.obs.metrics = !cli.metricsPath.empty();
                 // Test-class runs are small; shrink slices so
                 // clustering has enough intervals to work with (paper
                 // Sec. III-B).
@@ -299,45 +292,24 @@ runOne(const std::string &program, const CliOptions &cli)
 }
 
 /**
- * Flush the accumulated observability outputs (all programs of the
- * invocation share the global tracer/registry). Returns 0, or 3 when
- * a requested output could not be written.
+ * Flush the accumulated trace (all programs of the invocation share
+ * the global tracer). Returns 0, or 3 when it could not be written.
  */
 int
 writeObsOutputs(const CliOptions &cli)
 {
-    int rc = 0;
-    if (!cli.tracePath.empty()) {
-        std::ofstream os(cli.tracePath);
-        if (!os) {
-            logError("cannot write trace to '%s'",
-                     cli.tracePath.c_str());
-            rc = 3;
-        } else {
-            Tracer::global().writeChromeTrace(os);
-            std::printf("trace          : %s (load in "
-                        "ui.perfetto.dev or chrome://tracing)\n",
-                        cli.tracePath.c_str());
-        }
+    if (cli.tracePath.empty())
+        return 0;
+    std::ofstream os(cli.tracePath);
+    if (!os) {
+        logError("cannot write trace to '%s'", cli.tracePath.c_str());
+        return 3;
     }
-    if (!cli.metricsPath.empty()) {
-        std::ofstream os(cli.metricsPath);
-        if (!os) {
-            logError("cannot write metrics to '%s'",
-                     cli.metricsPath.c_str());
-            rc = 3;
-        } else {
-            const std::string &p = cli.metricsPath;
-            const bool text = p.size() >= 4 &&
-                              p.compare(p.size() - 4, 4, ".txt") == 0;
-            if (text)
-                MetricsRegistry::global().printText(os);
-            else
-                MetricsRegistry::global().printJson(os);
-            std::printf("metrics        : %s\n", p.c_str());
-        }
-    }
-    return rc;
+    Tracer::global().writeChromeTrace(os);
+    std::printf("trace          : %s (load in "
+                "ui.perfetto.dev or chrome://tracing)\n",
+                cli.tracePath.c_str());
+    return 0;
 }
 
 } // namespace
@@ -357,7 +329,7 @@ main(int argc, char **argv)
             rc = std::max(rc, runOne(program, cli));
     } catch (const InjectedKill &e) {
         // A simulated host crash: like the real thing, it leaves no
-        // trace/metrics files behind.
+        // trace file behind.
         logError("run_looppoint: %s", e.what());
         return 3;
     } catch (const InterruptedRun &e) {
